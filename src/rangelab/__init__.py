@@ -9,7 +9,6 @@ lower tails of the centered range, including the variational constant
 from the planar Gagliardo-Nirenberg problem.
 """
 
-from .backend import backend_name, use_numba
 from .errors import IdentityCheckFailure, InvalidConfig, ResourceLimit
 from .experiments import (
     ExperimentConfig,
@@ -53,7 +52,6 @@ __all__ = [
     "StepDistribution",
     "ValidationReport",
     "WalkPath",
-    "backend_name",
     "build_return_table",
     "builtin_distribution",
     "distribution_from_config",
@@ -68,7 +66,6 @@ __all__ = [
     "run_report",
     "sample_path",
     "sample_poissonized",
-    "use_numba",
     "validate_distribution",
     "__version__",
 ]

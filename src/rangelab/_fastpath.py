@@ -1,10 +1,8 @@
-"""Hot loops in two interchangeable flavours.
+"""Hot loops, one vectorized numpy implementation each.
 
-Every public function here dispatches, at call time, between a numba
-``@njit`` kernel and a vectorized numpy equivalent.  The numpy side is
-not a toy: it is the reference implementation, and the two sides are
-cross-checked in the test suite.  Set ``RANGELAB_NO_NUMBA=1`` to force
-the numpy side; ``python -m rangelab.benchmark`` times both.
+The site counters are property-tested against per-row Python-set
+recounts; the enumeration kernel is independent of the renewal
+recursion, so its agreement with the exact table is a real cross-check.
 
 Positions are packed into int64 keys as (x << 32) ^ (y & 0xFFFFFFFF),
 which is injective for int32 coordinates.
@@ -14,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import njit, use_numba
-
 __all__ = [
     "pack_positions",
     "prefix_range_counts",
@@ -23,8 +19,6 @@ __all__ = [
     "log_power_sums",
     "enum_walk_moments",
 ]
-
-_EMPTY = np.int64(-(2**63))
 
 
 def pack_positions(pos: np.ndarray) -> np.ndarray:
@@ -45,156 +39,35 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
 # distinct-site counting
 
 
-@njit(cache=True)
-def _prefix_counts_nb(keys):  # pragma: no cover - numba
-    n = keys.size
-    cap = 4
-    while cap < 2 * n + 4:
-        cap <<= 1
-    mask = np.uint64(cap - 1)
-    table = np.full(cap, _EMPTY, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
-    cnt = 0
-    for i in range(n):
-        k = keys[i]
-        h = np.uint64(k)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h = h ^ (h >> np.uint64(31))
-        j = h & mask
-        while True:
-            v = table[j]
-            if v == _EMPTY:
-                table[j] = k
-                cnt += 1
-                break
-            if v == k:
-                break
-            j = (j + np.uint64(1)) & mask
-        out[i] = cnt
-    return out
-
-
-def _prefix_counts_np(keys):
-    n = keys.size
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return np.searchsorted(first, np.arange(1, n + 1), side="left").astype(np.int64)
-
-
 def prefix_range_counts(keys: np.ndarray) -> np.ndarray:
     """out[m] = number of distinct keys among keys[0..m]."""
+    keys = np.asarray(keys, dtype=np.int64)
     if keys.size == 0:
         return np.empty(0, dtype=np.int64)
-    if use_numba():
-        return _prefix_counts_nb(np.ascontiguousarray(keys, dtype=np.int64))
-    return _prefix_counts_np(np.asarray(keys, dtype=np.int64))
-
-
-@njit(cache=True)
-def _batch_counts_nb(idx2d, sup_x, sup_y):  # pragma: no cover - numba
-    b, n = idx2d.shape
-    cap = 4
-    while cap < 2 * n + 4:
-        cap <<= 1
-    mask = np.uint64(cap - 1)
-    table = np.empty(cap, dtype=np.int64)
-    stamp = np.zeros(cap, dtype=np.int64)
-    out = np.empty(b, dtype=np.int64)
-    for r in range(b):
-        gen = r + 1
-        cnt = 0
-        x = np.int64(0)
-        y = np.int64(0)
-        for i in range(n):
-            s = idx2d[r, i]
-            x += sup_x[s]
-            y += sup_y[s]
-            k = (x << 32) ^ (y & np.int64(0xFFFFFFFF))
-            h = np.uint64(k)
-            h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            h = h ^ (h >> np.uint64(31))
-            j = h & mask
-            while True:
-                if stamp[j] != gen:
-                    stamp[j] = gen
-                    table[j] = k
-                    cnt += 1
-                    break
-                if table[j] == k:
-                    break
-                j = (j + np.uint64(1)) & mask
-        out[r] = cnt
-    return out
-
-
-def _batch_counts_np(idx2d, sup_x, sup_y):
-    x = np.cumsum(sup_x[idx2d], axis=1, dtype=np.int64)
-    y = np.cumsum(sup_y[idx2d], axis=1, dtype=np.int64)
-    keys = (x << 32) ^ (y & np.int64(0xFFFFFFFF))
-    keys.sort(axis=1)
-    return (keys[:, 1:] != keys[:, :-1]).sum(axis=1) + 1
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return np.searchsorted(first, np.arange(1, keys.size + 1),
+                           side="left").astype(np.int64)
 
 
 def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray) -> np.ndarray:
     """Distinct-site counts for a batch of walks given step indices.
 
-    idx2d has one row of support indices per replica.  Returns int64
-    counts; both backends give identical integers.
-    """
+    idx2d has one row of support indices per replica; each row is walked
+    from the origin, which is not counted.  Returns int64 counts."""
     if idx2d.shape[1] == 0:
         return np.zeros(idx2d.shape[0], dtype=np.int64)
     sup_x = np.ascontiguousarray(sup_x, dtype=np.int64)
     sup_y = np.ascontiguousarray(sup_y, dtype=np.int64)
-    if use_numba():
-        return _batch_counts_nb(np.ascontiguousarray(idx2d), sup_x, sup_y)
-    return _batch_counts_np(idx2d, sup_x, sup_y).astype(np.int64)
+    x = np.cumsum(sup_x[idx2d], axis=1, dtype=np.int64)
+    y = np.cumsum(sup_y[idx2d], axis=1, dtype=np.int64)
+    keys = (x << 32) ^ (y & np.int64(0xFFFFFFFF))
+    keys.sort(axis=1)
+    return ((keys[:, 1:] != keys[:, :-1]).sum(axis=1) + 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # power sums for the spectral return-probability series
-
-
-@njit(cache=True)
-def _power_sums_nb(la_pos, la_neg, k_lo, k_hi, tcut):  # pragma: no cover - numba
-    m = k_hi - k_lo + 1
-    out = np.zeros(m, dtype=np.float64)
-    cut_p = la_pos.size
-    cut_n = la_neg.size
-    for t in range(m):
-        k = k_lo + t
-        bound = -tcut / k
-        while cut_p > 0 and la_pos[cut_p - 1] < bound:
-            cut_p -= 1
-        while cut_n > 0 and la_neg[cut_n - 1] < bound:
-            cut_n -= 1
-        sp = 0.0
-        for i in range(cut_p):
-            sp += np.exp(k * la_pos[i])
-        sn = 0.0
-        for i in range(cut_n):
-            sn += np.exp(k * la_neg[i])
-        out[t] = sp + sn if k % 2 == 0 else sp - sn
-    return out
-
-
-def _power_sums_np(la_pos, la_neg, k_lo, k_hi, tcut):
-    m = k_hi - k_lo + 1
-    out = np.zeros(m, dtype=np.float64)
-    cut_p = la_pos.size
-    cut_n = la_neg.size
-    for t in range(m):
-        k = k_lo + t
-        bound = -tcut / k
-        while cut_p > 0 and la_pos[cut_p - 1] < bound:
-            cut_p -= 1
-        while cut_n > 0 and la_neg[cut_n - 1] < bound:
-            cut_n -= 1
-        sp = np.exp(k * la_pos[:cut_p]).sum() if cut_p else 0.0
-        sn = np.exp(k * la_neg[:cut_n]).sum() if cut_n else 0.0
-        out[t] = sp + sn if k % 2 == 0 else sp - sn
-    return out
 
 
 def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
@@ -209,66 +82,25 @@ def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
     la_neg = np.ascontiguousarray(la_neg, dtype=np.float64)
     if la_pos.size and la_pos[0] > 0 or la_neg.size and la_neg[0] > 0:
         raise ValueError("log magnitudes must be <= 0")
-    fn = _power_sums_nb if use_numba() else _power_sums_np
-    return fn(la_pos, la_neg, int(k_lo), int(k_hi), float(tcut))
+    k_lo, k_hi, tcut = int(k_lo), int(k_hi), float(tcut)
+    out = np.zeros(k_hi - k_lo + 1, dtype=np.float64)
+    cut_p = la_pos.size
+    cut_n = la_neg.size
+    for t in range(out.size):
+        k = k_lo + t
+        bound = -tcut / k
+        while cut_p > 0 and la_pos[cut_p - 1] < bound:
+            cut_p -= 1
+        while cut_n > 0 and la_neg[cut_n - 1] < bound:
+            cut_n -= 1
+        sp = np.exp(k * la_pos[:cut_p]).sum() if cut_p else 0.0
+        sn = np.exp(k * la_neg[:cut_n]).sum() if cut_n else 0.0
+        out[t] = sp + sn if k % 2 == 0 else sp - sn
+    return out
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration over all length-n paths
-
-
-@njit(cache=True)
-def _enum_moments_nb(sup_x, sup_y, probs, n):  # pragma: no cover - numba
-    m = probs.size
-    smax = 0
-    for i in range(m):
-        a = abs(sup_x[i])
-        if a > smax:
-            smax = a
-        a = abs(sup_y[i])
-        if a > smax:
-            smax = a
-    half = n * smax + 1
-    size = 2 * half + 1
-    occ = np.zeros((size, size), dtype=np.int64)
-    choice = np.zeros(n, dtype=np.int64)
-    xs = np.zeros(n + 1, dtype=np.int64)
-    ys = np.zeros(n + 1, dtype=np.int64)
-    w = np.ones(n + 1, dtype=np.float64)
-    dd = np.zeros(n, dtype=np.int64)
-    dp = np.zeros(n, dtype=np.int64)
-    mean_r = np.zeros(n + 1, dtype=np.float64)
-    mean_l = np.zeros(n + 1, dtype=np.float64)
-    distinct = 0
-    pairs = 0
-    d = 0
-    while d >= 0:
-        c = choice[d]
-        if c > 0:
-            occ[xs[d + 1] + half, ys[d + 1] + half] -= 1
-            distinct -= dd[d]
-            pairs -= dp[d]
-        if c == m:
-            choice[d] = 0
-            d -= 1
-            continue
-        choice[d] = c + 1
-        x = xs[d] + sup_x[c]
-        y = ys[d] + sup_y[c]
-        xs[d + 1] = x
-        ys[d + 1] = y
-        w[d + 1] = w[d] * probs[c]
-        o = occ[x + half, y + half]
-        occ[x + half, y + half] = o + 1
-        dd[d] = 1 if o == 0 else 0
-        dp[d] = o
-        distinct += dd[d]
-        pairs += dp[d]
-        mean_r[d + 1] += w[d + 1] * distinct
-        mean_l[d + 1] += w[d + 1] * pairs
-        if d + 1 < n:
-            d += 1
-    return mean_r, mean_l
 
 
 def _run_ranks(sorted_rows):
@@ -281,14 +113,28 @@ def _run_ranks(sorted_rows):
     return np.where(t, c - anchor, 0)
 
 
-def _enum_moments_np(sup_x, sup_y, probs, n, chunk=1 << 15):
+def enum_walk_moments(sup_x: np.ndarray, sup_y: np.ndarray, probs: np.ndarray,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact E[distinct sites] and E[equal-time pairs] for every horizon
+    m <= n, by full enumeration of all |support|^n paths.
+
+    Returns (mean_range, mean_pairs), each indexed by number of steps.
+    Paths are decoded in chunks from mixed-radix path ids and every
+    prefix is recounted by sorting; nothing here shares code with the
+    renewal recursion, which makes their agreement a real cross-check.
+    """
+    n = int(n)
+    if n == 0:
+        return np.zeros(1), np.zeros(1)
+    sup_x = np.ascontiguousarray(sup_x, dtype=np.int64)
+    sup_y = np.ascontiguousarray(sup_y, dtype=np.int64)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
     m = probs.size
     total = m**n
     mean_r = np.zeros(n + 1, dtype=np.float64)
     mean_l = np.zeros(n + 1, dtype=np.float64)
     radix = m ** np.arange(n, dtype=np.int64)
-    sup_x = sup_x.astype(np.int64)
-    sup_y = sup_y.astype(np.int64)
+    chunk = 1 << 15
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (ids[:, None] // radix[None, :]) % m
@@ -304,23 +150,3 @@ def _enum_moments_np(sup_x, sup_y, probs, n, chunk=1 << 15):
                 pairs = _run_ranks(srt).sum(axis=1)
                 mean_l[mm] += float(np.dot(wfull, pairs))
     return mean_r, mean_l
-
-
-def enum_walk_moments(sup_x: np.ndarray, sup_y: np.ndarray, probs: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact E[distinct sites] and E[equal-time pairs] for every horizon
-    m <= n, by full enumeration of all |support|^n paths.
-
-    Returns (mean_range, mean_pairs), each indexed by number of steps.
-    The two backends use unrelated algorithms (depth-first with undo
-    versus chunked mixed-radix vectorization), which makes their
-    agreement a real cross-check.
-    """
-    if n == 0:
-        return np.zeros(1), np.zeros(1)
-    sup_x = np.ascontiguousarray(sup_x, dtype=np.int64)
-    sup_y = np.ascontiguousarray(sup_y, dtype=np.int64)
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    if use_numba():
-        return _enum_moments_nb(sup_x, sup_y, probs, int(n))
-    return _enum_moments_np(sup_x, sup_y, probs, int(n))

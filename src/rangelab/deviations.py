@@ -43,6 +43,8 @@ __all__ = [
     "mc_upper_tail",
     "mc_lower_tail",
     "exp_moment_probe",
+    "lil_checkpoints",
+    "lil_rows",
     "lil_trajectory",
     "running_max_exceedance",
     "centering_defect_supremum",
@@ -125,8 +127,9 @@ def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple:
 
 
 def sample_range_values(dist: StepDistribution, n: int, replicas: int,
-                        master_seed: int) -> np.ndarray:
-    """Range counts for `replicas` independent walks of n steps.
+                        master_seed: int, first_replica: int = 0) -> np.ndarray:
+    """Range counts for `replicas` independent walks of n steps, the
+    replicas first_replica, first_replica + 1, ... in order.
 
     Each replica draws from its own counter-based stream, so the result
     is independent of batching; batches only bound peak memory."""
@@ -138,7 +141,7 @@ def sample_range_values(dist: StepDistribution, n: int, replicas: int,
         stop = min(start + batch, replicas)
         idx = np.empty((stop - start, n), dtype=np.int64)
         for j in range(start, stop):
-            rng = stream(master_seed, j, PURPOSE_STEPS)
+            rng = stream(master_seed, first_replica + j, PURPOSE_STEPS)
             idx[j - start] = dist.sample_step_indices(n, rng)
         out[start:stop] = batch_range_counts(idx, sup_x, sup_y)
     return out
@@ -277,7 +280,7 @@ def mc_upper_tail(probe: DeviationProbe, dist: StepDistribution | None = None,
     """Frequency estimates of the upper-tail rate (1/b) log P(R_bar >= thr)
     at thr = theta * 2 pi sqrt(det Gamma) * n log(b) / (log n)^2, plus the
     exact-H variant thr = theta * (n/H(n)^2)(H(n) - H(n/b))."""
-    from .walks import builtin_distribution, distribution_from_config
+    from .walks import distribution_from_config
     if probe.side != "upper":
         raise InvalidConfig("probe side must be 'upper'")
     if dist is None:
@@ -323,7 +326,7 @@ def _exp_weights(dist: StepDistribution, n: int, replicas: int,
     return scale * centered
 
 
-def exp_moment_probe(dist: StepDistribution, n_ladder, theta: float,
+def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
                      mode: str = "signed-range", replicas: int = 10_000,
                      master_seed: int = 0,
                      table: ReturnProbTable | None = None,
@@ -333,23 +336,28 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta: float,
     The per-n statistic is the sample mean of exp(w) with the weight w
     set by `mode`, w = theta (log n)^2 / n times the mode's statistic;
     the mean is computed as logsumexp(w) - log(m), never through raw
-    exponentials.  The curves are bounded in n, but on this weight they
-    rise toward their limit at desk scale, because the ratio of log(n)
-    to the renewal scale 2 pi sqrt(det Gamma) H(n) is still climbing
-    toward 1 there (0.68 to 0.79 for the simple walk over 2^8 .. 2^14).
-    The weight on which the curve is flat is (2 pi sqrt(det Gamma)
-    H(n))^2 / n; reach it by calling once per n with theta scaled by
-    (2 pi sqrt(det Gamma) H(n) / log n)^2."""
+    exponentials.  theta is one number for the whole ladder or one value
+    per ladder entry.  The curves are bounded in n, but on a fixed theta
+    they rise toward their limit at desk scale, because the ratio of
+    log(n) to the renewal scale 2 pi sqrt(det Gamma) H(n) is still
+    climbing toward 1 there (0.68 to 0.79 for the simple walk over
+    2^8 .. 2^14).  The weight on which the curve is flat is
+    (2 pi sqrt(det Gamma) H(n))^2 / n; reach it with the per-n
+    theta_n = theta0 (2 pi sqrt(det Gamma) H(n) / log n)^2."""
     if mode not in _EXP_MODES:
         raise InvalidConfig(f"mode must be one of {_EXP_MODES}")
     n_ladder = tuple(int(n) for n in n_ladder)
+    per_n = np.ndim(theta) > 0
+    thetas = [float(t) for t in theta] if per_n else [theta] * len(n_ladder)
+    if len(thetas) != len(n_ladder):
+        raise InvalidConfig("theta needs one value per ladder entry")
     if table is None and mode != "p-intersection":
         table = build_return_table(dist, max(n_ladder))
     boot_rng = np.random.default_rng(
         np.random.Philox(key=[master_seed & 0xFFFFFFFFFFFFFFFF, 0xB007]))
     points = []
-    for n in n_ladder:
-        w = _exp_weights(dist, n, replicas, master_seed, theta, mode, table)
+    for n, theta_n in zip(n_ladder, thetas):
+        w = _exp_weights(dist, n, replicas, master_seed, theta_n, mode, table)
         m = w.size
         log_mean = float(logsumexp(w) - math.log(m))
         if bootstrap > 0:
@@ -367,8 +375,8 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta: float,
     values = [p["value"] for p in points]
     ratio = max(values) / min(values) if min(values) > 0 else math.inf
     increasing = all(b > a for a, b in zip(values, values[1:]))
-    return {"dist_name": dist.name, "theta": theta, "mode": mode,
-            "replicas": replicas, "master_seed": master_seed,
+    return {"dist_name": dist.name, "theta": thetas if per_n else theta,
+            "mode": mode, "replicas": replicas, "master_seed": master_seed,
             "points": points, "max_over_min": ratio,
             "strictly_increasing": increasing}
 
@@ -386,33 +394,29 @@ def _iterated_logs(m: int) -> tuple:
     return (float(ll) if ll is not None and ll > 0 else None, lll)
 
 
-def lil_trajectory(dist: StepDistribution, n_max: int, master_seed: int,
-                   replica: int = 0, checkpoints=None,
-                   table: ReturnProbTable | None = None) -> dict:
-    """Running normalized maxima of one trajectory along dyadic times.
-
-    Upper statistic: R_bar_m (log m)^2 / (m logloglog m); lower:
-    -R_bar_m (log m)^2 / (m loglog m).  Checkpoints where the iterated
-    log is not positive are skipped and flagged.  Desk scale cannot
-    approach the limit constants; the output says so."""
+def lil_checkpoints(n_max: int, checkpoints=None) -> list:
+    """Sorted distinct checkpoints, by default the dyadic times 4, 8, ...
+    below n_max followed by n_max itself."""
     if checkpoints is None:
-        checkpoints = [1 << k for k in range(2, n_max.bit_length())
-                       if (1 << k) <= n_max]
-        if checkpoints[-1] != n_max:
-            checkpoints.append(n_max)
+        checkpoints = [1 << k for k in range(2, n_max.bit_length())] + [n_max]
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[-1] > n_max:
         raise InvalidConfig("checkpoint beyond n_max")
-    if table is None:
-        table = build_return_table(dist, n_max)
-    path = sample_path(dist, n_max, master_seed, replica=replica)
-    prefix = prefix_range_counts(path.packed())
+    return checkpoints
+
+
+def lil_rows(checkpoints, ranges, table: ReturnProbTable) -> list:
+    """Normalized LIL statistics and their running maxima, one row per
+    checkpoint m given the range R_m there.
+
+    Upper statistic: R_bar_m (log m)^2 / (m logloglog m); lower:
+    -R_bar_m (log m)^2 / (m loglog m).  Where the iterated log is not
+    positive the statistic and its running maximum are None."""
     rows = []
     run_up = -math.inf
     run_low = -math.inf
-    skipped = []
-    for m in checkpoints:
-        r_bar = float(prefix[m - 1]) - float(table.er[m])
+    for m, r in zip(checkpoints, ranges):
+        r_bar = float(r) - float(table.er[m])
         ll, lll = _iterated_logs(m)
         lg2 = math.log(m) ** 2
         row = {"m": m, "r_bar": r_bar, "upper_stat": None, "lower_stat": None,
@@ -421,16 +425,31 @@ def lil_trajectory(dist: StepDistribution, n_max: int, master_seed: int,
             row["upper_stat"] = r_bar * lg2 / (m * lll)
             run_up = max(run_up, row["upper_stat"])
             row["running_max_upper"] = run_up
-        else:
-            skipped.append(m)
         if ll is not None:
             row["lower_stat"] = -r_bar * lg2 / (m * ll)
             run_low = max(run_low, row["lower_stat"])
             row["running_max_lower"] = run_low
         rows.append(row)
+    return rows
+
+
+def lil_trajectory(dist: StepDistribution, n_max: int, master_seed: int,
+                   replica: int = 0, checkpoints=None,
+                   table: ReturnProbTable | None = None) -> dict:
+    """Running normalized maxima of one trajectory along dyadic times
+    (see lil_rows).  Checkpoints where the upper statistic is undefined
+    are listed as skipped.  Desk scale cannot approach the limit
+    constants; the output says so."""
+    checkpoints = lil_checkpoints(n_max, checkpoints)
+    if table is None:
+        table = build_return_table(dist, n_max)
+    path = sample_path(dist, n_max, master_seed, replica=replica)
+    prefix = prefix_range_counts(path.packed())
+    rows = lil_rows(checkpoints, [prefix[m - 1] for m in checkpoints], table)
     det = float(dist.det_covariance_exact())
     return {"dist_name": dist.name, "n_max": n_max, "replica": replica,
-            "master_seed": master_seed, "rows": rows, "skipped": skipped,
+            "master_seed": master_seed, "rows": rows,
+            "skipped": [row["m"] for row in rows if row["upper_stat"] is None],
             "upper_reference": 2.0 * math.pi * math.sqrt(det),
             "note": "desk-scale trajectory; not conclusive for the limits"}
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import hashlib
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,12 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fastpath import batch_range_counts, prefix_range_counts
+from ._fastpath import prefix_range_counts
 from .deviations import (
     DeviationProbe,
+    RangeSample,
     constants_report,
+    lil_checkpoints,
+    lil_rows,
+    sample_range_values,
     tail_rows_from_values,
-    wilson_interval,
 )
 from .errors import IdentityCheckFailure, InvalidConfig
 from .exact import build_return_table, enumeration_oracle, expected_range_asymptotic
@@ -39,12 +41,10 @@ from .rangestats import decomposition_check
 from .smoothing import a_functional, b_functional, parseval_check, q_identity_check
 from .variational import gaussian_half_quotient, gn_audit, kappa22_solve
 from .walks import (
-    PURPOSE_STEPS,
     StepDistribution,
     distribution_from_config,
     sample_path,
     sample_poissonized,
-    stream,
     validate_distribution,
 )
 
@@ -202,9 +202,9 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        assert self.kind in KINDS
-        assert self.replicas >= 1
-        assert 0 <= self.master_seed < 2**64
+        _require(self.kind in KINDS, f"config.kind must be one of {', '.join(KINDS)}")
+        _require(self.replicas >= 1, "replicas must be >= 1")
+        _require(0 <= self.master_seed < 2**64, "master_seed must fit in 64 bits")
 
     def dist(self) -> StepDistribution:
         return distribution_from_config(self.distribution)
@@ -444,36 +444,17 @@ def _smoothed_records(cfg: ExperimentConfig, dist: StepDistribution,
 
 def _deviation_records(cfg: ExperimentConfig, dist: StepDistribution,
                        start: int, stop: int) -> list:
-    sup_x = dist.support[:, 0].astype(np.int64)
-    sup_y = dist.support[:, 1].astype(np.int64)
-    by_replica = {j: {} for j in range(start, stop)}
-    for n in cfg.params["n_ladder"]:
-        batch = max(1, min(stop - start, 10_000_000 // max(n, 1)))
-        for lo in range(start, stop, batch):
-            hi = min(lo + batch, stop)
-            idx = np.empty((hi - lo, n), dtype=np.int64)
-            for j in range(lo, hi):
-                rng = stream(cfg.master_seed, j, PURPOSE_STEPS)
-                idx[j - lo] = dist.sample_step_indices(n, rng)
-            counts = batch_range_counts(idx, sup_x, sup_y)
-            for j in range(lo, hi):
-                by_replica[j][n] = int(counts[j - lo])
-    records = []
-    for j in range(start, stop):
-        for n in cfg.params["n_ladder"]:
-            records.append({"replica": j, "n": n, "range": by_replica[j][n]})
-    return records
+    ladder = cfg.params["n_ladder"]
+    ranges = [sample_range_values(dist, n, stop - start, cfg.master_seed,
+                                  first_replica=start).tolist() for n in ladder]
+    return [{"replica": start + i, "n": n, "range": values[i]}
+            for i in range(stop - start) for n, values in zip(ladder, ranges)]
 
 
 def _lil_records(cfg: ExperimentConfig, dist: StepDistribution,
                  start: int, stop: int) -> list:
     n_max = cfg.params["n_max"]
-    checkpoints = cfg.params["checkpoints"]
-    if checkpoints is None:
-        checkpoints = [1 << k for k in range(2, n_max.bit_length())
-                       if (1 << k) <= n_max]
-        if checkpoints[-1] != n_max:
-            checkpoints.append(n_max)
+    checkpoints = lil_checkpoints(n_max, cfg.params["checkpoints"])
     records = []
     for j in range(start, stop):
         path = sample_path(dist, n_max, cfg.master_seed, replica=j)
@@ -650,7 +631,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
                   json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
 
     if cfg.kind == "identities":
-        bad = _identity_violations(out)
+        bad = _identity_violations(cfg, out)
         if bad:
             raise IdentityCheckFailure(
                 f"{bad} identity violation(s) recorded in {out}; "
@@ -658,22 +639,34 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
     return manifest
 
 
-def _identity_violations(run_dir: Path) -> int:
+def _identity_violations(cfg: ExperimentConfig, run_dir: Path) -> int:
     bad = 0
-    for _, rec in _iter_records(run_dir):
+    for rec in _iter_records(cfg, run_dir):
         for key in ("dyadic_exact", "binary_exact", "q_ok"):
             if key in rec and not rec[key]:
                 bad += 1
     return bad
 
 
-def _iter_records(run_dir: Path):
-    """Yield (header, record) pairs across all shards, in shard order."""
-    for path in sorted(run_dir.glob("shard_*.jsonl")):
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            for line in fh:
-                yield header, json.loads(line)
+def _verified_shards(cfg: ExperimentConfig, run_dir: Path) -> dict:
+    """Planned shard index -> whether its file holds exactly that shard
+    of this config."""
+    return {i: _shard_is_complete(_shard_path(run_dir, i),
+                                  _shard_header(cfg, i, start, stop))
+            for i, (start, stop) in enumerate(plan_shards(cfg))}
+
+
+def _iter_records(cfg: ExperimentConfig, run_dir: Path):
+    """Yield the records of the verified planned shards, in shard order.
+
+    Any other shard file in the directory (another config's, or one past
+    this plan) is never read."""
+    for i, ok in _verified_shards(cfg, run_dir).items():
+        if ok:
+            with open(_shard_path(run_dir, i)) as fh:
+                fh.readline()
+                for line in fh:
+                    yield json.loads(line)
 
 
 def _load_run(run_dir: Path):
@@ -682,31 +675,21 @@ def _load_run(run_dir: Path):
     if not cfg_path.is_file():
         raise InvalidConfig(f"{run_dir} is not a run directory (no config.json)")
     cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
-    missing = []
-    for i, (start, stop) in enumerate(plan_shards(cfg)):
-        if not _shard_is_complete(_shard_path(run_dir, i),
-                                  _shard_header(cfg, i, start, stop)):
-            missing.append(i)
+    missing = [i for i, ok in _verified_shards(cfg, run_dir).items() if not ok]
     return cfg, missing
 
 
 def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
     dist = cfg.dist()
     collected: dict = {n: {} for n in cfg.params["n_ladder"]}
-    for _, rec in _iter_records(run_dir):
+    for rec in _iter_records(cfg, run_dir):
         collected[rec["n"]][rec["replica"]] = rec["range"]
-    values_by_n = {}
-    have = cfg.replicas
-    for n, per in collected.items():
-        arr = np.full(cfg.replicas, -1, dtype=np.int64)
-        for j, r in per.items():
-            arr[j] = r
-        got = arr[arr >= 0]
-        values_by_n[n] = got
-        have = min(have, got.size)
+    have = min(len(per) for per in collected.values())
     if have == 0:
         raise InvalidConfig("no shard records found; nothing to report")
-    values_by_n = {n: v[:have] for n, v in values_by_n.items()}
+    values_by_n = {n: np.array([per[j] for j in sorted(per)][:have],
+                               dtype=np.int64)
+                   for n, per in collected.items()}
     probe = DeviationProbe(dist_name=cfg.distribution,
                            n_ladder=tuple(cfg.params["n_ladder"]),
                            b_schedule=tuple(cfg.params["b_schedule"]),
@@ -736,22 +719,16 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
 
     moment_rows = []
     for n in probe.n_ladder:
-        v = values_by_n[n].astype(np.float64)
-        er = float(table.er[n])
-        mean = float(v.mean())
-        sd = float(v.std(ddof=1)) if v.size > 1 else 0.0
-        se = sd / math.sqrt(v.size) if v.size > 1 else math.inf
-        centered = v - mean
-        skew = (float((centered**3).mean()) / float(centered.var() ** 1.5)
-                if sd > 0 else 0.0)
-        a = 2.0 * sd
-        c = v - er
+        sample = RangeSample(dist_name=dist.name, n=n, replicas=have,
+                             master_seed=cfg.master_seed, values=values_by_n[n])
+        check = sample.mean_check(table)
+        tails = sample.asymmetry(table)
         moment_rows.append({
-            "n": n, "replicas": int(v.size), "mean": mean, "er_exact": er,
-            "gap_in_se": abs(mean - er) / se if se > 0 else math.inf,
-            "sd": sd, "skewness": skew,
-            "count_plus_2sd": int((c > a).sum()),
-            "count_minus_2sd": int((-c > a).sum()),
+            "n": n, "replicas": have, "mean": sample.mean,
+            "er_exact": check["er_exact"], "gap_in_se": check["gap_in_se"],
+            "sd": sample.sd, "skewness": sample.skewness,
+            "count_plus_2sd": tails["count_plus"],
+            "count_minus_2sd": tails["count_minus"],
         })
     _write_csv(run_dir / "moments.csv", cfg.config_hash,
                "deviations-moments-v1",
@@ -761,12 +738,9 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
 
 
 def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
-    from .deviations import _iterated_logs
-
     dist = cfg.dist()
     n_max = cfg.params["n_max"]
     table = build_return_table(dist, n_max)
-    det = float(dist.det_covariance_exact())
 
     traj_dir = run_dir / "trajectories"
     traj_dir.mkdir(exist_ok=True)
@@ -774,27 +748,9 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
     plot_rows = []
     columns = ["m", "r_bar", "upper_stat", "lower_stat",
                "running_max_upper", "running_max_lower"]
-    for _, rec in _iter_records(run_dir):
+    for rec in _iter_records(cfg, run_dir):
         j = rec["replica"]
-        rows = []
-        run_up = -math.inf
-        run_low = -math.inf
-        for m, r in zip(rec["checkpoints"], rec["ranges"]):
-            r_bar = float(r) - float(table.er[m])
-            ll, lll = _iterated_logs(m)
-            lg2 = math.log(m) ** 2
-            row = {"m": m, "r_bar": r_bar, "upper_stat": None,
-                   "lower_stat": None, "running_max_upper": None,
-                   "running_max_lower": None}
-            if lll is not None:
-                row["upper_stat"] = r_bar * lg2 / (m * lll)
-                run_up = max(run_up, row["upper_stat"])
-                row["running_max_upper"] = run_up
-            if ll is not None:
-                row["lower_stat"] = -r_bar * lg2 / (m * ll)
-                run_low = max(run_low, row["lower_stat"])
-                row["running_max_lower"] = run_low
-            rows.append(row)
+        rows = lil_rows(rec["checkpoints"], rec["ranges"], table)
         name = f"trajectories/replica_{j:05d}.csv"
         _write_csv(run_dir / name, cfg.config_hash, "lil-trajectory-v1",
                    columns, rows)
@@ -808,7 +764,7 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
     solve = kappa22_solve(nodes=256)
     consts = constants_report(dist, solve.m_hat)
     ref_rows = [
-        {"name": "upper_lil_constant", "value": 2.0 * math.pi * math.sqrt(det)},
+        {"name": "upper_lil_constant", "value": consts.upper_lil_constant},
         {"name": "m_hat", "value": solve.m_hat},
         {"name": "theta_inverse_half_quotient",
          "value": consts.theta_inverse["half_quotient"]},
@@ -818,8 +774,7 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
     _write_csv(run_dir / "references.csv", cfg.config_hash, "lil-references-v1",
                ["name", "value"], ref_rows)
     for row in ref_rows:
-        last_m = cfg.params["n_max"]
-        plot_rows.append({"series": f"ref-{row['name']}", "x": last_m,
+        plot_rows.append({"series": f"ref-{row['name']}", "x": n_max,
                           "y": row["value"], "ci_lo": None, "ci_hi": None})
     _write_csv(run_dir / "plot.csv", cfg.config_hash, "plot-v1",
                ["series", "x", "y", "ci_lo", "ci_hi"], plot_rows)
@@ -829,7 +784,7 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
 def _report_identities(cfg: ExperimentConfig, run_dir: Path) -> list:
     stats = {c: {"paths": 0, "violations": 0, "max_residual": 0.0}
              for c in cfg.params["checks"]}
-    for _, rec in _iter_records(run_dir):
+    for rec in _iter_records(cfg, run_dir):
         if "dyadic_exact" in rec:
             s = stats["dyadic"]
             s["paths"] += 1
@@ -857,7 +812,7 @@ def _report_identities(cfg: ExperimentConfig, run_dir: Path) -> list:
 
 def _report_smoothed(cfg: ExperimentConfig, run_dir: Path) -> list:
     a_vals, b_vals, q_res, pv_res, ffts = [], [], [], [], []
-    for _, rec in _iter_records(run_dir):
+    for rec in _iter_records(cfg, run_dir):
         a_vals.append(rec["a_value"])
         b_vals.append(rec["b_value"])
         q_res.append(rec["q_residual"])

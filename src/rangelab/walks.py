@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -120,24 +121,35 @@ class StepDistribution:
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=np.int32)
-        assert self.support.ndim == 2 and self.support.shape[1] == 2
-        assert len(self.fracs) == len(self.support)
+        if self.support.ndim != 2 or self.support.shape[1] != 2:
+            raise InvalidConfig("support must be an (m, 2) array of steps")
+        if len(self.fracs) != len(self.support):
+            raise InvalidConfig("one weight per support point is needed")
         self.probs = np.array([float(f) for f in self.fracs], dtype=np.float64)
         self._accept, self._alias = _build_alias(self.probs)
 
     @classmethod
     def from_steps(cls, name: str, steps: Sequence[tuple[int, int, int, int]]) -> "StepDistribution":
-        """Build from (dx, dy, numerator, denominator) rows."""
+        """Build from (dx, dy, numerator, denominator) integer rows."""
         rows = []
-        for dx, dy, num, den in steps:
+        for step in steps:
+            try:
+                dx, dy, num, den = (operator.index(v) for v in step)
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"step {step!r} is not four integers "
+                                    f"[dx, dy, num, den]") from exc
             if den <= 0 or num <= 0:
-                raise ValueError("step weights must be positive rationals")
-            rows.append(((int(dx), int(dy)), Fraction(int(num), int(den))))
+                raise InvalidConfig("step weights must be positive rationals")
+            if max(abs(dx), abs(dy)) > COORD_LIMIT:
+                raise InvalidConfig(f"step {step!r} leaves the int32 coordinate box")
+            rows.append(((dx, dy), Fraction(num, den)))
+        if not rows:
+            raise InvalidConfig("a distribution needs at least one step")
         rows.sort(key=lambda r: r[0])
         seen = set()
         for (v, _) in rows:
             if v in seen:
-                raise ValueError(f"duplicate support point {v}")
+                raise InvalidConfig(f"duplicate support point {v}")
             seen.add(v)
         support = np.array([v for v, _ in rows], dtype=np.int32)
         fracs = tuple(f for _, f in rows)
@@ -203,9 +215,15 @@ def distribution_from_config(cfg) -> StepDistribution:
     "steps" rows [dx, dy, num, den]."""
     if isinstance(cfg, str):
         return builtin_distribution(cfg)
+    if not isinstance(cfg, dict):
+        raise InvalidConfig(f"distribution must be a name or an object, got {cfg!r}")
     name = cfg.get("name", "custom")
+    if not isinstance(name, str):
+        raise InvalidConfig(f"distribution name must be a string, got {name!r}")
     if "steps" in cfg:
-        return StepDistribution.from_steps(name, [tuple(r) for r in cfg["steps"]])
+        if not isinstance(cfg["steps"], list):
+            raise InvalidConfig("distribution steps must be a list of rows")
+        return StepDistribution.from_steps(name, cfg["steps"])
     return builtin_distribution(name)
 
 

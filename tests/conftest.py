@@ -5,8 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from rangelab.walks import builtin_distribution
 
-# Numba JIT warmup can blow per-example deadlines on the first call;
-# timing belongs to the benchmark, not the property tests.
+# Timing belongs to the benchmark, not the property tests.
 settings.register_profile(
     "rangelab",
     deadline=None,

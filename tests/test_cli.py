@@ -32,6 +32,21 @@ DEV_CFG = {
 }
 
 
+_SRW_STEPS = [[1, 0, 1, 4], [-1, 0, 1, 4], [0, 1, 1, 4], [0, -1, 1, 4]]
+
+# Distribution values that `rangelab run` must reject with exit code 2.
+MALFORMED_DISTRIBUTIONS = [
+    {"steps": []},
+    {"steps": [[1, 0, 1, 0]]},
+    {"steps": [[1, 0, 1]]},
+    {"steps": [[1, 0, "a", 4]] + _SRW_STEPS[1:]},
+    {"steps": "abc"},
+    {"name": 7, "steps": _SRW_STEPS},
+    {"steps": [[2**31, 1, 1, 4], [-2**31, -1, 1, 4]] + _SRW_STEPS[:2]},
+    _SRW_STEPS,
+]
+
+
 def _write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
@@ -75,6 +90,19 @@ def test_config_rejections(tmp_path):
     notjson.write_text("{")
     with pytest.raises(InvalidConfig):
         load_config(notjson)
+    for i, dist in enumerate(MALFORMED_DISTRIBUTIONS):
+        with pytest.raises(InvalidConfig):
+            load_config(_write_cfg(tmp_path, {**DEV_CFG, "distribution": dist},
+                                   f"d{i}.json"))
+    with pytest.raises(InvalidConfig):
+        ExperimentConfig(kind="telepathy", distribution="srw", master_seed=0,
+                         replicas=1, params={})
+
+
+def test_cli_malformed_distribution_exit_code(tmp_path, capsys):
+    p = _write_cfg(tmp_path, {**DEV_CFG, "distribution": {"steps": [[1, 0, 1]]}})
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    assert "invalid config" in capsys.readouterr().err
 
 
 def test_exact_kind_must_be_single_replica(tmp_path):
@@ -161,6 +189,41 @@ def test_partial_report_warns(tmp_path, capsys):
     assert rep["missing_shards"] == [1]
     assert "missing" in capsys.readouterr().err
     assert (out / "summary.csv").is_file()
+
+
+def test_report_ignores_shards_of_an_earlier_config(tmp_path):
+    """A 5000-replica run leaves shards 1 and 2 behind when a 100-replica
+    run reuses its directory; the report must not read them."""
+    params = {"side": "upper", "n_ladder": [8, 16], "b_schedule": [2.0, 2.0],
+              "thresholds": [0.25]}
+    out = str(tmp_path / "run")
+    for replicas in (5000, 100):
+        p = _write_cfg(tmp_path, {"kind": "deviations", "distribution": "srw",
+                                  "master_seed": 3, "replicas": replicas,
+                                  "params": params}, f"r{replicas}.json")
+        assert main(["run", "--config", str(p), "--out", out]) == 0
+    assert (tmp_path / "run" / "shard_00002.jsonl").is_file()
+    assert main(["report", "--out", out]) == 0
+    lines = (tmp_path / "run" / "moments.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    assert [int(row["replicas"]) for row in rows] == [100, 100]
+
+
+def test_foreign_shard_violations_not_counted(tmp_path):
+    cfg = {"kind": "identities", "distribution": "srw", "master_seed": 1,
+           "replicas": 4, "params": {"n": 64, "checks": ["dyadic"]}}
+    out = tmp_path / "run"
+    out.mkdir()
+    forged = {"config_hash": "0" * 64, "schema": "identities-v1", "shard": 1,
+              "replica_start": 2048, "replica_stop": 2049}
+    bad = {"replica": 2048, "dyadic_lhs": 5, "dyadic_rhs": 6,
+           "dyadic_exact": False}
+    (out / "shard_00001.jsonl").write_text(
+        json.dumps(forged) + "\n" + json.dumps(bad) + "\n")
+    p = _write_cfg(tmp_path, cfg)
+    assert main(["run", "--config", str(p), "--out", str(out), "--report"]) == 0
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[2:] == ["dyadic,4,0,0.0"]
 
 
 def test_report_on_nonrun_dir(tmp_path):

@@ -70,6 +70,8 @@ def test_sample_range_values_deterministic(lazy):
     assert np.array_equal(a, b)
     assert a.min() >= 1
     assert a.max() <= 300
+    tail = sample_range_values(lazy, 300, 20, master_seed=5, first_replica=30)
+    assert np.array_equal(tail, a[30:])
 
 
 def test_range_sample_moments(lazy):
@@ -179,6 +181,23 @@ def test_exp_moment_modes(lazy):
     with pytest.raises(InvalidConfig):
         exp_moment_probe(lazy, (64,), theta=0.5, mode="squared",
                          replicas=100, master_seed=2)
+    with pytest.raises(InvalidConfig):
+        exp_moment_probe(lazy, (64, 128), theta=[0.5], replicas=100,
+                         master_seed=2)
+
+
+def test_exp_moment_per_n_theta(lazy):
+    """A per-n theta gives each point what a one-size call with that
+    theta gives."""
+    table = build_return_table(lazy, 128)
+    both = exp_moment_probe(lazy, (64, 128), theta=[0.3, 0.6], replicas=150,
+                            master_seed=7, table=table, bootstrap=0)
+    assert both["theta"] == [0.3, 0.6]
+    for point, theta in zip(both["points"], (0.3, 0.6)):
+        alone = exp_moment_probe(lazy, (point["n"],), theta=theta,
+                                 replicas=150, master_seed=7, table=table,
+                                 bootstrap=0)
+        assert point["value"] == alone["points"][0]["value"]
 
 
 def test_exp_moment_p_intersection_smoke(lazy):

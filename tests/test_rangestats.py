@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from rangelab._fastpath import pack_positions, prefix_range_counts
+from rangelab._fastpath import batch_range_counts, pack_positions, prefix_range_counts
 from rangelab.rangestats import (
     block_statistics,
     decomposition_check,
@@ -21,10 +21,18 @@ def _positions_from_steps(step_indices, support):
 
 
 _SRW_SUPPORT = builtin_distribution("srw").support.astype(np.int64)
+_SUPPORTS = {name: builtin_distribution(name).support.astype(np.int64)
+             for name in ("srw", "lazy-srw", "king")}
 
 step_lists = st.lists(st.integers(0, 3), min_size=1, max_size=200)
 pow2_step_lists = st.integers(0, 7).flatmap(
     lambda k: st.lists(st.integers(0, 3), min_size=2**k, max_size=2**k))
+# (walk name, 1..6 rows of one common length 0..80 of support indices)
+batches = st.sampled_from(sorted(_SUPPORTS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.integers(0, 80).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, len(_SUPPORTS[name]) - 1),
+                                    min_size=n, max_size=n),
+                           min_size=1, max_size=6))))
 
 
 def test_range_count_tiny():
@@ -51,6 +59,33 @@ def test_prefix_counts_structure(idx):
     assert prefix[-1] == range_count(pos).count
     jumps = np.diff(np.concatenate([[0], prefix]))
     assert set(jumps.tolist()) <= {0, 1}
+
+
+@given(batches)
+@example(("srw", [[], [], []]))
+def test_batch_range_counts_match_python_sets(batch):
+    """Every row of a batch is counted on its own: the distinct sites
+    after steps 1..n, the origin counted only when revisited."""
+    name, rows = batch
+    support = _SUPPORTS[name]
+    idx = np.array(rows, dtype=np.int64)
+    got = batch_range_counts(idx, support[:, 0], support[:, 1])
+    want = [len({tuple(p) for p in _positions_from_steps(row, support).tolist()})
+            for row in idx]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+@given(st.sampled_from(sorted(_SUPPORTS)), st.data())
+def test_prefix_range_counts_match_running_set(name, data):
+    support = _SUPPORTS[name]
+    idx = data.draw(st.lists(st.integers(0, len(support) - 1), max_size=200))
+    pos = _positions_from_steps(idx, support)
+    seen, want = set(), []
+    for p in pos.tolist():
+        seen.add(tuple(p))
+        want.append(len(seen))
+    assert prefix_range_counts(pack_positions(pos)).tolist() == want
 
 
 @given(pow2_step_lists)
