@@ -1,7 +1,7 @@
 """Hot loops, one vectorized numpy implementation each.
 
-The site counters are property-tested against per-row Python-set
-recounts; the enumeration kernel is independent of the renewal
+The site counters and the block kernel are property-tested against
+Python-set recounts; the enumeration kernel is independent of the renewal
 recursion, so its agreement with the exact table is a real cross-check.
 
 Positions are packed into int64 keys as (x << 32) ^ (y & 0xFFFFFFFF),
@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+_PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
+
 __all__ = [
     "pack_positions",
     "prefix_range_counts",
     "batch_range_counts",
+    "sort_by_site",
+    "block_sites",
+    "shift_overlaps",
     "log_power_sums",
     "enum_walk_moments",
 ]
@@ -64,6 +69,65 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray) 
     keys = (x << 32) ^ (y & np.int64(0xFFFFFFFF))
     keys.sort(axis=1)
     return ((keys[:, 1:] != keys[:, :-1]).sum(axis=1) + 1).astype(np.int64)
+
+
+def sort_by_site(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted keys, times): one stable argsort, by key and then time.
+
+    Any grouping of times into consecutive blocks keeps the block ids
+    nondecreasing within a key, so block_sites can reuse this order for
+    every blocking of the same path."""
+    keys = np.asarray(keys, dtype=np.int64)
+    times = np.argsort(keys, kind="stable")
+    return keys[times], times
+
+
+def block_sites(sorted_keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Mask of the entries that open a new (site, block) pair.
+
+    sorted_keys and blocks are aligned in sort_by_site order; an entry is
+    new when its key or its block id differs from the previous entry's.
+    The marked entries are the unique (site, block) pairs, ordered by key
+    and then block, and np.bincount(blocks[mask]) is the number of
+    distinct sites in every block."""
+    new = np.ones(sorted_keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    new[1:] |= blocks[1:] != blocks[:-1]
+    return new
+
+
+def shift_overlaps(sites_a: np.ndarray, sites_b: np.ndarray,
+                   offsets: np.ndarray) -> np.ndarray:
+    """out[i] = |A intersect (offsets[i] + B)| for arrays of distinct
+    sites A and B.
+
+    Every b + offset is looked up in an occupancy grid over the bounding
+    box of A widened by twice the largest offset, a chunk of B at a
+    time, so the extra memory is that grid plus at most _PAIR_CHUNK
+    lookups (or one row of offsets), whatever |A| * |B| is."""
+    counts = np.zeros(offsets.shape[0], dtype=np.int64)
+    if sites_a.shape[0] == 0:
+        return counts
+    r = int(np.abs(offsets).max())
+    # b + offset can only land in the box of A when b lies in [lo, hi]
+    lo = sites_a.min(axis=0) - r
+    hi = sites_a.max(axis=0) + r
+    b = sites_b[np.all((sites_b >= lo) & (sites_b <= hi), axis=1)]
+    # the grid spans [lo - r, hi + r], which holds every such b + offset
+    shape = hi - lo + 2 * r + 1
+    width = int(shape[1])
+
+    def flat(p):
+        return (p[:, 0] - lo[0] + r) * width + (p[:, 1] - lo[1] + r)
+
+    occupied = np.zeros(int(shape[0]) * width, dtype=bool)
+    occupied[flat(sites_a)] = True
+    b_flat = flat(b)
+    o_flat = offsets[:, 0] * width + offsets[:, 1]
+    rows = max(1, _PAIR_CHUNK // offsets.shape[0])
+    for i in range(0, b_flat.size, rows):
+        counts += occupied[b_flat[i:i + rows, None] + o_flat].sum(axis=0)
+    return counts
 
 
 # ---------------------------------------------------------------------------

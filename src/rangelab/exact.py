@@ -35,7 +35,7 @@ from scipy.signal import fftconvolve
 
 from ._fastpath import enum_walk_moments, log_power_sums
 from .errors import InvalidConfig, ResourceLimit
-from .walks import StepDistribution, validate_distribution
+from .walks import _MAX_GRID_CELLS, StepDistribution, validate_distribution
 
 __all__ = [
     "ReturnProbTable",
@@ -52,7 +52,6 @@ __all__ = [
 
 _TCUT = 60.0  # drop series terms below e^{-60}
 _REGIME_A_TOP = 256
-_MAX_GRID_CELLS = 1 << 26
 
 _table_cache: dict[tuple[str, int], "ReturnProbTable"] = {}
 _context_cache: dict[str, "_SpectralContext"] = {}
@@ -414,14 +413,12 @@ def build_return_table(dist: StepDistribution, n: int,
         raise ValueError("n must be nonnegative")
     digest = dist.digest()
     if use_cache:
-        for (d, nn), tab in _table_cache.items():
-            if d == digest and nn >= n:
-                if nn == n:
-                    return tab
-                return ReturnProbTable(
-                    dist_name=tab.dist_name, dist_digest=d, n=n,
-                    u=tab.u[:n + 1], h=tab.h[:n + 1], r=tab.r[:n + 1],
-                    f=tab.f[:n + 1], er=tab.er[:n + 1])
+        # Only exact hits: a slice of a larger table differs from a fresh
+        # build in the last bits, which would make outputs depend on what
+        # the process built before.
+        tab = _table_cache.get((digest, n))
+        if tab is not None:
+            return tab
         cdir = _cache_dir()
         if cdir is not None:
             fp = cdir / f"table_{digest}_{n}.npz"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fastpath import pack_positions, prefix_range_counts
+from ._fastpath import block_sites, pack_positions, prefix_range_counts, sort_by_site
 from .walks import WalkPath
 
 __all__ = [
@@ -163,6 +163,15 @@ class DecompositionRecord:
         }
 
 
+def _site_blocks(keys: np.ndarray, boundaries: list[int]):
+    """Unique (site, block) pairs of the path cut at the boundaries, as
+    (keys, block ids) ordered by key and then block."""
+    skeys, times = sort_by_site(keys)
+    blocks = np.searchsorted(np.asarray(boundaries[1:]), times, side="right")
+    new = block_sites(skeys, blocks)
+    return skeys[new], blocks[new]
+
+
 def _dyadic_record(keys: np.ndarray, levels: int | None) -> DecompositionRecord:
     n = keys.size
     e = n.bit_length() - 1
@@ -171,21 +180,20 @@ def _dyadic_record(keys: np.ndarray, levels: int | None) -> DecompositionRecord:
     depth = e if levels is None else int(levels)
     if not 0 <= depth <= e:
         raise ValueError("levels out of range")
-    width = n >> depth
-    blocks = [np.unique(keys[i * width:(i + 1) * width]) for i in range(1 << depth)]
-    block_counts = [int(b.size) for b in blocks]
-    overlaps: list[list[int]] = [[] for _ in range(depth)]
-    level = blocks
-    for j in range(depth, 0, -1):
-        merged = []
-        for k in range(0, len(level), 2):
-            left, right = level[k], level[k + 1]
-            u = np.union1d(left, right)
-            overlaps[j - 1].append(int(left.size + right.size - u.size))
-            merged.append(u)
-        level = merged
-    lhs = int(level[0].size)
+    # counts[j][i]: distinct sites of the i-th of the 2^j intervals at
+    # tree depth j; counts[0][0] is the range itself.
+    skeys, times = sort_by_site(keys)
+    counts = []
+    for j in range(depth + 1):
+        blocks = times >> (e - j)
+        new = block_sites(skeys, blocks)
+        counts.append(np.bincount(blocks[new], minlength=1 << j))
+    overlaps = [(c[0::2] + c[1::2] - parent).tolist()
+                for parent, c in zip(counts, counts[1:])]
+    block_counts = counts[depth].tolist()
+    lhs = int(counts[0][0])
     rhs = sum(block_counts) - sum(sum(row) for row in overlaps)
+    width = n >> depth
     boundaries = [i * width for i in range((1 << depth) + 1)]
     return DecompositionRecord(kind="dyadic", n=n, boundaries=boundaries,
                                block_counts=block_counts,
@@ -200,21 +208,13 @@ def _binary_record(keys: np.ndarray) -> DecompositionRecord:
     boundaries = [0]
     for p in powers:
         boundaries.append(boundaries[-1] + p)
-    blocks = [np.unique(keys[boundaries[i]:boundaries[i + 1]])
-              for i in range(len(powers))]
-    block_counts = [int(b.size) for b in blocks]
-    # suffix unions, then overlap of each block with everything after it
-    overlaps = []
-    suffix = np.empty(0, np.int64)
-    suffix_sizes = []
-    for b in reversed(blocks):
-        suffix_sizes.append(int(suffix.size))
-        suffix = np.union1d(b, suffix)
-    suffix_sizes.reverse()
-    for i, b in enumerate(blocks[:-1]):
-        after = np.unique(keys[boundaries[i + 1]:])
-        overlaps.append(int(np.intersect1d(b, after, assume_unique=True).size))
-    lhs = int(suffix.size)
+    uk, ub = _site_blocks(keys, boundaries)
+    block_counts = np.bincount(ub, minlength=len(powers)).tolist()
+    # A pair whose next pair has the same key meets a later block, so
+    # block i overlaps its suffix in that many sites.
+    later = uk[1:] == uk[:-1]
+    overlaps = np.bincount(ub[:-1][later], minlength=len(powers))[:-1].tolist()
+    lhs = int(uk.size - np.count_nonzero(later))
     rhs = sum(block_counts) - sum(overlaps)
     return DecompositionRecord(kind="binary", n=n, boundaries=boundaries,
                                block_counts=block_counts,
@@ -294,18 +294,18 @@ def block_statistics(path, num_blocks: int,
     boundaries = [0]
     for i in range(k):
         boundaries.append(boundaries[-1] + base + (1 if i < extra else 0))
-    blocks = [np.unique(keys[boundaries[i]:boundaries[i + 1]]) for i in range(k)]
-    counts = [int(b.size) for b in blocks]
-    adjacent = [int(np.intersect1d(blocks[i - 1], blocks[i], assume_unique=True).size)
-                for i in range(1, k)]
+    uk, ub = _site_blocks(keys, boundaries)
+    counts = np.bincount(ub, minlength=k).tolist()
+    later = uk[1:] == uk[:-1]
+    adjacent = np.bincount(ub[1:][later & (ub[1:] == ub[:-1] + 1)],
+                           minlength=k)[1:].tolist()
     pairwise = None
     if k <= pairwise_limit:
-        pairwise = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                pairwise += int(np.intersect1d(blocks[i], blocks[j],
-                                               assume_unique=True).size)
-    total = int(np.unique(keys).size)
+        # a site met by m blocks lies in C(m, 2) of the pairwise overlaps
+        firsts = np.flatnonzero(np.concatenate(([True], ~later)))
+        m = np.diff(np.append(firsts, uk.size))
+        pairwise = int((m * (m - 1) // 2).sum())
+    total = int(uk.size - np.count_nonzero(later))
     return BlockStats(num_blocks=k, boundaries=boundaries, block_counts=counts,
                       adjacent_overlaps=adjacent, total=total,
                       pairwise_overlap_sum=pairwise)

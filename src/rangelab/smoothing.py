@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fastpath import pack_positions, unpack_keys
+from ._fastpath import pack_positions, shift_overlaps, unpack_keys
 from .errors import ResourceLimit
 from .walks import PoissonizedPath, WalkPath
 
@@ -226,14 +226,12 @@ def q_identity_check(path_a, path_b, t: float, eps: float,
     |range_a intersect (x + range_b)|; an exact finite identity."""
     lhs = b_functional(path_a, path_b, t, eps, b_t=b_t, level=0)
     q = q_kernel(t, b_t, eps)
-    ka = np.unique(pack_positions(site_set(path_a, horizon=t)))
-    sb = site_set(path_b, horizon=t)
+    counts = shift_overlaps(site_set(path_a, horizon=t),
+                            site_set(path_b, horizon=t), q.offsets)
     rhs = 0.0
-    for (ox, oy), v in zip(q.offsets.tolist(), q.values.tolist()):
-        shifted = sb + np.array([ox, oy], dtype=np.int64)
-        kb = pack_positions(shifted)
-        kb.sort()
-        rhs += v * np.intersect1d(ka, kb, assume_unique=True).size
+    # one offset at a time in q-offset order; np.dot would round differently
+    for v, c in zip(q.values.tolist(), counts.tolist()):
+        rhs += v * c
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / denom,
             "q_total": q.total}

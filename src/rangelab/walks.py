@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ResourceLimit
 
 __all__ = [
     "StepDistribution",
@@ -55,6 +55,7 @@ PURPOSE_EXTRA = 5
 _MASK64 = (1 << 64) - 1
 
 COORD_LIMIT = 2**31 - 2  # positions are int32; walks must stay inside
+_MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids, here and in exact
 
 
 def _mix64(z: int) -> int:
@@ -272,6 +273,9 @@ def _return_time_gcd(dist: StepDistribution, max_lag: int = 24) -> int:
     s = dist.max_step
     half = max_lag * s + 1
     size = 2 * half + 1
+    if size * size > _MAX_GRID_CELLS:
+        raise ResourceLimit(
+            f"return-lag grid {size}^2 for max step {s} exceeds the cell budget")
     reach = np.zeros((size, size), dtype=bool)
     reach[half, half] = True
     offsets = dist.support.tolist()
@@ -326,7 +330,8 @@ def validate_distribution(dist: StepDistribution) -> ValidationReport:
     """Check the standing assumptions: exact unit mass, symmetry, full
     two-dimensional lattice support, nondegenerate covariance.  Also
     reports the period of the possible return lags (1 means strongly
-    aperiodic, which the sharp local limit estimates require)."""
+    aperiodic, which the sharp local limit estimates require).  Raises
+    ResourceLimit when the step is too long for that lag grid's budget."""
     errors: list[str] = []
 
     total = sum(dist.fracs, Fraction(0))

@@ -105,6 +105,19 @@ def test_cli_malformed_distribution_exit_code(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_cli_long_step_distribution_exit_code(tmp_path, capsys):
+    """A step of length 200 needs a return-lag grid of side 48 * 200 + 3,
+    over the 2^26-cell budget: refused with exit code 3 before the grid
+    is allocated."""
+    steps = _SRW_STEPS + [[200, 1, 1, 4], [-200, -1, 1, 4]]
+    steps = [[x, y, 1, 6] for x, y, _, _ in steps]
+    p = _write_cfg(tmp_path, {**DEV_CFG, "distribution": {"steps": steps}})
+    assert main(["validate", "--config", str(p)]) == 3
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err.count("resource limit") == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_exact_kind_must_be_single_replica(tmp_path):
     cfg = {"kind": "exact", "distribution": "srw", "replicas": 5,
            "params": {"n": 16}}

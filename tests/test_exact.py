@@ -112,6 +112,17 @@ def test_table_cache_roundtrip(tmp_path, lazy):
     np.testing.assert_array_equal(loaded.er, table.er)
 
 
+def test_table_cache_serves_only_exact_sizes(srw):
+    """A smaller table is built afresh, not sliced from a larger cached
+    one: the slice differs from a fresh build in the last bits."""
+    build_return_table(srw, 64)
+    cached = build_return_table(srw, 8)
+    fresh = build_return_table(srw, 8, use_cache=False)
+    assert cached.n == 8
+    for name in ("u", "h", "r", "f", "er"):
+        assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+
+
 def test_to_csv_layout(tmp_path, srw):
     table = build_return_table(srw, 4)
     out = tmp_path / "table.csv"

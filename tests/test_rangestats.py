@@ -33,6 +33,21 @@ batches = st.sampled_from(sorted(_SUPPORTS)).flatmap(
         lambda n: st.lists(st.lists(st.integers(0, len(_SUPPORTS[name]) - 1),
                                     min_size=n, max_size=n),
                            min_size=1, max_size=6))))
+# (walk name, support indices of a 2^0..2^8-step path)
+pow2_walks = st.sampled_from(sorted(_SUPPORTS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.integers(0, 8).flatmap(
+        lambda k: st.lists(st.integers(0, len(_SUPPORTS[name]) - 1),
+                           min_size=2**k, max_size=2**k))))
+# (walk name, support indices of a 0..300-step path)
+walks = st.sampled_from(sorted(_SUPPORTS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.lists(
+        st.integers(0, len(_SUPPORTS[name]) - 1), max_size=300)))
+
+
+def _block_sets(pos, boundaries):
+    """Python sets of the sites of steps boundaries[i]+1..boundaries[i+1]."""
+    rows = [tuple(p) for p in pos.tolist()]
+    return [set(rows[a:b]) for a, b in zip(boundaries, boundaries[1:])]
 
 
 def test_range_count_tiny():
@@ -147,3 +162,63 @@ def test_block_statistics_bracket(idx, blocks):
     pos = _positions_from_steps(idx, _SRW_SUPPORT)
     stats = block_statistics(pos, num_blocks=blocks)
     assert stats.lower_bound <= stats.total <= stats.upper_bound
+
+
+@given(pow2_walks)
+def test_dyadic_record_matches_python_sets(walk):
+    """Every field at every tree depth, recounted with Python sets; lhs
+    == rhs alone would hold by telescoping for any overlap values."""
+    name, idx = walk
+    pos = _positions_from_steps(idx, _SUPPORTS[name])
+    n = pos.shape[0]
+    e = n.bit_length() - 1
+    everything = _block_sets(pos, [0, n])[0]
+    for levels in range(e + 1):
+        rec = decomposition_check(pos, kind="dyadic", levels=levels)
+        width = n >> levels
+        boundaries = list(range(0, n + 1, width))
+        leaves = _block_sets(pos, boundaries)
+        overlaps = []
+        for j in range(1, levels + 1):
+            sets = _block_sets(pos, list(range(0, n + 1, n >> j)))
+            overlaps.append([len(sets[i] & sets[i + 1])
+                             for i in range(0, len(sets), 2)])
+        assert rec.boundaries == boundaries
+        assert rec.block_counts == [len(b) for b in leaves]
+        assert rec.overlap_counts == overlaps
+        assert rec.lhs == len(everything)
+        assert rec.rhs == sum(rec.block_counts) - sum(map(sum, overlaps))
+
+
+@given(walks.filter(lambda w: len(w[1]) > 0))
+def test_binary_record_matches_python_sets(walk):
+    name, idx = walk
+    pos = _positions_from_steps(idx, _SUPPORTS[name])
+    rec = decomposition_check(pos, kind="binary")
+    blocks = _block_sets(pos, rec.boundaries)
+    suffix_overlaps = [len(b & set().union(*blocks[i + 1:]))
+                       for i, b in enumerate(blocks[:-1])]
+    n = pos.shape[0]
+    powers = [1 << b for b in reversed(range(n.bit_length())) if n >> b & 1]
+    assert rec.boundaries == [sum(powers[:i]) for i in range(len(powers) + 1)]
+    assert rec.block_counts == [len(b) for b in blocks]
+    assert rec.overlap_counts == [suffix_overlaps]
+    assert rec.lhs == len(set().union(*blocks))
+    assert rec.rhs == sum(rec.block_counts) - sum(suffix_overlaps)
+
+
+@given(walks, st.integers(1, 12), st.integers(0, 12))
+@example(("srw", []), 1, 64)
+def test_block_statistics_match_python_sets(walk, blocks, limit):
+    name, idx = walk
+    pos = _positions_from_steps(idx, _SUPPORTS[name])
+    k = min(blocks, max(len(idx), 1))
+    stats = block_statistics(pos, num_blocks=k, pairwise_limit=limit)
+    sets = _block_sets(pos, stats.boundaries)
+    assert stats.block_counts == [len(b) for b in sets]
+    assert stats.adjacent_overlaps == [len(sets[i - 1] & sets[i])
+                                       for i in range(1, k)]
+    pairwise = sum(len(sets[i] & sets[j])
+                   for i in range(k) for j in range(i + 1, k))
+    assert stats.pairwise_overlap_sum == (pairwise if k <= limit else None)
+    assert stats.total == len(set().union(*sets))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rangelab._fastpath import _PAIR_CHUNK, shift_overlaps
 from rangelab.errors import ResourceLimit
 from rangelab.smoothing import (
     a_functional,
@@ -80,6 +81,43 @@ def test_q_identity_on_poissonized_pairs():
         pb = sample_poissonized(SRW, 200.0, master_seed=31, replica=2 * j + 1)
         out = q_identity_check(pa, pb, t=200.0, eps=0.5, b_t=4.0)
         assert out["residual"] < 1e-10
+
+
+def _shift_counts_by_sets(sites_a, sites_b, offsets):
+    a = {tuple(p) for p in sites_a.tolist()}
+    b = sites_b.tolist()
+    return [sum((x + ox, y + oy) in a for x, y in b)
+            for ox, oy in offsets.tolist()]
+
+
+@pytest.mark.parametrize("pair, t, eps", [
+    ("discrete", 256.0, 0.5),
+    ("poissonized", 200.0, 0.5),
+    # ranges of a few thousand sites: B is looked up in several chunks
+    ("discrete", 10000.0, 0.1),
+])
+def test_q_identity_counts_match_python_sets(pair, t, eps):
+    """Per-offset counts |A intersect (o + B)| against Python sets, and
+    q_rhs as their sequential q-weighted sum in q-offset order."""
+    if pair == "discrete":
+        pa = sample_path(SRW, int(t), master_seed=41, replica=0)
+        pb = sample_path(SRW, int(t), master_seed=41, replica=1)
+    else:
+        pa = sample_poissonized(SRW, t, master_seed=41, replica=0)
+        pb = sample_poissonized(SRW, t, master_seed=41, replica=1)
+    q = q_kernel(t, 4.0, eps)
+    sa, sb = site_set(pa, horizon=t), site_set(pb, horizon=t)
+    if t > 1000:
+        assert sb.shape[0] > 2 * (_PAIR_CHUNK // q.offsets.shape[0])
+    want = _shift_counts_by_sets(sa, sb, q.offsets)
+    assert max(want) > 0
+    assert shift_overlaps(sa, sb, q.offsets).tolist() == want
+    rhs = 0.0
+    for v, c in zip(q.values.tolist(), want):
+        rhs += v * c
+    out = q_identity_check(pa, pb, t=t, eps=eps, b_t=4.0)
+    assert out["rhs"].hex() == rhs.hex()
+    assert out["residual"] < 1e-10
 
 
 def test_parseval_identity():
