@@ -11,8 +11,11 @@ which is injective for int32 coordinates.
 from __future__ import annotations
 
 import numpy as np
+import numpy.ma  # np.unique imports it on first call: load it here, not in a run
 
 _PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
+_COUNT_STEPS = 1 << 18  # steps held at once by batch_range_counts
+_BOX_CELLS_PER_STEP = 64  # bitmap bytes allowed per step counted
 
 __all__ = [
     "pack_positions",
@@ -55,20 +58,84 @@ def prefix_range_counts(keys: np.ndarray) -> np.ndarray:
                            side="left").astype(np.int64)
 
 
-def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray) -> np.ndarray:
+def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
+                       lengths=None) -> np.ndarray:
     """Distinct-site counts for a batch of walks given step indices.
 
     idx2d has one row of support indices per replica; each row is walked
-    from the origin, which is not counted.  Returns int64 counts."""
-    if idx2d.shape[1] == 0:
-        return np.zeros(idx2d.shape[0], dtype=np.int64)
-    sup_x = np.ascontiguousarray(sup_x, dtype=np.int64)
-    sup_y = np.ascontiguousarray(sup_y, dtype=np.int64)
-    x = np.cumsum(sup_x[idx2d], axis=1, dtype=np.int64)
-    y = np.cumsum(sup_y[idx2d], axis=1, dtype=np.int64)
+    from the origin, which is not counted.  Returns int64 counts of the
+    whole rows, or, given prefix lengths, an array (rows, len(lengths))
+    whose column i counts the first lengths[i] steps of every row;
+    lengths may come in any order and repeat.
+
+    Rows are counted _COUNT_STEPS steps at a time on an occupancy bitmap
+    that gives every row its own stretch over its bounding box; the
+    prefixes are marked on it in increasing order and counted after
+    each.  A row whose box holds more than _BOX_CELLS_PER_STEP cells per
+    step (long-step laws) is counted by sorting its keys instead, which
+    bounds the bitmap at that many bytes per step."""
+    rows, n = idx2d.shape
+    ends = np.array([n] if lengths is None else lengths, dtype=np.int64)
+    if ends.size == 0 or ends.min() < 0 or ends.max() > n:
+        raise ValueError(f"prefix lengths must lie in 0..{n}")
+    stops = np.unique(ends)
+    counts = np.zeros((rows, stops.size), dtype=np.int64)
+    if n:
+        sup_x = np.ascontiguousarray(sup_x, dtype=np.int64)
+        sup_y = np.ascontiguousarray(sup_y, dtype=np.int64)
+        chunk = max(1, _COUNT_STEPS // n)
+        for r0 in range(0, rows, chunk):
+            idx = idx2d[r0:r0 + chunk]
+            x = np.take(sup_x, idx)
+            y = np.take(sup_y, idx)
+            np.cumsum(x, axis=1, out=x)
+            np.cumsum(y, axis=1, out=y)
+            counts[r0:r0 + chunk] = _chunk_counts(x, y, stops)
+    counts = counts[:, np.searchsorted(stops, ends)]
+    return counts[:, 0] if lengths is None else counts
+
+
+def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """counts[r, i] = distinct sites among row r's first stops[i]
+    positions (x[r], y[r]), for sorted distinct stops.  Overwrites x."""
+    rows, n = x.shape
+    x0 = x.min(axis=1)
+    y0 = y.min(axis=1)
+    width = y.max(axis=1) - y0 + 1
+    area = (x.max(axis=1) - x0 + 1) * width
+    counts = np.empty((rows, stops.size), dtype=np.int64)
+    wide = area > _BOX_CELLS_PER_STEP * n
+    if wide.any():
+        keep = ~wide
+        counts[wide] = _sorted_counts(x[wide], y[wide], stops)
+        counts[keep] = _chunk_counts(x[keep], y[keep], stops)
+        return counts
+    # row r owns occ[start[r]:end[r]], with (x, y) at (x - x0) * width + y - y0
+    end = np.cumsum(area)
+    start = end - area
+    flat = x
+    flat *= width[:, None]
+    flat += y
+    flat += (start - x0 * width - y0)[:, None]
+    occ = np.zeros(int(area.sum()), dtype=np.uint8)
+    bounds = list(zip(start.tolist(), end.tolist()))
+    lo = 0
+    for i, m in enumerate(stops.tolist()):
+        occ[flat[:, lo:m]] = 1
+        lo = m
+        counts[:, i] = [np.count_nonzero(occ[a:b]) for a, b in bounds]
+    return counts
+
+
+def _sorted_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The same counts as _chunk_counts, from one sort per prefix."""
     keys = (x << 32) ^ (y & np.int64(0xFFFFFFFF))
-    keys.sort(axis=1)
-    return ((keys[:, 1:] != keys[:, :-1]).sum(axis=1) + 1).astype(np.int64)
+    counts = np.zeros((keys.shape[0], stops.size), dtype=np.int64)
+    for i, m in enumerate(stops.tolist()):
+        if m:
+            srt = np.sort(keys[:, :m], axis=1)
+            counts[:, i] = (srt[:, 1:] != srt[:, :-1]).sum(axis=1) + 1
+    return counts
 
 
 def sort_by_site(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
+import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
 from ._fastpath import pack_positions, prefix_range_counts, batch_range_counts
 from .errors import InvalidConfig
@@ -38,6 +38,7 @@ __all__ = [
     "DeviationProbe",
     "RangeSample",
     "ConstantsReport",
+    "sample_range_ladder",
     "sample_range_values",
     "tail_rows_from_values",
     "mc_upper_tail",
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 _EXP_MODES = ("abs-range", "signed-range", "p-intersection")
+_SAMPLE_STEPS = 1 << 20  # steps held at once by sample_range_ladder
 
 
 @dataclass(frozen=True)
@@ -126,25 +128,40 @@ def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple:
     return lo, hi
 
 
-def sample_range_values(dist: StepDistribution, n: int, replicas: int,
+def sample_range_ladder(dist: StepDistribution, n_ladder, replicas: int,
                         master_seed: int, first_replica: int = 0) -> np.ndarray:
-    """Range counts for `replicas` independent walks of n steps, the
-    replicas first_replica, first_replica + 1, ... in order.
+    """R_m at every ladder entry m for `replicas` independent walks: one
+    row per replica (first_replica, first_replica + 1, ... in order) and
+    one column per entry of n_ladder, in its order, repeats included.
 
-    Each replica draws from its own counter-based stream, so the result
-    is independent of batching; batches only bound peak memory."""
+    Each replica draws max(n_ladder) steps once from its own
+    counter-based stream, and every entry counts a prefix of that walk,
+    which is the walk a single-n draw of the same replica gives.  So the
+    result is independent of batching; batches of _SAMPLE_STEPS steps
+    only bound peak memory."""
+    lengths = [int(n) for n in n_ladder]
+    n = max(lengths)
     sup_x = dist.support[:, 0].astype(np.int64)
     sup_y = dist.support[:, 1].astype(np.int64)
-    batch = max(1, min(2048, 10_000_000 // max(n, 1)))
-    out = np.empty(replicas, dtype=np.int64)
+    batch = max(1, _SAMPLE_STEPS // max(n, 1))
+    out = np.empty((replicas, len(lengths)), dtype=np.int64)
     for start in range(0, replicas, batch):
         stop = min(start + batch, replicas)
         idx = np.empty((stop - start, n), dtype=np.int64)
         for j in range(start, stop):
             rng = stream(master_seed, first_replica + j, PURPOSE_STEPS)
             idx[j - start] = dist.sample_step_indices(n, rng)
-        out[start:stop] = batch_range_counts(idx, sup_x, sup_y)
+        out[start:stop] = batch_range_counts(idx, sup_x, sup_y, lengths)
     return out
+
+
+def sample_range_values(dist: StepDistribution, n: int, replicas: int,
+                        master_seed: int, first_replica: int = 0) -> np.ndarray:
+    """Range counts for `replicas` independent walks of n steps, the
+    replicas first_replica, first_replica + 1, ... in order: the
+    one-entry case of sample_range_ladder."""
+    return sample_range_ladder(dist, (n,), replicas, master_seed,
+                               first_replica)[:, 0]
 
 
 @dataclass
@@ -268,10 +285,9 @@ def tail_rows_from_values(probe: DeviationProbe, dist: StepDistribution,
 
 def _tail_rows(probe: DeviationProbe, dist: StepDistribution,
                table: ReturnProbTable) -> list:
-    values_by_n = {
-        n: sample_range_values(dist, n, probe.replicas, probe.master_seed)
-        for n in probe.n_ladder
-    }
+    values = sample_range_ladder(dist, probe.n_ladder, probe.replicas,
+                                 probe.master_seed)
+    values_by_n = dict(zip(probe.n_ladder, values.T))
     return tail_rows_from_values(probe, dist, table, values_by_n)
 
 
@@ -344,6 +360,7 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
     2^8 .. 2^14).  The weight on which the curve is flat is
     (2 pi sqrt(det Gamma) H(n))^2 / n; reach it with the per-n
     theta_n = theta0 (2 pi sqrt(det Gamma) H(n) / log n)^2."""
+    from scipy.special import logsumexp
     if mode not in _EXP_MODES:
         raise InvalidConfig(f"mode must be one of {_EXP_MODES}")
     n_ladder = tuple(int(n) for n in n_ladder)

@@ -31,7 +31,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from ._fastpath import enum_walk_moments, log_power_sums
 from .errors import InvalidConfig, ResourceLimit
@@ -287,6 +286,29 @@ def return_probs_dp(dist: StepDistribution, kmax: int,
 # triangular Toeplitz solve
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the FFT length scipy.signal.fftconvolve
+    picks for real input."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays by real FFTs, with the
+    transform length and steps of scipy.signal.fftconvolve."""
+    size = a.size + b.size - 1
+    length = _smooth_length(size)
+    spec = np.fft.rfft(a, length) * np.fft.rfft(b, length)
+    return np.fft.irfft(spec, length)[:size]
+
+
 def solve_unit_triangular_toeplitz(kernel: np.ndarray, rhs: np.ndarray,
                                    base: int = 256) -> np.ndarray:
     """Solve sum_{j<=i} kernel[i-j] x[j] = rhs[i] with kernel[0] = 1.
@@ -311,7 +333,7 @@ def solve_unit_triangular_toeplitz(kernel: np.ndarray, rhs: np.ndarray,
         if kseg.size:
             block = x[lo:mid]
             conv = (np.convolve(block, kseg) if hi - lo <= 1024
-                    else fftconvolve(block, kseg))
+                    else _fft_convolve(block, kseg))
             x[mid:hi] -= conv[mid - lo - 1: hi - lo - 1]
         rec(mid, hi)
 
@@ -408,7 +430,9 @@ def build_return_table(dist: StepDistribution, n: int,
 
     Small k use one exact grid; larger k use geometrically growing
     aliased grids.  Set RANGELAB_CACHE_DIR to also persist tables on
-    disk, keyed by (distribution digest, n)."""
+    disk, keyed by (distribution digest, n); a file whose stored digest,
+    n or column lengths differ from the request is rebuilt and
+    overwritten."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     digest = dist.digest()
@@ -424,8 +448,12 @@ def build_return_table(dist: StepDistribution, n: int,
             fp = cdir / f"table_{digest}_{n}.npz"
             if fp.exists():
                 tab = ReturnProbTable.load_npz(fp)
-                _table_cache[(digest, n)] = tab
-                return tab
+                # a file that holds another table is rebuilt and overwritten
+                if tab.dist_digest == digest and tab.n == n and all(
+                        col.shape == (n + 1,)
+                        for col in (tab.u, tab.h, tab.r, tab.f, tab.er)):
+                    _table_cache[(digest, n)] = tab
+                    return tab
 
     report = validate_distribution(dist)
     if not report.ok:

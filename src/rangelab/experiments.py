@@ -32,7 +32,7 @@ from .deviations import (
     constants_report,
     lil_checkpoints,
     lil_rows,
-    sample_range_values,
+    sample_range_ladder,
     tail_rows_from_values,
 )
 from .errors import IdentityCheckFailure, InvalidConfig
@@ -445,10 +445,10 @@ def _smoothed_records(cfg: ExperimentConfig, dist: StepDistribution,
 def _deviation_records(cfg: ExperimentConfig, dist: StepDistribution,
                        start: int, stop: int) -> list:
     ladder = cfg.params["n_ladder"]
-    ranges = [sample_range_values(dist, n, stop - start, cfg.master_seed,
-                                  first_replica=start).tolist() for n in ladder]
-    return [{"replica": start + i, "n": n, "range": values[i]}
-            for i in range(stop - start) for n, values in zip(ladder, ranges)]
+    ranges = sample_range_ladder(dist, ladder, stop - start, cfg.master_seed,
+                                 first_replica=start).tolist()
+    return [{"replica": start + i, "n": n, "range": r}
+            for i, row in enumerate(ranges) for n, r in zip(ladder, row)]
 
 
 def _lil_records(cfg: ExperimentConfig, dist: StepDistribution,

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
+import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
 from .errors import InvalidConfig
 
@@ -171,6 +171,7 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
     line search handles the rest.  Converged means the objective moved
     by less than tol over stall_steps consecutive accepted steps (or the
     residual vanished outright)."""
+    from scipy.linalg import solveh_banded
     if nodes < 256 or nodes % 2 != 0:
         raise InvalidConfig("nodes must be even and at least 256")
     if r_max < 10.0:

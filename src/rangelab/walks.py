@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
 from .errors import InvalidConfig, ResourceLimit
 
@@ -119,6 +120,7 @@ class StepDistribution:
     probs: np.ndarray = field(init=False)
     _accept: np.ndarray = field(init=False, repr=False)
     _alias: np.ndarray = field(init=False, repr=False)
+    _accept_all: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=np.int32)
@@ -128,6 +130,7 @@ class StepDistribution:
             raise InvalidConfig("one weight per support point is needed")
         self.probs = np.array([float(f) for f in self.fracs], dtype=np.float64)
         self._accept, self._alias = _build_alias(self.probs)
+        self._accept_all = bool((self._accept == 1.0).all())
 
     @classmethod
     def from_steps(cls, name: str, steps: Sequence[tuple[int, int, int, int]]) -> "StepDistribution":
@@ -185,10 +188,15 @@ class StepDistribution:
         return c[0][0] * c[1][1] - c[0][1] * c[1][0]
 
     def sample_step_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n support indices with one uniform per step (alias decode)."""
+        """Draw n support indices with one uniform per step (alias decode).
+
+        When every accept weight is 1 (equal weights, as for srw and king)
+        the decode keeps j = floor(u k) whatever u is, since frac < 1."""
         u = rng.random(n)
         v = u * len(self.probs)
         j = v.astype(np.int64)
+        if self._accept_all:
+            return j
         frac = v - j
         return np.where(frac < self._accept[j], j, self._alias[j])
 

@@ -3,10 +3,13 @@ shard determinism, resume, reports, and exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rangelab
 from rangelab.cli import main
 from rangelab.errors import InvalidConfig
 from rangelab.experiments import (
@@ -370,3 +373,15 @@ def test_smoothed_run_and_report(tmp_path):
     row = dict(zip(header, text[2].split(",")))
     assert float(row["max_q_residual"]) < 1e-10
     assert float(row["max_parseval_residual"]) < 1e-8
+
+
+def test_import_loads_no_scipy():
+    """`import rangelab` stays cheap: scipy is imported only inside the
+    functions that use it."""
+    src = str(Path(rangelab.__file__).resolve().parents[1])
+    code = ("import sys, rangelab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

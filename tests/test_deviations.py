@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rangelab import deviations
 from rangelab.deviations import (
     DeviationProbe,
     centering_defect_supremum,
@@ -17,6 +18,7 @@ from rangelab.deviations import (
     mc_lower_tail,
     mc_upper_tail,
     running_max_exceedance,
+    sample_range_ladder,
     sample_range_values,
     tail_rows_from_values,
     wilson_interval,
@@ -72,6 +74,23 @@ def test_sample_range_values_deterministic(lazy):
     assert a.max() <= 300
     tail = sample_range_values(lazy, 300, 20, master_seed=5, first_replica=30)
     assert np.array_equal(tail, a[30:])
+
+
+@pytest.mark.parametrize("name", ["srw", "lazy", "king"])
+def test_sample_range_ladder_matches_single_n(name, request, monkeypatch):
+    """Every ladder entry, in the given order and repeats included, is the
+    range a single-n draw of the same replicas gives, however the
+    replicas are batched."""
+    dist = request.getfixturevalue(name)
+    ladder = (300, 40, 300, 2, 1000)
+    got = sample_range_ladder(dist, ladder, 30, master_seed=4, first_replica=17)
+    assert got.shape == (30, len(ladder))
+    for i, n in enumerate(ladder):
+        want = sample_range_values(dist, n, 30, master_seed=4, first_replica=17)
+        assert np.array_equal(got[:, i], want)
+    monkeypatch.setattr(deviations, "_SAMPLE_STEPS", 2500)  # 2 rows a batch
+    assert np.array_equal(
+        sample_range_ladder(dist, ladder, 30, master_seed=4, first_replica=17), got)
 
 
 def test_range_sample_moments(lazy):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rangelab import exact
 from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.exact import (
+    ReturnProbTable,
     build_return_table,
     enumeration_oracle,
     expected_range_asymptotic,
@@ -121,6 +123,24 @@ def test_table_cache_serves_only_exact_sizes(srw):
     assert cached.n == 8
     for name in ("u", "h", "r", "f", "er"):
         assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def test_disk_cache_rebuilds_a_foreign_table(tmp_path, monkeypatch, srw, lazy):
+    """A cache file holding another table (a larger n, or another law,
+    under the srw n = 8 name) is rebuilt and overwritten, not served."""
+    monkeypatch.setenv("RANGELAB_CACHE_DIR", str(tmp_path))
+    fresh = build_return_table(srw, 8, use_cache=False)
+    fp = tmp_path / f"table_{srw.digest()}_8.npz"
+    for foreign in (build_return_table(srw, 64, use_cache=False),
+                    build_return_table(lazy, 8, use_cache=False)):
+        foreign.save_npz(fp)
+        monkeypatch.setattr(exact, "_table_cache", {})
+        got = build_return_table(srw, 8)
+        stored = ReturnProbTable.load_npz(fp)
+        for table in (got, stored):
+            assert (table.n, table.dist_digest) == (8, srw.digest())
+            for name in ("u", "h", "r", "f", "er"):
+                assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def test_to_csv_layout(tmp_path, srw):

@@ -27,12 +27,19 @@ _SUPPORTS = {name: builtin_distribution(name).support.astype(np.int64)
 step_lists = st.lists(st.integers(0, 3), min_size=1, max_size=200)
 pow2_step_lists = st.integers(0, 7).flatmap(
     lambda k: st.lists(st.integers(0, 3), min_size=2**k, max_size=2**k))
-# (walk name, 1..6 rows of one common length 0..80 of support indices)
-batches = st.sampled_from(sorted(_SUPPORTS)).flatmap(
+# a long-step law: its boxes exceed the bitmap's cells-per-step bound
+# unless a row keeps to one line, so both counting paths run
+_BATCH_SUPPORTS = {**_SUPPORTS,
+                   "long": np.array([[-100, 0], [0, -100], [0, 100], [100, 0]])}
+# (walk name, (1..6 rows of one common length 0..80 of support indices,
+#  1..5 prefix lengths 0..n in any order))
+batches = st.sampled_from(sorted(_BATCH_SUPPORTS)).flatmap(
     lambda name: st.tuples(st.just(name), st.integers(0, 80).flatmap(
-        lambda n: st.lists(st.lists(st.integers(0, len(_SUPPORTS[name]) - 1),
-                                    min_size=n, max_size=n),
-                           min_size=1, max_size=6))))
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(0, len(_BATCH_SUPPORTS[name]) - 1),
+                              min_size=n, max_size=n),
+                     min_size=1, max_size=6),
+            st.lists(st.integers(0, n), min_size=1, max_size=5)))))
 # (walk name, support indices of a 2^0..2^8-step path)
 pow2_walks = st.sampled_from(sorted(_SUPPORTS)).flatmap(
     lambda name: st.tuples(st.just(name), st.integers(0, 8).flatmap(
@@ -77,18 +84,34 @@ def test_prefix_counts_structure(idx):
 
 
 @given(batches)
-@example(("srw", [[], [], []]))
+@example(("srw", ([[], [], []], [0, 0])))
+@example(("long", ([[0, 1, 3], [0, 3, 0]], [3, 1, 2, 3, 0])))
 def test_batch_range_counts_match_python_sets(batch):
     """Every row of a batch is counted on its own: the distinct sites
-    after steps 1..n, the origin counted only when revisited."""
-    name, rows = batch
-    support = _SUPPORTS[name]
+    after steps 1..m for every requested prefix length m, the origin
+    counted only when revisited."""
+    name, (rows, lengths) = batch
+    support = _BATCH_SUPPORTS[name]
     idx = np.array(rows, dtype=np.int64)
-    got = batch_range_counts(idx, support[:, 0], support[:, 1])
-    want = [len({tuple(p) for p in _positions_from_steps(row, support).tolist()})
-            for row in idx]
-    assert got.dtype == np.int64
-    assert got.tolist() == want
+    running = []
+    for row in idx:
+        seen, counts = set(), [0]
+        for p in _positions_from_steps(row, support).tolist():
+            seen.add(tuple(p))
+            counts.append(len(seen))
+        running.append(counts)
+    whole = batch_range_counts(idx, support[:, 0], support[:, 1])
+    prefixes = batch_range_counts(idx, support[:, 0], support[:, 1], lengths)
+    assert whole.dtype == prefixes.dtype == np.int64
+    assert whole.tolist() == [counts[-1] for counts in running]
+    assert prefixes.tolist() == [[counts[m] for m in lengths] for counts in running]
+
+
+def test_batch_range_counts_rejects_bad_lengths():
+    idx = np.zeros((2, 5), dtype=np.int64)
+    for lengths in ([], [6], [-1, 3]):
+        with pytest.raises(ValueError):
+            batch_range_counts(idx, _SRW_SUPPORT[:, 0], _SRW_SUPPORT[:, 1], lengths)
 
 
 @given(st.sampled_from(sorted(_SUPPORTS)), st.data())

@@ -112,6 +112,18 @@ def test_alias_sampling_frequencies(lazy):
     assert np.abs(freqs - lazy.probs).max() < 5e-3
 
 
+@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king"])
+def test_step_indices_match_alias_decode(name):
+    """Equal-weight laws (srw, king) skip the alias decode, which would
+    keep floor(u k) for every u; all laws return what the decode does."""
+    dist = builtin_distribution(name)
+    assert dist._accept_all == (name != "lazy-srw")
+    idx = dist.sample_step_indices(100_000, stream(7, 3))
+    v = stream(7, 3).random(100_000) * len(dist.probs)
+    j = v.astype(np.int64)
+    assert np.array_equal(idx, np.where(v - j < dist._accept[j], j, dist._alias[j]))
+
+
 @given(st.lists(st.tuples(st.integers(-10**6, 10**6),
                           st.integers(-10**6, 10**6)),
                 min_size=1, max_size=64))
