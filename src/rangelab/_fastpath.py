@@ -16,6 +16,8 @@ import numpy.ma  # np.unique imports it on first call: load it here, not in a ru
 _PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
 _COUNT_STEPS = 1 << 18  # steps held at once by batch_range_counts
 _BOX_CELLS_PER_STEP = 64  # bitmap bytes allowed per step counted
+_POWER_BLOCK = 64  # consecutive k per exp in log_power_sums
+_POWER_COLUMNS = 1 << 14  # la values per exp call in log_power_sums
 
 __all__ = [
     "pack_positions",
@@ -206,27 +208,31 @@ def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
     """out[k - k_lo] = sum_i e^{k la_pos[i]} + (-1)^k sum_i e^{k la_neg[i]}.
 
     The la arrays hold log |phi| values sorted in decreasing order (all
-    <= 0); terms below e^{-tcut} are dropped, which is why the sort order
-    matters.  la_pos lists points where phi >= 0, la_neg the rest.
+    <= 0); la_pos lists points where phi >= 0, la_neg the rest.  The k
+    are taken _POWER_BLOCK at a time, with one exp of the outer product
+    of the block's k and the la values; terms below e^{-tcut} at the
+    block's first k are dropped, which is why the sort order matters.
     """
     la_pos = np.ascontiguousarray(la_pos, dtype=np.float64)
     la_neg = np.ascontiguousarray(la_neg, dtype=np.float64)
     if la_pos.size and la_pos[0] > 0 or la_neg.size and la_neg[0] > 0:
         raise ValueError("log magnitudes must be <= 0")
     k_lo, k_hi, tcut = int(k_lo), int(k_hi), float(tcut)
-    out = np.zeros(k_hi - k_lo + 1, dtype=np.float64)
-    cut_p = la_pos.size
-    cut_n = la_neg.size
-    for t in range(out.size):
-        k = k_lo + t
-        bound = -tcut / k
-        while cut_p > 0 and la_pos[cut_p - 1] < bound:
-            cut_p -= 1
-        while cut_n > 0 and la_neg[cut_n - 1] < bound:
-            cut_n -= 1
-        sp = np.exp(k * la_pos[:cut_p]).sum() if cut_p else 0.0
-        sn = np.exp(k * la_neg[:cut_n]).sum() if cut_n else 0.0
-        out[t] = sp + sn if k % 2 == 0 else sp - sn
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+    out = np.zeros(ks.size, dtype=np.float64)
+    signs = np.where(ks % 2 == 0, 1.0, -1.0)
+    for la, sign in ((la_pos, None), (la_neg, signs)):
+        ascending = -la
+        for t0 in range(0, ks.size, _POWER_BLOCK):
+            kb = ks[t0:t0 + _POWER_BLOCK]
+            cut = int(np.searchsorted(ascending, tcut / kb[0], side="right"))
+            for c0 in range(0, cut, _POWER_COLUMNS):
+                terms = np.multiply.outer(kb, la[c0:min(c0 + _POWER_COLUMNS, cut)])
+                np.exp(terms, out=terms)
+                sums = terms.sum(axis=1)
+                if sign is not None:
+                    sums *= sign[t0:t0 + _POWER_BLOCK]
+                out[t0:t0 + kb.size] += sums
     return out
 
 

@@ -320,26 +320,36 @@ def mc_lower_tail(probe: DeviationProbe, dist: StepDistribution | None = None,
     return _tail_rows(probe, dist, table)
 
 
-def _exp_weights(dist: StepDistribution, n: int, replicas: int,
-                 master_seed: int, theta: float, mode: str,
-                 table: ReturnProbTable) -> np.ndarray:
-    scale = theta * math.log(n) ** 2 / n
+def _intersection_sizes(dist: StepDistribution, n: int, replicas: int,
+                        master_seed: int) -> np.ndarray:
+    """|range of walk A intersect range of walk B| for each replica's
+    pair of independent n-step walks."""
+    vals = np.empty(replicas, dtype=np.float64)
+    for j in range(replicas):
+        pa = sample_path(dist, n, master_seed, replica=j,
+                         purpose=PURPOSE_STEPS)
+        pb = sample_path(dist, n, master_seed, replica=j,
+                         purpose=PURPOSE_PARTNER)
+        ka = np.unique(pack_positions(pa.positions))
+        kb = np.unique(pack_positions(pb.positions))
+        vals[j] = np.intersect1d(ka, kb, assume_unique=True).size
+    return vals
+
+
+def _exp_statistics(dist: StepDistribution, n_ladder: tuple, replicas: int,
+                    master_seed: int, mode: str,
+                    table: ReturnProbTable | None) -> list:
+    """The per-replica statistic of `mode` at every ladder entry.  The
+    range modes count every entry on one walk per replica."""
     if mode == "p-intersection":
-        vals = np.empty(replicas, dtype=np.float64)
-        for j in range(replicas):
-            pa = sample_path(dist, n, master_seed, replica=j,
-                             purpose=PURPOSE_STEPS)
-            pb = sample_path(dist, n, master_seed, replica=j,
-                             purpose=PURPOSE_PARTNER)
-            ka = np.unique(pack_positions(pa.positions))
-            kb = np.unique(pack_positions(pb.positions))
-            vals[j] = np.intersect1d(ka, kb, assume_unique=True).size
-        return scale * vals
-    values = sample_range_values(dist, n, replicas, master_seed)
-    centered = values.astype(np.float64) - float(table.er[n])
-    if mode == "abs-range":
-        return scale * np.abs(centered)
-    return scale * centered
+        return [_intersection_sizes(dist, n, replicas, master_seed)
+                for n in n_ladder]
+    ranges = sample_range_ladder(dist, n_ladder, replicas, master_seed)
+    stats = []
+    for n, values in zip(n_ladder, ranges.T):
+        centered = values.astype(np.float64) - float(table.er[n])
+        stats.append(np.abs(centered) if mode == "abs-range" else centered)
+    return stats
 
 
 def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
@@ -372,9 +382,11 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
         table = build_return_table(dist, max(n_ladder))
     boot_rng = np.random.default_rng(
         np.random.Philox(key=[master_seed & 0xFFFFFFFFFFFFFFFF, 0xB007]))
+    stats = _exp_statistics(dist, n_ladder, replicas, master_seed, mode, table)
     points = []
-    for n, theta_n in zip(n_ladder, thetas):
-        w = _exp_weights(dist, n, replicas, master_seed, theta_n, mode, table)
+    for n, theta_n, stat in zip(n_ladder, thetas, stats):
+        scale = theta_n * math.log(n) ** 2 / n
+        w = scale * stat
         m = w.size
         log_mean = float(logsumexp(w) - math.log(m))
         if bootstrap > 0:

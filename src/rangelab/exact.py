@@ -9,13 +9,19 @@ grid is used; the aliasing error is P(walk lands on a nonzero multiple
 of the grid period), which is sub-Gaussian small once the grid beats
 8 * step * sqrt(k).
 
+A walk of period d (d = 2 for the simple walk) has u_k = 0 unless d
+divides k; the table stores those entries as exact zeros and sums the
+series at the multiples of d only.
+
 From u the table derives
   H[m]  = sum_{k<=m} u_k              (expected visits to the start),
   r_k   = P(first return at step k)   (u_n = sum r_j u_{n-j}),
   f_m   = P(no return through step m) (sum_{k<=m} u_k f_{m-k} = 1),
-  ER[m] = E #{distinct sites in m steps} = sum_{j<m} f_j,
-the last three via first-return and last-visit decompositions, solved as
-unit triangular Toeplitz systems in O(n log^2 n).
+  ER[m] = E #{distinct sites in m steps} = sum_{j<m} f_j.
+In generating functions U = 1 / (1 - R) and F = 1 / (U (1 - z)), so one
+unit triangular Toeplitz solve U V = 1, a power-series inverse by Newton
+doubling with FFT products in O(n log n), gives r_k = -V_k and f as the
+prefix sums of V.
 
 A direct space-domain convolution (return_probs_dp) provides an
 independent oracle for u; enumeration over all paths provides one for
@@ -41,6 +47,7 @@ __all__ = [
     "return_prob_exact",
     "return_probs_dp",
     "build_return_table",
+    "check_table_size",
     "h_difference",
     "enumeration_oracle",
     "expected_range_asymptotic",
@@ -50,6 +57,8 @@ __all__ = [
 ]
 
 _TCUT = 60.0  # drop series terms below e^{-60}
+# Stamped into disk-cache files; change it whenever a table's bits change.
+TABLE_ALGORITHM = "newton-inverse-1"
 _REGIME_A_TOP = 256
 
 _table_cache: dict[tuple[str, int], "ReturnProbTable"] = {}
@@ -79,20 +88,33 @@ def _g_sign_grid(dist, lx, ly):
 
     1 - phi = sum 2 p sin^2(lam.x / 2) and 1 + phi = sum 2 p cos^2(...),
     both nonnegative sums, so g stays accurate even where phi is within
-    1e-16 of +-1."""
-    a = lx[:, None]
-    b = ly[None, :]
-    one_minus = np.zeros((lx.size, ly.size))
-    one_plus = np.zeros((lx.size, ly.size))
+    1e-16 of +-1.  The half-angle sines and cosines come from the 1-D
+    axes by the angle-sum identities, so no transcendental is evaluated
+    on the grid itself."""
+    shape = (lx.size, ly.size)
+    one_minus = np.zeros(shape)
+    one_plus = np.zeros(shape)
+    trig = np.empty(shape)
+    term = np.empty(shape)
     for (dx, dy), p in zip(dist.support.tolist(), dist.probs.tolist()):
-        half = 0.5 * (dx * a + dy * b)
-        s = np.sin(half)
-        c = np.cos(half)
-        one_minus += (2.0 * p) * s * s
-        one_plus += (2.0 * p) * c * c
+        ha = (0.5 * dx) * lx
+        hb = (0.5 * dy) * ly
+        sa, ca, sb, cb = np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb)
+        # sin(ha + hb) = sa cb + ca sb
+        np.multiply.outer(sa, cb, out=trig)
+        trig += np.multiply.outer(ca, sb, out=term)
+        trig *= trig
+        trig *= 2.0 * p
+        one_minus += trig
+        # cos(ha + hb) = ca cb - sa sb
+        np.multiply.outer(ca, cb, out=trig)
+        trig -= np.multiply.outer(sa, sb, out=term)
+        trig *= trig
+        trig *= 2.0 * p
+        one_plus += trig
     negative = one_minus > 1.0
-    g = np.where(negative, one_plus, one_minus)
-    return g, negative
+    np.copyto(one_minus, one_plus, where=negative)
+    return one_minus, negative
 
 
 class _SpectralContext:
@@ -139,22 +161,25 @@ class _SpectralContext:
 
     def certified_floor(self) -> tuple[float, float]:
         """(rho, floor): g >= floor whenever the distance to every peak
-        exceeds rho.  Established by a Lipschitz argument over one scan."""
+        exceeds rho.  Established by a Lipschitz argument over one scan.
+
+        g(-lam) = g(lam) and the peak set is symmetric too, so the rows
+        lam_x in [0, pi] see every value of the grid."""
         if self._floor is not None:
             return self._floor
         mc = min(4096, 2048 * self.s)
         rho = min(self.dstar, 0.4)
         slack = math.pi / mc
         lam = 2 * math.pi * np.arange(mc) / mc
+        rows = lam[: mc // 2 + 1]
         lo = math.inf
         chunk = max(1, (1 << 22) // mc)
-        for r0 in range(0, mc, chunk):
-            lx = lam[r0: r0 + chunk]
+        for r0 in range(0, rows.size, chunk):
+            lx = rows[r0: r0 + chunk]
             g, _ = _g_sign_grid(self.dist, lx, lam)
             d2 = self._peak_dist2(lx, lam)
             outside = d2 > (rho - slack * math.sqrt(2.0)) ** 2
-            if outside.any():
-                lo = min(lo, float(g[outside].min()))
+            lo = min(lo, float(np.min(g, where=outside, initial=math.inf)))
         self._floor = (rho, lo - self.lip1 * slack)
         return self._floor
 
@@ -182,9 +207,8 @@ def _harvest_band(ctx: _SpectralContext, m: int, g_cut: float):
         keep = g <= g_cut
         if not keep.any():
             return
-        gk = g[keep]
+        la = np.log1p(-g[keep])
         nk = neg[keep]
-        la = np.log1p(-gk)
         las_pos.append(la[~nk])
         las_neg.append(la[nk])
 
@@ -209,13 +233,29 @@ def _harvest_band(ctx: _SpectralContext, m: int, g_cut: float):
     return la_pos, la_neg
 
 
-def _band_u(ctx: _SpectralContext, k_lo: int, k_hi: int) -> np.ndarray:
-    """u_k for k in [k_lo, k_hi] via the aliased-grid series."""
+def _band_u(ctx: _SpectralContext, k_lo: int, k_hi: int,
+            period: int = 1) -> np.ndarray:
+    """u_k for k in [k_lo, k_hi] via the aliased-grid series, computed
+    only at multiples of the walk's period and exactly 0 elsewhere.
+
+    At k = period * j, e^{k la} = e^{j (period la)}; the sign (-1)^k is
+    (-1)^j for an odd period and 1 for an even one, whose series
+    therefore sums both signs together."""
     m = _even_at_least(8.0 * ctx.s * math.sqrt(k_hi))
     g_cut = -math.expm1(-_TCUT / k_lo)
     la_pos, la_neg = _harvest_band(ctx, m, g_cut)
-    sums = log_power_sums(la_pos, la_neg, k_lo, k_hi, _TCUT)
-    return sums / float(m * m)
+    if period % 2 == 0:
+        # two descending runs: the stable sort merges them in one pass
+        la_pos = np.concatenate((la_pos, la_neg))
+        la_pos[::-1].sort(kind="stable")
+        la_neg = la_neg[:0]
+    j_lo = -(-k_lo // period)
+    j_hi = k_hi // period
+    out = np.zeros(k_hi - k_lo + 1)
+    if j_lo <= j_hi:
+        sums = log_power_sums(period * la_pos, period * la_neg, j_lo, j_hi, _TCUT)
+        out[period * j_lo - k_lo::period] = sums / float(m * m)
+    return out
 
 
 def return_prob_spectral(dist: StepDistribution, k: int) -> float:
@@ -283,7 +323,7 @@ def return_probs_dp(dist: StepDistribution, kmax: int,
 
 
 # ---------------------------------------------------------------------------
-# triangular Toeplitz solve
+# power series inverse
 
 
 def _smooth_length(n: int) -> int:
@@ -309,36 +349,29 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, length)[:size]
 
 
-def solve_unit_triangular_toeplitz(kernel: np.ndarray, rhs: np.ndarray,
-                                   base: int = 256) -> np.ndarray:
+def solve_unit_triangular_toeplitz(kernel: np.ndarray,
+                                   rhs: np.ndarray | None = None) -> np.ndarray:
     """Solve sum_{j<=i} kernel[i-j] x[j] = rhs[i] with kernel[0] = 1.
 
-    Divide and conquer: solve the left half, push its influence onto the
-    right half with one FFT convolution, recurse."""
+    As power series K X = B mod z^n, so X = B / K.  1/K comes by Newton
+    doubling (Brent & Kung 1978): if K V = 1 + z^m E mod z^2m, then
+    V - z^m V E is the inverse to 2m terms.  Each step costs two FFT
+    products, so the solve is O(n log n).  Without rhs, B = 1 and the
+    solution is 1/K itself."""
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel[0] != 1.0:
         raise ValueError("kernel[0] must be 1")
-    x = np.array(rhs, dtype=np.float64, copy=True)
-    n = x.size
-
-    def rec(lo: int, hi: int) -> None:
-        if hi - lo <= base:
-            for i in range(lo, hi):
-                if i > lo:
-                    x[i] -= np.dot(x[lo:i], kernel[i - lo:0:-1])
-            return
-        mid = (lo + hi) // 2
-        rec(lo, mid)
-        kseg = kernel[1: hi - lo]
-        if kseg.size:
-            block = x[lo:mid]
-            conv = (np.convolve(block, kseg) if hi - lo <= 1024
-                    else _fft_convolve(block, kseg))
-            x[mid:hi] -= conv[mid - lo - 1: hi - lo - 1]
-        rec(mid, hi)
-
-    rec(0, n)
-    return x
+    n = kernel.size
+    v = np.ones(1)
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        err = _fft_convolve(kernel[:m2], v)[m:m2]
+        v = np.concatenate((v, -_fft_convolve(v[:m2 - m], err)[:m2 - m]))
+        m = m2
+    if rhs is None:
+        return v
+    return _fft_convolve(v, np.asarray(rhs, dtype=np.float64))[:n]
 
 
 def _prefix_sum(a: np.ndarray) -> np.ndarray:
@@ -404,15 +437,29 @@ class ReturnProbTable:
         np.savez_compressed(tmp, u=self.u, h=self.h, r=self.r, f=self.f,
                             er=self.er,
                             meta=np.array([self.dist_name, self.dist_digest,
-                                           str(self.n)]))
+                                           str(self.n), TABLE_ALGORITHM]))
         os.replace(tmp, str(path))
 
     @classmethod
-    def load_npz(cls, path) -> "ReturnProbTable":
+    def load_npz(cls, path) -> "ReturnProbTable | None":
+        """The stored table, or None for a file without this code's
+        TABLE_ALGORITHM stamp: its bits come from another algorithm."""
         z = np.load(path, allow_pickle=False)
-        name, digest, n = z["meta"]
-        return cls(dist_name=str(name), dist_digest=str(digest), n=int(n),
+        name, digest, n, *stamp = z["meta"].tolist()
+        if stamp != [TABLE_ALGORITHM]:
+            return None
+        return cls(dist_name=name, dist_digest=digest, n=int(n),
                    u=z["u"], h=z["h"], r=z["r"], f=z["f"], er=z["er"])
+
+
+def check_table_size(dist: StepDistribution, n: int) -> None:
+    """Refuse a table whose largest aliased grid, of side about
+    8 max_step sqrt(n), exceeds the dense-grid cell budget."""
+    m = _even_at_least(8.0 * dist.max_step * math.sqrt(n))
+    if m * m > _MAX_GRID_CELLS:
+        raise ResourceLimit(
+            f"a return table through n={n} needs a {m}^2 spectral grid, "
+            f"over the budget of {_MAX_GRID_CELLS} cells")
 
 
 def _cache_dir() -> Path | None:
@@ -431,8 +478,8 @@ def build_return_table(dist: StepDistribution, n: int,
     Small k use one exact grid; larger k use geometrically growing
     aliased grids.  Set RANGELAB_CACHE_DIR to also persist tables on
     disk, keyed by (distribution digest, n); a file whose stored digest,
-    n or column lengths differ from the request is rebuilt and
-    overwritten."""
+    n, algorithm stamp or column lengths differ from the request is
+    rebuilt and overwritten."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     digest = dist.digest()
@@ -448,8 +495,9 @@ def build_return_table(dist: StepDistribution, n: int,
             fp = cdir / f"table_{digest}_{n}.npz"
             if fp.exists():
                 tab = ReturnProbTable.load_npz(fp)
-                # a file that holds another table is rebuilt and overwritten
-                if tab.dist_digest == digest and tab.n == n and all(
+                # a file that holds another table, or one written by another
+                # algorithm, is rebuilt and overwritten
+                if tab is not None and tab.dist_digest == digest and tab.n == n and all(
                         col.shape == (n + 1,)
                         for col in (tab.u, tab.h, tab.r, tab.f, tab.er)):
                     _table_cache[(digest, n)] = tab
@@ -459,8 +507,14 @@ def build_return_table(dist: StepDistribution, n: int,
     if not report.ok:
         raise InvalidConfig("; ".join(report.errors))
 
+    # u vanishes off the multiples of the period d: those entries are
+    # exact zeros, and the series below runs over the multiples only.  A
+    # symmetric walk that generates Z^2 has period 2 exactly when phi = -1
+    # at a corner of {0, pi}^2, which the context finds in exact arithmetic.
+    ctx = _spectral_context(dist)
+    d = 2 if any(sign == -1 for *_, sign in ctx.peaks) else 1
     s = dist.max_step
-    u = np.empty(n + 1)
+    u = np.zeros(n + 1)
     u[0] = 1.0
 
     k0 = min(n, _REGIME_A_TOP, max(16, 2048 // (2 * s) - 1))
@@ -468,26 +522,32 @@ def build_return_table(dist: StepDistribution, n: int,
         m0 = 2 * k0 * s + 2
         lam = 2 * math.pi * np.arange(m0) / m0
         phi = _phi_grid(dist, lam, lam)
+        phi_d = phi ** d
         power = np.ones_like(phi)
-        for k in range(1, k0 + 1):
-            power *= phi
+        for k in range(d, k0 + 1, d):
+            power *= phi_d
             u[k] = float(power.mean())
+        u[1] = float(next((f for (x, y), f in zip(dist.support.tolist(), dist.fracs)
+                           if x == y == 0), 0))
 
     if n > k0:
-        ctx = _spectral_context(dist)
         lo = k0 + 1
         while lo <= n:
             hi = min(n, 2 * (lo - 1))
             if hi < lo:
                 hi = lo
-            u[lo: hi + 1] = _band_u(ctx, lo, hi)
+            u[lo: hi + 1] = _band_u(ctx, lo, hi, d)
             lo = hi + 1
 
+    # U(z) = 1 / (1 - R(z)) and F(z) = 1 / (U(z) (1 - z)): one series
+    # inverse V = 1 / U gives r = -V[1:] and f as the prefix sums of V.
+    # With period d both are series in z^d: invert the decimated one.
+    v = np.zeros(n + 1)
+    v[::d] = solve_unit_triangular_toeplitz(u[::d])
+    r = np.zeros(n + 1)
+    r[d::d] = -v[d::d]
     h = _prefix_sum(u)
-    rhs = u.copy()
-    rhs[0] = 0.0
-    r = solve_unit_triangular_toeplitz(u, rhs)
-    f = solve_unit_triangular_toeplitz(u, np.ones(n + 1))
+    f = _prefix_sum(v)
     er = np.concatenate(([0.0], _prefix_sum(f)[:-1]))
 
     tab = ReturnProbTable(dist_name=dist.name, dist_digest=digest, n=n,

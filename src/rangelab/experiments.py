@@ -36,7 +36,12 @@ from .deviations import (
     tail_rows_from_values,
 )
 from .errors import IdentityCheckFailure, InvalidConfig
-from .exact import build_return_table, enumeration_oracle, expected_range_asymptotic
+from .exact import (
+    build_return_table,
+    check_table_size,
+    enumeration_oracle,
+    expected_range_asymptotic,
+)
 from .rangestats import decomposition_check
 from .smoothing import a_functional, b_functional, parseval_check, q_identity_check
 from .variational import gaussian_half_quotient, gn_audit, kappa22_solve
@@ -269,6 +274,8 @@ class ExperimentConfig:
                            thresholds=tuple(params["thresholds"]),
                            side=params["side"], replicas=replicas,
                            master_seed=seed)
+        if kind == "exact":
+            check_table_size(dist, params["n"])
         if kind == "exact" and params["enumerate"]:
             n_enum = params["enumerate_n"] or min(params["n"], 9)
             if len(dist.probs) ** n_enum > 2.0e8:
@@ -490,10 +497,20 @@ def _run_shard(task) -> str:
     return path.name
 
 
+def _write_columns(path: Path, config_hash: str, schema: str,
+                   columns: dict) -> None:
+    """CSV with a leading config-hash comment, from equal-length columns
+    of formatted cells, keyed by header name."""
+    lines = [f"# config_hash={config_hash} schema={schema}",
+             ",".join(columns)]
+    lines.extend(map(",".join, zip(*columns.values())))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _write_csv(path: Path, config_hash: str, schema: str, columns: list,
                rows: list) -> None:
-    """CSV with a leading config-hash comment; floats via repr so the
-    bytes are reproducible and round-trip exactly."""
+    """CSV of row dicts; floats via repr so the bytes are reproducible
+    and round-trip exactly."""
 
     def cell(v):
         if v is None:
@@ -504,11 +521,8 @@ def _write_csv(path: Path, config_hash: str, schema: str, columns: list,
             return repr(v)
         return str(v)
 
-    lines = [f"# config_hash={config_hash} schema={schema}",
-             ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(cell(row[c]) for c in columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_columns(path, config_hash, schema,
+                   {c: [cell(row[c]) for row in rows] for c in columns})
 
 
 def _run_exact(cfg: ExperimentConfig, out: Path) -> list:
@@ -519,18 +533,15 @@ def _run_exact(cfg: ExperimentConfig, out: Path) -> list:
     if cfg.params["enumerate"]:
         n_enum = cfg.params["enumerate_n"] or min(n, 9)
         enum_er = enumeration_oracle(dist, n_enum)["er"]
-    columns = ["k", "u", "h", "r", "f", "er"] + (
-        ["er_enum"] if enum_er is not None else [])
-    rows = []
-    for k in range(n + 1):
-        row = {"k": k, "u": float(table.u[k]), "h": float(table.h[k]),
-               "r": float(table.r[k]), "f": float(table.f[k]),
-               "er": float(table.er[k])}
-        if enum_er is not None:
-            row["er_enum"] = float(enum_er[k]) if k < len(enum_er) else None
-        rows.append(row)
-    _write_csv(out / "table.csv", cfg.config_hash, _SCHEMAS["exact"],
-               columns, rows)
+    # written column-wise: repr of the floats, as _write_csv gives them
+    columns = {"k": list(map(str, range(n + 1)))}
+    for name in ("u", "h", "r", "f", "er"):
+        columns[name] = list(map(repr, getattr(table, name).tolist()))
+    if enum_er is not None:
+        cells = list(map(repr, enum_er[:n + 1].tolist()))
+        columns["er_enum"] = cells + [""] * (n + 1 - len(cells))
+    _write_columns(out / "table.csv", cfg.config_hash, _SCHEMAS["exact"],
+                   columns)
     results = {
         "config_hash": cfg.config_hash,
         "dist": dist.name,

@@ -121,6 +121,21 @@ def test_cli_long_step_distribution_exit_code(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_oversized_exact_table_exit_code(tmp_path, capsys):
+    """An exact table through n = 2^20 + 1 needs a spectral grid of side
+    8194, over the 2^26-cell budget: refused with exit code 3 before any
+    table work, and no run directory is made."""
+    cfg = {"kind": "exact", "distribution": "srw", "replicas": 1,
+           "params": {"n": (1 << 20) + 1}}
+    p = _write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", str(p)]) == 3
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err.count("resource limit") == 2
+    assert not (tmp_path / "run").exists()
+    cfg["params"]["n"] = 1 << 20
+    ExperimentConfig.from_dict(cfg)
+
+
 def test_exact_kind_must_be_single_replica(tmp_path):
     cfg = {"kind": "exact", "distribution": "srw", "replicas": 5,
            "params": {"n": 16}}

@@ -219,6 +219,37 @@ def test_exp_moment_per_n_theta(lazy):
         assert point["value"] == alone["points"][0]["value"]
 
 
+@pytest.mark.parametrize("mode", ["signed-range", "abs-range"])
+def test_exp_moment_one_walk_per_replica(lazy, monkeypatch, mode):
+    """The range modes draw one walk per replica for the whole ladder,
+    and every point keeps the bits of a per-n draw."""
+    from scipy.special import logsumexp
+
+    from rangelab.walks import StepDistribution
+
+    ladder, replicas, theta, seed = (64, 512, 128, 512), 120, 0.4, 13
+    table = build_return_table(lazy, 512)
+    expected = []
+    for n in ladder:
+        centered = (sample_range_values(lazy, n, replicas, seed).astype(np.float64)
+                    - float(table.er[n]))
+        stat = np.abs(centered) if mode == "abs-range" else centered
+        w = theta * math.log(n) ** 2 / n * stat
+        log_mean = float(logsumexp(w) - math.log(replicas))
+        expected.append((log_mean, math.exp(log_mean)))
+    drawn = []
+    original = StepDistribution.sample_step_indices
+    monkeypatch.setattr(StepDistribution, "sample_step_indices",
+                        lambda self, n, rng: drawn.append(n) or original(self, n, rng))
+    out = exp_moment_probe(lazy, ladder, theta=theta, mode=mode,
+                           replicas=replicas, master_seed=seed, table=table,
+                           bootstrap=0)
+    assert drawn == [max(ladder)] * replicas
+    got = [(p["log_mean"], p["value"]) for p in out["points"]]
+    assert [tuple(map(float.hex, pair)) for pair in got] == [
+        tuple(map(float.hex, pair)) for pair in expected]
+
+
 def test_exp_moment_p_intersection_smoke(lazy):
     out = exp_moment_probe(lazy, (64,), theta=0.2, mode="p-intersection",
                            replicas=60, master_seed=4, bootstrap=5)

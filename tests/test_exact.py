@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rangelab import exact
+from rangelab._fastpath import log_power_sums
 from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.exact import (
     ReturnProbTable,
@@ -25,6 +26,7 @@ from rangelab.exact import (
     return_probs_dp,
     solve_unit_triangular_toeplitz,
 )
+from rangelab.experiments import ExperimentConfig, _write_csv, run_experiment
 
 SRW_U = [1.0, 0.0, 0.25, 0.0, 0.140625, 0.0, 0.09765625, 0.0,
          0.07476806640625]
@@ -174,8 +176,8 @@ def test_expected_range_asymptotic_fields(lazy):
 
 @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
 def test_toeplitz_solver_matches_dense(size, seed):
-    """The divide-and-conquer unit-triangular Toeplitz solve agrees
-    with a dense numpy solve."""
+    """The unit-triangular Toeplitz solve agrees with a dense numpy
+    solve."""
     rng = np.random.default_rng(seed)
     kernel = rng.normal(size=size) * 0.5
     kernel[0] = 1.0
@@ -186,6 +188,160 @@ def test_toeplitz_solver_matches_dense(size, seed):
     expected = np.linalg.solve(mat, rhs)
     got = solve_unit_triangular_toeplitz(kernel, rhs)
     np.testing.assert_allclose(got, expected, atol=1e-9 * max(1.0, np.abs(expected).max()))
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_series_inverse_matches_dense(size, seed):
+    """The Newton series inverse V = 1/U agrees with a dense solve of the
+    unit lower-triangular Toeplitz system U V = e_0."""
+    rng = np.random.default_rng(seed)
+    kernel = rng.normal(size=size) * 0.5 / np.arange(1, size + 1)
+    kernel[0] = 1.0
+    mat = np.zeros((size, size))
+    for i in range(size):
+        mat[i, : i + 1] = kernel[i::-1]
+    expected = np.linalg.solve(mat, np.eye(size)[:, 0])
+    got = solve_unit_triangular_toeplitz(kernel)
+    np.testing.assert_allclose(got, expected, atol=1e-9 * max(1.0, np.abs(expected).max()))
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 150),
+       st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_log_power_sums_match_per_k_loop(n_pos, n_neg, k_lo, width, seed):
+    """The blocked power sums agree with one sum per k over the terms at
+    or above e^{-tcut}; the blocks keep a few more terms, each below
+    e^{-tcut}."""
+    rng = np.random.default_rng(seed)
+    la_pos = -np.sort(rng.exponential(0.5, n_pos))
+    la_neg = -np.sort(rng.exponential(0.5, n_neg))
+    k_hi = k_lo + width
+    got = log_power_sums(la_pos, la_neg, k_lo, k_hi, 60.0)
+    for k in range(k_lo, k_hi + 1):
+        sp = np.exp(k * la_pos[la_pos >= -60.0 / k]).sum()
+        sn = np.exp(k * la_neg[la_neg >= -60.0 / k]).sum()
+        want = sp + sn if k % 2 == 0 else sp - sn
+        assert abs(got[k - k_lo] - want) <= 1e-13 * (sp + sn) + 1e-24
+
+
+def test_g_grid_matches_direct_trig():
+    """The angle-sum evaluation of g = 1 - |phi| agrees with sines and
+    cosines taken on the grid, for a law with no reflection symmetry."""
+    from rangelab.walks import distribution_from_config
+
+    steps = [[1, 0, 1, 8], [-1, 0, 1, 8], [0, 1, 1, 8], [0, -1, 1, 8],
+             [1, 1, 1, 8], [-1, -1, 1, 8], [2, -1, 1, 8], [-2, 1, 1, 8]]
+    dist = distribution_from_config({"name": "skew", "steps": steps})
+    lx = np.linspace(0.0, 2 * math.pi, 37)
+    ly = np.linspace(0.0, 2 * math.pi, 41)
+    g, negative = exact._g_sign_grid(dist, lx, ly)
+    half = 0.5 * (dist.support[:, 0, None, None] * lx[:, None]
+                  + dist.support[:, 1, None, None] * ly[None, :])
+    p = dist.probs[:, None, None]
+    one_minus = (2 * p * np.sin(half) ** 2).sum(axis=0)
+    one_plus = (2 * p * np.cos(half) ** 2).sum(axis=0)
+    np.testing.assert_array_equal(negative, one_minus > 1.0)
+    np.testing.assert_allclose(g, np.where(negative, one_plus, one_minus),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king"])
+def test_certified_floor_matches_full_scan(name):
+    """Scanning half the grid finds the floor of the whole grid."""
+    from rangelab.walks import builtin_distribution
+
+    ctx = exact._SpectralContext(builtin_distribution(name))
+    rho, floor = ctx.certified_floor()
+    mc = min(4096, 2048 * ctx.s)
+    lam = 2 * math.pi * np.arange(mc) / mc
+    g, _ = exact._g_sign_grid(ctx.dist, lam, lam)
+    outside = ctx._peak_dist2(lam, lam) > (rho - math.pi / mc * math.sqrt(2.0)) ** 2
+    full = float(g[outside].min()) - ctx.lip1 * math.pi / mc
+    assert floor == pytest.approx(full, rel=0, abs=1e-15)
+
+
+def test_periodic_table_has_exact_zeros(srw):
+    """srw has period 2: u and r vanish at odd k, exactly."""
+    table = build_return_table(srw, 1 << 12)
+    assert not table.u[1::2].any() and not table.r[1::2].any()
+    assert np.all(table.u[::2] > 0) and np.all(table.r[2::2] > 0)
+
+
+def test_long_odd_return_is_not_taken_for_period_two():
+    """+-(12,0), +-(13,0), +-(0,1) first returns at an odd lag at k = 25
+    (13 x (+12) and 12 x (-13)), so it is aperiodic although every
+    shorter return is even.  Its odd-k entries, 1.5e-8 at k = 39 and
+    4e-5 at k = 199, match the direct convolution and the exact
+    quadrature in both table regimes."""
+    from rangelab.walks import distribution_from_config
+
+    steps = [[12, 0, 1, 6], [-12, 0, 1, 6], [13, 0, 1, 6], [-13, 0, 1, 6],
+             [0, 1, 1, 6], [0, -1, 1, 6]]
+    dist = distribution_from_config({"name": "long-odd", "steps": steps})
+    dp = return_probs_dp(dist, 40)
+    assert dp[25] > 0 and not dp[1:25:2].any()
+    table = build_return_table(dist, 40, use_cache=False)
+    np.testing.assert_allclose(table.u, dp, rtol=0, atol=1e-16)
+    assert table.u[39] == pytest.approx(dp[39], rel=1e-6)
+    big = build_return_table(dist, 200, use_cache=False)
+    for k in (101, 151, 199):
+        assert big.u[k] == pytest.approx(return_prob_exact(dist, k), rel=1e-9)
+
+
+def test_one_step_return_is_the_zero_step_mass(srw, lazy, king):
+    for dist, p0 in ((srw, 0.0), (lazy, 0.5), (king, 0.0)):
+        table = build_return_table(dist, 64)
+        assert table.u[1] == p0
+        assert table.r[1] == p0
+
+
+def test_no_negative_probabilities(srw, lazy, king):
+    """u and r are probabilities; at 2^16 every builtin table keeps them
+    nonnegative in floating point too."""
+    for dist in (srw, lazy, king):
+        table = build_return_table(dist, 1 << 16)
+        assert int((table.u < 0).sum()) == 0
+        assert int((table.r < 0).sum()) == 0
+
+
+def test_disk_cache_rebuilds_an_unstamped_table(tmp_path, monkeypatch, srw):
+    """A cache file without the algorithm stamp (the layout written
+    before the stamp existed), or with another stamp, is rebuilt."""
+    monkeypatch.setenv("RANGELAB_CACHE_DIR", str(tmp_path))
+    fresh = build_return_table(srw, 8, use_cache=False)
+    fp = tmp_path / f"table_{srw.digest()}_8.npz"
+    stale = {name: getattr(fresh, name) + 1e-3 for name in ("u", "h", "r", "f", "er")}
+    for meta in (["srw", srw.digest(), "8"], ["srw", srw.digest(), "8", "old"]):
+        np.savez_compressed(fp, meta=np.array(meta), **stale)
+        monkeypatch.setattr(exact, "_table_cache", {})
+        got = build_return_table(srw, 8)
+        stored = ReturnProbTable.load_npz(fp)
+        assert np.load(fp)["meta"].tolist()[3:] == [exact.TABLE_ALGORITHM]
+        for table in (got, stored):
+            for name in ("u", "h", "r", "f", "er"):
+                assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def test_table_csv_matches_row_writer(tmp_path):
+    """The column-wise table.csv has the bytes of the row-dict writer,
+    empty er_enum cells past the enumeration depth included."""
+    cfg = ExperimentConfig.from_dict(
+        {"kind": "exact", "distribution": "king", "replicas": 1,
+         "params": {"n": 12, "enumerate": True, "enumerate_n": 4}},
+        out=str(tmp_path / "run"))
+    run_experiment(cfg)
+    table = build_return_table(cfg.dist(), 12)
+    er_enum = enumeration_oracle(cfg.dist(), 4)["er"]
+    columns = ["k", "u", "h", "r", "f", "er", "er_enum"]
+    rows = [{"k": k, "u": float(table.u[k]), "h": float(table.h[k]),
+             "r": float(table.r[k]), "f": float(table.f[k]),
+             "er": float(table.er[k]),
+             "er_enum": float(er_enum[k]) if k < len(er_enum) else None}
+            for k in range(13)]
+    _write_csv(tmp_path / "rows.csv", cfg.config_hash, "exact-table-v1",
+               columns, rows)
+    got = (tmp_path / "run" / "table.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.decode().splitlines()[-1].endswith(",")
 
 
 def test_spectral_vs_dp_midrange(king):
