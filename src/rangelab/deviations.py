@@ -30,6 +30,7 @@ from .walks import (
     PURPOSE_PARTNER,
     PURPOSE_STEPS,
     StepDistribution,
+    distribution_from_config,
     sample_path,
     stream,
 )
@@ -41,8 +42,7 @@ __all__ = [
     "sample_range_ladder",
     "sample_range_values",
     "tail_rows_from_values",
-    "mc_upper_tail",
-    "mc_lower_tail",
+    "mc_tail",
     "exp_moment_probe",
     "lil_checkpoints",
     "lil_rows",
@@ -283,41 +283,22 @@ def tail_rows_from_values(probe: DeviationProbe, dist: StepDistribution,
     return rows
 
 
-def _tail_rows(probe: DeviationProbe, dist: StepDistribution,
-               table: ReturnProbTable) -> list:
+def mc_tail(probe: DeviationProbe, dist: StepDistribution | None = None,
+            table: ReturnProbTable | None = None) -> list:
+    """Frequency estimates of the tail rate on the probe's side.
+
+    Upper: (1/b) log P(R_bar >= thr) at thr = theta * 2 pi sqrt(det Gamma)
+    * n log(b) / (log n)^2, plus the exact-H variant
+    thr = theta * (n/H(n)^2)(H(n) - H(n/b)).  Lower: (1/b) log
+    P(-R_bar >= thr) at thr = theta * n * b / (log n)^2."""
+    if dist is None:
+        dist = distribution_from_config(probe.dist_name)
+    if table is None:
+        table = build_return_table(dist, max(probe.n_ladder))
     values = sample_range_ladder(dist, probe.n_ladder, probe.replicas,
                                  probe.master_seed)
-    values_by_n = dict(zip(probe.n_ladder, values.T))
-    return tail_rows_from_values(probe, dist, table, values_by_n)
-
-
-def mc_upper_tail(probe: DeviationProbe, dist: StepDistribution | None = None,
-                  table: ReturnProbTable | None = None) -> list:
-    """Frequency estimates of the upper-tail rate (1/b) log P(R_bar >= thr)
-    at thr = theta * 2 pi sqrt(det Gamma) * n log(b) / (log n)^2, plus the
-    exact-H variant thr = theta * (n/H(n)^2)(H(n) - H(n/b))."""
-    from .walks import distribution_from_config
-    if probe.side != "upper":
-        raise InvalidConfig("probe side must be 'upper'")
-    if dist is None:
-        dist = distribution_from_config(probe.dist_name)
-    if table is None:
-        table = build_return_table(dist, max(probe.n_ladder))
-    return _tail_rows(probe, dist, table)
-
-
-def mc_lower_tail(probe: DeviationProbe, dist: StepDistribution | None = None,
-                  table: ReturnProbTable | None = None) -> list:
-    """Frequency estimates of the lower-tail rate (1/b) log P(-R_bar >= thr)
-    at thr = lambda * n * b / (log n)^2."""
-    from .walks import distribution_from_config
-    if probe.side != "lower":
-        raise InvalidConfig("probe side must be 'lower'")
-    if dist is None:
-        dist = distribution_from_config(probe.dist_name)
-    if table is None:
-        table = build_return_table(dist, max(probe.n_ladder))
-    return _tail_rows(probe, dist, table)
+    return tail_rows_from_values(probe, dist, table,
+                                 dict(zip(probe.n_ladder, values.T)))
 
 
 def _intersection_sizes(dist: StepDistribution, n: int, replicas: int,
@@ -472,9 +453,9 @@ def lil_trajectory(dist: StepDistribution, n_max: int, master_seed: int,
     checkpoints = lil_checkpoints(n_max, checkpoints)
     if table is None:
         table = build_return_table(dist, n_max)
-    path = sample_path(dist, n_max, master_seed, replica=replica)
-    prefix = prefix_range_counts(path.packed())
-    rows = lil_rows(checkpoints, [prefix[m - 1] for m in checkpoints], table)
+    ranges = sample_range_ladder(dist, checkpoints, 1, master_seed,
+                                 first_replica=replica)[0]
+    rows = lil_rows(checkpoints, ranges, table)
     det = float(dist.det_covariance_exact())
     return {"dist_name": dist.name, "n_max": n_max, "replica": replica,
             "master_seed": master_seed, "rows": rows,

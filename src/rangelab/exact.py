@@ -40,7 +40,7 @@ import numpy as np
 
 from ._fastpath import enum_walk_moments, log_power_sums
 from .errors import InvalidConfig, ResourceLimit
-from .walks import _MAX_GRID_CELLS, StepDistribution, validate_distribution
+from .walks import StepDistribution, validate_distribution
 
 __all__ = [
     "ReturnProbTable",
@@ -60,6 +60,7 @@ _TCUT = 60.0  # drop series terms below e^{-60}
 # Stamped into disk-cache files; change it whenever a table's bits change.
 TABLE_ALGORITHM = "newton-inverse-1"
 _REGIME_A_TOP = 256
+_MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids
 
 _table_cache: dict[tuple[str, int], "ReturnProbTable"] = {}
 _context_cache: dict[str, "_SpectralContext"] = {}
@@ -127,12 +128,12 @@ class _SpectralContext:
         pts = dist.support.tolist()
         fr = dist.fracs
         # peaks of |phi| can only sit at the four corners {0, pi}^2
-        self.peaks: list[tuple[float, float, int]] = []
+        self.peaks: list[tuple[float, float]] = []
         for ca in (0, 1):
             for cb in (0, 1):
                 val = sum(f * (-1) ** ((ca * x + cb * y) % 2) for (x, y), f in zip(pts, fr))
                 if val == 1 or val == -1:
-                    self.peaks.append((ca * math.pi, cb * math.pi, int(val)))
+                    self.peaks.append((ca * math.pi, cb * math.pi))
         cov = dist.covariance()
         tr = cov[0, 0] + cov[1, 1]
         det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
@@ -152,7 +153,7 @@ class _SpectralContext:
         a = lx[:, None]
         b = ly[None, :]
         best = None
-        for (px, py, _) in self.peaks:
+        for px, py in self.peaks:
             da = np.minimum(np.abs(a - px), 2 * math.pi - np.abs(a - px))
             db = np.minimum(np.abs(b - py), 2 * math.pi - np.abs(b - py))
             d2 = da * da + db * db
@@ -214,7 +215,7 @@ def _harvest_band(ctx: _SpectralContext, m: int, g_cut: float):
 
     if rho_need <= rho_cert and g_cut < floor:
         rad = int(math.ceil(rho_need / lam_unit)) + 1
-        for (px, py, _) in ctx.peaks:
+        for px, py in ctx.peaks:
             ci = round(px / lam_unit)
             cj = round(py / lam_unit)
             lx = (ci + np.arange(-rad, rad + 1)) * lam_unit
@@ -508,11 +509,9 @@ def build_return_table(dist: StepDistribution, n: int,
         raise InvalidConfig("; ".join(report.errors))
 
     # u vanishes off the multiples of the period d: those entries are
-    # exact zeros, and the series below runs over the multiples only.  A
-    # symmetric walk that generates Z^2 has period 2 exactly when phi = -1
-    # at a corner of {0, pi}^2, which the context finds in exact arithmetic.
+    # exact zeros, and the series below runs over the multiples only.
+    d = report.period
     ctx = _spectral_context(dist)
-    d = 2 if any(sign == -1 for *_, sign in ctx.peaks) else 1
     s = dist.max_step
     u = np.zeros(n + 1)
     u[0] = 1.0

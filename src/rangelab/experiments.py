@@ -18,14 +18,14 @@ import json
 import hashlib
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from ._fastpath import prefix_range_counts
 from .deviations import (
     DeviationProbe,
     RangeSample,
@@ -43,7 +43,13 @@ from .exact import (
     expected_range_asymptotic,
 )
 from .rangestats import decomposition_check
-from .smoothing import a_functional, b_functional, parseval_check, q_identity_check
+from .smoothing import (
+    a_functional,
+    b_functional,
+    parseval_check,
+    q_identity_check,
+    q_kernel,
+)
 from .variational import gaussian_half_quotient, gn_audit, kappa22_solve
 from .walks import (
     StepDistribution,
@@ -64,20 +70,9 @@ __all__ = [
     "run_report",
 ]
 
-KINDS = ("exact", "identities", "smoothed", "deviations", "lil", "kappa")
-
 # Shards are replica ranges of fixed width, so the shard layout (and with
 # it every output byte) is independent of how many workers execute them.
 SHARD_SIZE = 2048
-
-_SCHEMAS = {
-    "exact": "exact-table-v1",
-    "identities": "identities-v1",
-    "smoothed": "smoothed-v1",
-    "deviations": "deviations-v1",
-    "lil": "lil-v1",
-    "kappa": "kappa-v1",
-}
 
 OUT_ROOT_ENV = "RANGELAB_OUT_ROOT"
 
@@ -104,7 +99,96 @@ def _as_float(value, name: str, minimum: float | None = None) -> float:
     return v
 
 
-def _canonical_params(kind: str, params: dict) -> dict:
+def _as_list(value, name: str) -> list:
+    _require(isinstance(value, (list, tuple)) and len(value) > 0,
+             f"{name} must be a nonempty list")
+    return list(value)
+
+
+def _exact_params(take) -> dict:
+    out = {"n": _as_int(take("n", required=True), "params.n", 1),
+           "enumerate": bool(take("enumerate", False))}
+    enum_n = take("enumerate_n", None)
+    if enum_n is not None:
+        enum_n = _as_int(enum_n, "params.enumerate_n", 0)
+    out["enumerate_n"] = enum_n
+    return out
+
+
+def _scale_params(take) -> dict:
+    """t, eps and b_t, shared by identities and smoothed: the horizon t,
+    the smoothing scale t / b_t and the stamp radius eps sqrt(t / b_t)."""
+    t = _as_float(take("t", 256.0), "params.t", 1.0)
+    eps = _as_float(take("eps", 0.5), "params.eps")
+    _require(0.0 < eps <= 1.0, "params.eps must lie in (0, 1]")
+    return {"t": t, "eps": eps,
+            "b_t": _as_float(take("b_t", 4.0), "params.b_t", 1.0)}
+
+
+# identity check -> the prefix of its record keys, and the flag that says
+# it held
+_IDENTITY_KEYS = {
+    "binary": ("binary", "binary_exact"),
+    "dyadic": ("dyadic", "dyadic_exact"),
+    "q-kernel": ("q", "q_ok"),
+}
+
+
+def _identities_params(take) -> dict:
+    out = {"n": _as_int(take("n", 1024), "params.n", 2), **_scale_params(take)}
+    checks = _as_list(take("checks", list(_IDENTITY_KEYS)), "params.checks")
+    for c in checks:
+        _require(isinstance(c, str) and c in _IDENTITY_KEYS,
+                 f"unknown identity check {c!r}")
+    out["checks"] = sorted(set(checks))
+    if "dyadic" in out["checks"]:
+        _require(out["n"] & (out["n"] - 1) == 0,
+                 "dyadic decomposition needs a power-of-two n")
+    if "q-kernel" in out["checks"]:
+        _require(out["n"] >= out["t"],
+                 "q-kernel check needs n >= t so the horizon is covered")
+    out["q_tol"] = _as_float(take("q_tol", 1e-10), "params.q_tol", 0.0)
+    return out
+
+
+def _smoothed_params(take) -> dict:
+    return {**_scale_params(take),
+            "level": _as_int(take("level", 1), "params.level", 0),
+            "parseval": bool(take("parseval", True)),
+            "max_fft": _as_int(take("max_fft", 4096), "params.max_fft", 16)}
+
+
+def _deviations_params(take) -> dict:
+    side = take("side", required=True)
+    n_ladder = _as_list(take("n_ladder", required=True), "params.n_ladder")
+    b_schedule = _as_list(take("b_schedule", required=True), "params.b_schedule")
+    thresholds = _as_list(take("thresholds", required=True), "params.thresholds")
+    return {"side": side,
+            "n_ladder": [_as_int(n, "params.n_ladder[]", 2) for n in n_ladder],
+            "b_schedule": [_as_float(b, "params.b_schedule[]") for b in b_schedule],
+            "thresholds": [_as_float(x, "params.thresholds[]") for x in thresholds]}
+
+
+def _lil_params(take) -> dict:
+    n_max = _as_int(take("n_max", required=True), "params.n_max", 4)
+    checkpoints = take("checkpoints", None)
+    if checkpoints is not None:
+        checkpoints = sorted({_as_int(c, "params.checkpoints[]", 2)
+                              for c in _as_list(checkpoints, "params.checkpoints")})
+        _require(checkpoints[-1] <= n_max, "checkpoints must not exceed n_max")
+    return {"n_max": n_max, "checkpoints": checkpoints}
+
+
+def _kappa_params(take) -> dict:
+    nodes = _as_list(take("nodes", [256, 512, 1024]), "params.nodes")
+    return {"nodes": [_as_int(v, "params.nodes[]", 256) for v in nodes],
+            "r_max": _as_float(take("r_max", 16.0), "params.r_max", 10.0),
+            "audit_num": _as_int(take("audit_num", 100), "params.audit_num", 0),
+            "audit_margin": _as_float(take("audit_margin", 1e-6),
+                                      "params.audit_margin", 0.0)}
+
+
+def _canonical_params(kind: str, params) -> dict:
     """Fill kind-specific defaults and reject unknown or malformed keys.
 
     The returned dict is what gets hashed, so defaults participate in
@@ -118,76 +202,41 @@ def _canonical_params(kind: str, params: dict) -> dict:
             raise InvalidConfig(f"{kind} config needs params.{name}")
         return default
 
-    out: dict = {}
-    if kind == "exact":
-        out["n"] = _as_int(take("n", required=True), "params.n", 1)
-        out["enumerate"] = bool(take("enumerate", False))
-        enum_n = take("enumerate_n", None)
-        if enum_n is not None:
-            enum_n = _as_int(enum_n, "params.enumerate_n", 0)
-        out["enumerate_n"] = enum_n
-    elif kind == "identities":
-        out["n"] = _as_int(take("n", 1024), "params.n", 2)
-        out["t"] = _as_float(take("t", 256.0), "params.t", 1.0)
-        out["eps"] = _as_float(take("eps", 0.5), "params.eps")
-        _require(0.0 < out["eps"] <= 1.0, "params.eps must lie in (0, 1]")
-        out["b_t"] = _as_float(take("b_t", 4.0), "params.b_t", 1.0)
-        checks = take("checks", ["dyadic", "binary", "q-kernel"])
-        _require(isinstance(checks, (list, tuple)) and checks,
-                 "params.checks must be a nonempty list")
-        for c in checks:
-            _require(c in ("dyadic", "binary", "q-kernel"),
-                     f"unknown identity check {c!r}")
-        out["checks"] = sorted(set(checks))
-        if "dyadic" in out["checks"]:
-            _require(out["n"] & (out["n"] - 1) == 0,
-                     "dyadic decomposition needs a power-of-two n")
-        if "q-kernel" in out["checks"]:
-            _require(out["n"] >= out["t"],
-                     "q-kernel check needs n >= t so the horizon is covered")
-        out["q_tol"] = _as_float(take("q_tol", 1e-10), "params.q_tol", 0.0)
-    elif kind == "smoothed":
-        out["t"] = _as_float(take("t", 256.0), "params.t", 1.0)
-        out["eps"] = _as_float(take("eps", 0.5), "params.eps")
-        _require(0.0 < out["eps"] <= 1.0, "params.eps must lie in (0, 1]")
-        out["b_t"] = _as_float(take("b_t", 4.0), "params.b_t", 1.0)
-        out["level"] = _as_int(take("level", 1), "params.level", 0)
-        out["parseval"] = bool(take("parseval", True))
-        out["max_fft"] = _as_int(take("max_fft", 4096), "params.max_fft", 16)
-    elif kind == "deviations":
-        side = take("side", required=True)
-        n_ladder = take("n_ladder", required=True)
-        b_schedule = take("b_schedule", required=True)
-        thresholds = take("thresholds", required=True)
-        out["side"] = side
-        out["n_ladder"] = [_as_int(n, "params.n_ladder[]", 2) for n in n_ladder]
-        out["b_schedule"] = [_as_float(b, "params.b_schedule[]") for b in b_schedule]
-        out["thresholds"] = [_as_float(x, "params.thresholds[]") for x in thresholds]
-    elif kind == "lil":
-        out["n_max"] = _as_int(take("n_max", required=True), "params.n_max", 4)
-        checkpoints = take("checkpoints", None)
-        if checkpoints is not None:
-            checkpoints = sorted({_as_int(c, "params.checkpoints[]", 2)
-                                  for c in checkpoints})
-            _require(checkpoints[-1] <= out["n_max"],
-                     "checkpoints must not exceed n_max")
-        out["checkpoints"] = checkpoints
-    elif kind == "kappa":
-        nodes = take("nodes", [256, 512, 1024])
-        _require(isinstance(nodes, (list, tuple)) and nodes,
-                 "params.nodes must be a nonempty list")
-        out["nodes"] = [_as_int(v, "params.nodes[]", 256) for v in nodes]
-        out["r_max"] = _as_float(take("r_max", 16.0), "params.r_max", 10.0)
-        out["audit_num"] = _as_int(take("audit_num", 100), "params.audit_num", 0)
-        out["audit_margin"] = _as_float(take("audit_margin", 1e-6),
-                                        "params.audit_margin", 0.0)
-    else:
-        raise InvalidConfig(f"unknown experiment kind {kind!r}; "
-                            f"expected one of {', '.join(KINDS)}")
+    out = _kind(kind).canonical_params(take)
     if params:
         raise InvalidConfig(
             f"unknown params for kind {kind!r}: {', '.join(sorted(params))}")
     return out
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What the engine knows of one experiment kind.
+
+    A sharded kind makes the records of a replica range (records); a
+    whole-run kind has records None and one replica, and writes its
+    files in one call (write).  canonical_params fills and checks the
+    config's params, check validates the rest of a canonical config,
+    table_n is the longest return table that run or report builds (0
+    for none), and a record whose violation_keys flag is false is an
+    identity violation."""
+
+    schema: str
+    canonical_params: Callable
+    report: Callable
+    records: Callable | None = None
+    write: Callable | None = None
+    check: Callable = lambda cfg, dist: None
+    table_n: Callable = lambda params: 0
+    violation_keys: tuple = ()
+
+
+def _kind(name) -> Kind:
+    kind = _REGISTRY.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise InvalidConfig(f"config.kind must be one of {', '.join(KINDS)}, "
+                            f"got {name!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -207,7 +256,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        _require(self.kind in KINDS, f"config.kind must be one of {', '.join(KINDS)}")
+        _kind(self.kind)
         _require(self.replicas >= 1, "replicas must be >= 1")
         _require(0 <= self.master_seed < 2**64, "master_seed must fit in 64 bits")
 
@@ -245,10 +294,7 @@ class ExperimentConfig:
         unknown = set(raw) - allowed
         if unknown:
             raise InvalidConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
-        kind = raw.get("kind")
-        if kind not in KINDS:
-            raise InvalidConfig(f"config.kind must be one of {', '.join(KINDS)}, "
-                                f"got {kind!r}")
+        kind = _kind(raw.get("kind"))
         if "distribution" not in raw:
             raise InvalidConfig("config needs a distribution")
         seed = raw.get("master_seed", 0)
@@ -257,34 +303,22 @@ class ExperimentConfig:
         seed = _as_int(seed, "master_seed", 0)
         _require(seed < 2**64, "master_seed must fit in 64 bits")
         replicas = _as_int(raw.get("replicas", 1), "replicas", 1)
-        if kind in ("exact", "kappa") and replicas != 1:
-            raise InvalidConfig(f"kind {kind!r} is deterministic; replicas must be 1")
-        params = _canonical_params(kind, raw.get("params"))
+        if kind.records is None and replicas != 1:
+            raise InvalidConfig(f"kind {raw['kind']!r} is deterministic; "
+                                f"replicas must be 1")
+        params = _canonical_params(raw["kind"], raw.get("params"))
 
         dist = distribution_from_config(raw["distribution"])
         report = validate_distribution(dist)
         if not report.ok:
             raise InvalidConfig("distribution rejected: " + "; ".join(report.errors))
-        if kind == "deviations":
-            # Let the probe type enforce ladder/schedule coherence now,
-            # not at report time.
-            DeviationProbe(dist_name=raw["distribution"],
-                           n_ladder=tuple(params["n_ladder"]),
-                           b_schedule=tuple(params["b_schedule"]),
-                           thresholds=tuple(params["thresholds"]),
-                           side=params["side"], replicas=replicas,
-                           master_seed=seed)
-        if kind == "exact":
-            check_table_size(dist, params["n"])
-        if kind == "exact" and params["enumerate"]:
-            n_enum = params["enumerate_n"] or min(params["n"], 9)
-            if len(dist.probs) ** n_enum > 2.0e8:
-                raise InvalidConfig(
-                    f"enumeration over {len(dist.probs)}^{n_enum} paths is too "
-                    f"large; lower params.enumerate_n")
-        return cls(kind=kind, distribution=raw["distribution"], master_seed=seed,
-                   replicas=replicas, params=params,
-                   workers=max(1, int(workers)), out=out)
+        cfg = cls(kind=raw["kind"], distribution=raw["distribution"],
+                  master_seed=seed, replicas=replicas, params=params,
+                  workers=max(1, int(workers)), out=out)
+        # refuse now what run or report would refuse later
+        check_table_size(dist, kind.table_n(params))
+        kind.check(cfg, dist)
+        return cfg
 
 
 def load_config(path, seed_override: int | None = None, workers: int = 1,
@@ -327,18 +361,6 @@ class RunManifest:
     shards: list = field(default_factory=list)
     files: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "kind": self.kind,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "status": self.status,
-            "shards": self.shards,
-            "files": self.files,
-        }
-
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -355,8 +377,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def plan_shards(cfg: ExperimentConfig) -> list:
-    """Replica ranges [(start, stop), ...); fixed width SHARD_SIZE."""
-    if cfg.kind in ("exact", "kappa"):
+    """Replica ranges [(start, stop), ...); fixed width SHARD_SIZE, and
+    none for a whole-run kind."""
+    if _kind(cfg.kind).records is None:
         return []
     return [(start, min(start + SHARD_SIZE, cfg.replicas))
             for start in range(0, cfg.replicas, SHARD_SIZE)]
@@ -369,7 +392,7 @@ def _shard_path(out_dir: Path, index: int) -> Path:
 def _shard_header(cfg: ExperimentConfig, index: int, start: int, stop: int) -> dict:
     return {
         "config_hash": cfg.config_hash,
-        "schema": _SCHEMAS[cfg.kind],
+        "schema": _kind(cfg.kind).schema,
         "shard": index,
         "replica_start": start,
         "replica_stop": stop,
@@ -389,34 +412,32 @@ def _shard_is_complete(path: Path, header: dict) -> bool:
     return first == header
 
 
+def _q_fields(path_a, path_b, q) -> dict:
+    out = q_identity_check(path_a, path_b, q)
+    return {"q_lhs": out["lhs"], "q_rhs": out["rhs"], "q_residual": out["residual"]}
+
+
 def _identity_records(cfg: ExperimentConfig, dist: StepDistribution,
                       start: int, stop: int) -> list:
     p = cfg.params
-    n, t, eps, b_t = p["n"], p["t"], p["eps"], p["b_t"]
-    checks = p["checks"]
+    n, seed = p["n"], cfg.master_seed
+    q = q_kernel(p["t"], p["b_t"], p["eps"]) if "q-kernel" in p["checks"] else None
     records = []
     for j in range(start, stop):
         rec = {"replica": j}
-        if "dyadic" in checks or "binary" in checks:
-            path = sample_path(dist, n, cfg.master_seed, replica=j)
-            if "dyadic" in checks:
-                d = decomposition_check(path, kind="dyadic")
-                rec["dyadic_lhs"] = d.lhs
-                rec["dyadic_rhs"] = d.rhs
-                rec["dyadic_exact"] = d.exact
-            if "binary" in checks:
-                d = decomposition_check(path, kind="binary")
-                rec["binary_lhs"] = d.lhs
-                rec["binary_rhs"] = d.rhs
-                rec["binary_exact"] = d.exact
-        if "q-kernel" in checks:
-            pa = sample_path(dist, n, cfg.master_seed, replica=2 * j)
-            pb = sample_path(dist, n, cfg.master_seed, replica=2 * j + 1)
-            q = q_identity_check(pa, pb, t, eps, b_t=b_t)
-            rec["q_lhs"] = q["lhs"]
-            rec["q_rhs"] = q["rhs"]
-            rec["q_residual"] = q["residual"]
-            rec["q_ok"] = q["residual"] <= p["q_tol"]
+        path = None
+        for check in p["checks"]:
+            if check == "q-kernel":
+                # a pair of fresh walks per record: replicas 2j and 2j + 1
+                rec.update(_q_fields(sample_path(dist, n, seed, replica=2 * j),
+                                     sample_path(dist, n, seed, replica=2 * j + 1), q))
+                rec["q_ok"] = rec["q_residual"] <= p["q_tol"]
+                continue
+            if path is None:
+                path = sample_path(dist, n, seed, replica=j)
+            d = decomposition_check(path, kind=check)
+            rec.update({f"{check}_lhs": d.lhs, f"{check}_rhs": d.rhs,
+                        f"{check}_exact": d.exact})
         records.append(rec)
     return records
 
@@ -425,6 +446,7 @@ def _smoothed_records(cfg: ExperimentConfig, dist: StepDistribution,
                       start: int, stop: int) -> list:
     p = cfg.params
     t, eps, b_t, level = p["t"], p["eps"], p["b_t"], p["level"]
+    q = q_kernel(t, b_t, eps)
     records = []
     for j in range(start, stop):
         pa = sample_poissonized(dist, t, cfg.master_seed, replica=2 * j)
@@ -434,11 +456,8 @@ def _smoothed_records(cfg: ExperimentConfig, dist: StepDistribution,
             "a_value": a_functional(pa, t, eps, b_t=b_t),
             "b_value": b_functional(pa, pb, t, eps, b_t=b_t, level=level),
             "b_level": level,
+            **_q_fields(pa, pb, q),
         }
-        q = q_identity_check(pa, pb, t, eps, b_t=b_t)
-        rec["q_lhs"] = q["lhs"]
-        rec["q_rhs"] = q["rhs"]
-        rec["q_residual"] = q["residual"]
         if p["parseval"]:
             pv = parseval_check(pa, pb, t, eps, b_t=b_t, max_fft=p["max_fft"])
             rec["parseval_lhs"] = pv["lhs"]
@@ -460,26 +479,11 @@ def _deviation_records(cfg: ExperimentConfig, dist: StepDistribution,
 
 def _lil_records(cfg: ExperimentConfig, dist: StepDistribution,
                  start: int, stop: int) -> list:
-    n_max = cfg.params["n_max"]
-    checkpoints = lil_checkpoints(n_max, cfg.params["checkpoints"])
-    records = []
-    for j in range(start, stop):
-        path = sample_path(dist, n_max, cfg.master_seed, replica=j)
-        prefix = prefix_range_counts(path.packed())
-        records.append({
-            "replica": j,
-            "checkpoints": list(checkpoints),
-            "ranges": [int(prefix[m - 1]) for m in checkpoints],
-        })
-    return records
-
-
-_RECORD_MAKERS = {
-    "identities": _identity_records,
-    "smoothed": _smoothed_records,
-    "deviations": _deviation_records,
-    "lil": _lil_records,
-}
+    checkpoints = lil_checkpoints(cfg.params["n_max"], cfg.params["checkpoints"])
+    ranges = sample_range_ladder(dist, checkpoints, stop - start, cfg.master_seed,
+                                 first_replica=start).tolist()
+    return [{"replica": start + i, "checkpoints": checkpoints, "ranges": row}
+            for i, row in enumerate(ranges)]
 
 
 def _run_shard(task) -> str:
@@ -490,7 +494,7 @@ def _run_shard(task) -> str:
     out = Path(out_dir)
     path = _shard_path(out, index)
     header = _shard_header(cfg, index, start, stop)
-    records = _RECORD_MAKERS[cfg.kind](cfg, cfg.dist(), start, stop)
+    records = _kind(cfg.kind).records(cfg, cfg.dist(), start, stop)
     lines = [_dumps(header)]
     lines.extend(_dumps(rec) for rec in records)
     _atomic_write(path, "\n".join(lines) + "\n")
@@ -525,6 +529,15 @@ def _write_csv(path: Path, config_hash: str, schema: str, columns: list,
                    {c: [cell(row[c]) for row in rows] for c in columns})
 
 
+def _check_enumeration(cfg: ExperimentConfig, dist: StepDistribution) -> None:
+    p = cfg.params
+    n_enum = p["enumerate_n"] or min(p["n"], 9)
+    if p["enumerate"] and len(dist.probs) ** n_enum > 2.0e8:
+        raise InvalidConfig(
+            f"enumeration over {len(dist.probs)}^{n_enum} paths is too "
+            f"large; lower params.enumerate_n")
+
+
 def _run_exact(cfg: ExperimentConfig, out: Path) -> list:
     dist = cfg.dist()
     n = cfg.params["n"]
@@ -540,7 +553,7 @@ def _run_exact(cfg: ExperimentConfig, out: Path) -> list:
     if enum_er is not None:
         cells = list(map(repr, enum_er[:n + 1].tolist()))
         columns["er_enum"] = cells + [""] * (n + 1 - len(cells))
-    _write_columns(out / "table.csv", cfg.config_hash, _SCHEMAS["exact"],
+    _write_columns(out / "table.csv", cfg.config_hash, _kind(cfg.kind).schema,
                    columns)
     results = {
         "config_hash": cfg.config_hash,
@@ -590,7 +603,7 @@ def _run_kappa(cfg: ExperimentConfig, out: Path) -> list:
                   json.dumps(constants, sort_keys=True, indent=2) + "\n")
     rows = [{"r": float(r), "f": float(f)}
             for r, f in zip(finest.profile_r, finest.profile_f)]
-    _write_csv(out / "profile.csv", cfg.config_hash, _SCHEMAS["kappa"],
+    _write_csv(out / "profile.csv", cfg.config_hash, _kind(cfg.kind).schema,
                ["r", "f"], rows)
     return ["constants.json", "profile.csv"]
 
@@ -598,10 +611,11 @@ def _run_kappa(cfg: ExperimentConfig, out: Path) -> list:
 def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
     """Execute a config into its run directory; returns the manifest.
 
-    identities runs raise IdentityCheckFailure after all shards are on
-    disk if any record reports a violated identity, so the evidence
-    survives the failure."""
+    A run whose records show a violated identity (the kind's
+    violation_keys) raises IdentityCheckFailure after all shards are on
+    disk, so the evidence survives the failure."""
     started = _utcnow()
+    kind = _kind(cfg.kind)
     out = run_dir_for(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "config.json",
@@ -609,10 +623,8 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
 
     files = ["config.json"]
     shard_meta = []
-    if cfg.kind == "exact":
-        files += _run_exact(cfg, out)
-    elif cfg.kind == "kappa":
-        files += _run_kappa(cfg, out)
+    if kind.records is None:
+        files += kind.write(cfg, out)
     else:
         shards = plan_shards(cfg)
         pending = []
@@ -639,24 +651,22 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
                            finished_at=_utcnow(), status="complete",
                            shards=shard_meta, files=files)
     _atomic_write(out / "manifest.json",
-                  json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
+                  json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
 
-    if cfg.kind == "identities":
-        bad = _identity_violations(cfg, out)
-        if bad:
-            raise IdentityCheckFailure(
-                f"{bad} identity violation(s) recorded in {out}; "
-                f"see the shard files for the failing replicas")
+    bad = _violations(cfg, out)
+    if bad:
+        raise IdentityCheckFailure(
+            f"{bad} identity violation(s) recorded in {out}; "
+            f"see the shard files for the failing replicas")
     return manifest
 
 
-def _identity_violations(cfg: ExperimentConfig, run_dir: Path) -> int:
-    bad = 0
-    for rec in _iter_records(cfg, run_dir):
-        for key in ("dyadic_exact", "binary_exact", "q_ok"):
-            if key in rec and not rec[key]:
-                bad += 1
-    return bad
+def _violations(cfg: ExperimentConfig, run_dir: Path) -> int:
+    keys = _kind(cfg.kind).violation_keys
+    if not keys:
+        return 0
+    return sum(1 for rec in _iter_records(cfg, run_dir)
+               for key in keys if key in rec and not rec[key])
 
 
 def _verified_shards(cfg: ExperimentConfig, run_dir: Path) -> dict:
@@ -690,6 +700,22 @@ def _load_run(run_dir: Path):
     return cfg, missing
 
 
+def _probe(cfg: ExperimentConfig, replicas: int) -> DeviationProbe:
+    p = cfg.params
+    return DeviationProbe(dist_name=cfg.distribution,
+                          n_ladder=tuple(p["n_ladder"]),
+                          b_schedule=tuple(p["b_schedule"]),
+                          thresholds=tuple(p["thresholds"]),
+                          side=p["side"], replicas=replicas,
+                          master_seed=cfg.master_seed)
+
+
+def _check_probe(cfg: ExperimentConfig, dist: StepDistribution) -> None:
+    """The probe type enforces ladder/schedule coherence at validation,
+    not at report time."""
+    _probe(cfg, cfg.replicas)
+
+
 def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
     dist = cfg.dist()
     collected: dict = {n: {} for n in cfg.params["n_ladder"]}
@@ -701,12 +727,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
     values_by_n = {n: np.array([per[j] for j in sorted(per)][:have],
                                dtype=np.int64)
                    for n, per in collected.items()}
-    probe = DeviationProbe(dist_name=cfg.distribution,
-                           n_ladder=tuple(cfg.params["n_ladder"]),
-                           b_schedule=tuple(cfg.params["b_schedule"]),
-                           thresholds=tuple(cfg.params["thresholds"]),
-                           side=cfg.params["side"], replicas=have,
-                           master_seed=cfg.master_seed)
+    probe = _probe(cfg, have)
     table = build_return_table(dist, max(probe.n_ladder))
     rows = tail_rows_from_values(probe, dist, table, values_by_n)
     for row in rows:
@@ -796,23 +817,14 @@ def _report_identities(cfg: ExperimentConfig, run_dir: Path) -> list:
     stats = {c: {"paths": 0, "violations": 0, "max_residual": 0.0}
              for c in cfg.params["checks"]}
     for rec in _iter_records(cfg, run_dir):
-        if "dyadic_exact" in rec:
-            s = stats["dyadic"]
+        for c, s in stats.items():
+            prefix, flag = _IDENTITY_KEYS[c]
             s["paths"] += 1
-            s["violations"] += 0 if rec["dyadic_exact"] else 1
-            s["max_residual"] = max(s["max_residual"],
-                                    abs(rec["dyadic_lhs"] - rec["dyadic_rhs"]))
-        if "binary_exact" in rec:
-            s = stats["binary"]
-            s["paths"] += 1
-            s["violations"] += 0 if rec["binary_exact"] else 1
-            s["max_residual"] = max(s["max_residual"],
-                                    abs(rec["binary_lhs"] - rec["binary_rhs"]))
-        if "q_ok" in rec:
-            s = stats["q-kernel"]
-            s["paths"] += 1
-            s["violations"] += 0 if rec["q_ok"] else 1
-            s["max_residual"] = max(s["max_residual"], rec["q_residual"])
+            s["violations"] += 0 if rec[flag] else 1
+            # the decompositions count sites: their residual is |lhs - rhs|
+            residual = rec.get(f"{prefix}_residual",
+                               abs(rec[f"{prefix}_lhs"] - rec[f"{prefix}_rhs"]))
+            s["max_residual"] = max(s["max_residual"], residual)
     rows = [{"check": c, "paths": s["paths"], "violations": s["violations"],
              "max_residual": s["max_residual"]} for c, s in sorted(stats.items())]
     _write_csv(run_dir / "summary.csv", cfg.config_hash,
@@ -881,16 +893,6 @@ def _report_kappa(cfg: ExperimentConfig, run_dir: Path) -> list:
     return ["summary.csv"]
 
 
-_REPORTERS = {
-    "exact": _report_exact,
-    "identities": _report_identities,
-    "smoothed": _report_smoothed,
-    "deviations": _report_deviations,
-    "lil": _report_lil,
-    "kappa": _report_kappa,
-}
-
-
 def run_report(run_dir) -> dict:
     """Aggregate a run directory into summary/plot CSVs.
 
@@ -902,7 +904,30 @@ def run_report(run_dir) -> dict:
         print(f"warning: {len(missing)} shard(s) missing or stale "
               f"({missing[:8]}{'...' if len(missing) > 8 else ''}); "
               f"reporting on what is present", file=sys.stderr)
-    files = _REPORTERS[cfg.kind](cfg, run_dir)
+    files = _kind(cfg.kind).report(cfg, run_dir)
     return {"run_dir": str(run_dir), "kind": cfg.kind,
             "config_hash": cfg.config_hash, "partial": bool(missing),
             "missing_shards": missing, "files": files}
+
+
+_REGISTRY = {
+    "exact": Kind(schema="exact-table-v1", canonical_params=_exact_params,
+                  report=_report_exact, write=_run_exact,
+                  check=_check_enumeration, table_n=lambda p: p["n"]),
+    "identities": Kind(schema="identities-v1",
+                       canonical_params=_identities_params,
+                       report=_report_identities, records=_identity_records,
+                       violation_keys=tuple(flag for _, flag in _IDENTITY_KEYS.values())),
+    "smoothed": Kind(schema="smoothed-v1", canonical_params=_smoothed_params,
+                     report=_report_smoothed, records=_smoothed_records),
+    "deviations": Kind(schema="deviations-v1",
+                       canonical_params=_deviations_params,
+                       report=_report_deviations, records=_deviation_records,
+                       check=_check_probe, table_n=lambda p: max(p["n_ladder"])),
+    "lil": Kind(schema="lil-v1", canonical_params=_lil_params,
+                report=_report_lil, records=_lil_records,
+                table_n=lambda p: p["n_max"]),
+    "kappa": Kind(schema="kappa-v1", canonical_params=_kappa_params,
+                  report=_report_kappa, write=_run_kappa),
+}
+KINDS = tuple(_REGISTRY)

@@ -109,23 +109,24 @@ def site_set(obj, horizon: float | None = None) -> np.ndarray:
     return unpack_keys(keys)
 
 
-def _stamped_field(sites: np.ndarray, stamp: SmoothingKernel):
-    """Dense field sum_y values * [x = y + offset] over a window box.
-
-    Returns (field, origin) where origin maps lattice coords to array
-    indices."""
+def _stamped_fields(stamp: SmoothingKernel, *site_sets) -> list:
+    """Dense fields sum_y values * [x = y + offset], one per site set, on
+    one window box that holds every stamped site."""
     rad = int(math.floor(stamp.radius))
-    lo = sites.min(axis=0) - rad
-    hi = sites.max(axis=0) + rad
+    lo = np.min([sites.min(axis=0) for sites in site_sets], axis=0) - rad
+    hi = np.max([sites.max(axis=0) for sites in site_sets], axis=0) + rad
     shape = hi - lo + 1
     if int(shape[0]) * int(shape[1]) > _MAX_WINDOW_CELLS:
         raise ResourceLimit("stamped field window exceeds the cell budget")
-    field = np.zeros((int(shape[0]), int(shape[1])))
-    sx = sites[:, 0] - lo[0]
-    sy = sites[:, 1] - lo[1]
-    for (ox, oy), v in zip(stamp.offsets.tolist(), stamp.values.tolist()):
-        field[sx + ox, sy + oy] += v
-    return field, lo
+    fields = []
+    for sites in site_sets:
+        field = np.zeros((int(shape[0]), int(shape[1])))
+        sx = sites[:, 0] - lo[0]
+        sy = sites[:, 1] - lo[1]
+        for (ox, oy), v in zip(stamp.offsets.tolist(), stamp.values.tolist()):
+            field[sx + ox, sy + oy] += v
+        fields.append(field)
+    return fields
 
 
 def a_functional(path, t: float, eps: float, b_t: float = 1.0) -> float:
@@ -136,7 +137,7 @@ def a_functional(path, t: float, eps: float, b_t: float = 1.0) -> float:
     sites = site_set(path, horizon=t)
     if sites.shape[0] == 0:
         return 0.0
-    field, _ = _stamped_field(sites, stamp)
+    field, = _stamped_fields(stamp, sites)
     lam = stamp.total
     return float((field * field).sum()) / (lam * lam)
 
@@ -150,30 +151,17 @@ def b_functional(path_a, path_b, t: float, eps: float, b_t: float = 1.0,
     peels time scales."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    s = t / b_t
     horizon = t / (1 << level)
-    stamp = smoothing_stamp(s, eps)
-    sa = site_set(path_a, horizon=horizon)
-    sb = site_set(path_b, horizon=horizon)
+    return _b_of_sites(site_set(path_a, horizon=horizon),
+                       site_set(path_b, horizon=horizon),
+                       smoothing_stamp(t / b_t, eps))
+
+
+def _b_of_sites(sa: np.ndarray, sb: np.ndarray, stamp: SmoothingKernel) -> float:
+    """b_functional of two site sets."""
     if sa.shape[0] == 0 or sb.shape[0] == 0:
         return 0.0
-    lo = np.minimum(sa.min(axis=0), sb.min(axis=0))
-    hi = np.maximum(sa.max(axis=0), sb.max(axis=0))
-    rad = int(math.floor(stamp.radius))
-    shape = hi - lo + 1 + 2 * rad
-    if int(shape[0]) * int(shape[1]) > _MAX_WINDOW_CELLS:
-        raise ResourceLimit("stamped field window exceeds the cell budget")
-
-    def field_on(sites):
-        f = np.zeros((int(shape[0]), int(shape[1])))
-        sx = sites[:, 0] - lo[0] + rad
-        sy = sites[:, 1] - lo[1] + rad
-        for (ox, oy), v in zip(stamp.offsets.tolist(), stamp.values.tolist()):
-            f[sx + ox, sy + oy] += v
-        return f
-
-    fa = field_on(sa)
-    fb = field_on(sb)
+    fa, fb = _stamped_fields(stamp, sa, sb)
     lam = stamp.total
     return float((fa * fb).sum()) / (lam * lam)
 
@@ -220,14 +208,14 @@ def q_kernel(t: float, b_t: float, eps: float) -> QKernel:
     return QKernel(t=t, b_t=b_t, eps=eps, offsets=offsets, values=acc[nz])
 
 
-def q_identity_check(path_a, path_b, t: float, eps: float,
-                     b_t: float = 1.0) -> dict:
-    """b_functional equals the q-weighted average over shifts x of
-    |range_a intersect (x + range_b)|; an exact finite identity."""
-    lhs = b_functional(path_a, path_b, t, eps, b_t=b_t, level=0)
-    q = q_kernel(t, b_t, eps)
-    counts = shift_overlaps(site_set(path_a, horizon=t),
-                            site_set(path_b, horizon=t), q.offsets)
+def q_identity_check(path_a, path_b, q: QKernel) -> dict:
+    """b_functional at (q.t, q.eps, q.b_t) equals the q-weighted average
+    over shifts x of |range_a intersect (x + range_b)|; an exact finite
+    identity.  q is built once (q_kernel) for every pair at its scale."""
+    sa = site_set(path_a, horizon=q.t)
+    sb = site_set(path_b, horizon=q.t)
+    lhs = _b_of_sites(sa, sb, smoothing_stamp(q.t / q.b_t, q.eps))
+    counts = shift_overlaps(sa, sb, q.offsets)
     rhs = 0.0
     # one offset at a time in q-offset order; np.dot would round differently
     for v, c in zip(q.values.tolist(), counts.tolist()):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
-from .errors import InvalidConfig, ResourceLimit
+from .errors import InvalidConfig
 
 __all__ = [
     "StepDistribution",
@@ -33,6 +33,7 @@ __all__ = [
     "builtin_distribution",
     "distribution_from_config",
     "validate_distribution",
+    "walk_period",
     "sample_path",
     "sample_poissonized",
     "stream",
@@ -40,8 +41,6 @@ __all__ = [
     "PURPOSE_STEPS",
     "PURPOSE_CLOCK",
     "PURPOSE_PARTNER",
-    "PURPOSE_PARTNER_CLOCK",
-    "PURPOSE_EXTRA",
 ]
 
 # Stream purposes.  Each purpose gets an independent Philox stream for a
@@ -50,13 +49,10 @@ __all__ = [
 PURPOSE_STEPS = 1
 PURPOSE_CLOCK = 2
 PURPOSE_PARTNER = 3
-PURPOSE_PARTNER_CLOCK = 4
-PURPOSE_EXTRA = 5
 
 _MASK64 = (1 << 64) - 1
 
 COORD_LIMIT = 2**31 - 2  # positions are int32; walks must stay inside
-_MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids, here and in exact
 
 
 def _mix64(z: int) -> int:
@@ -276,31 +272,20 @@ def _lattice_index(vectors: list[tuple[int, int]]) -> int:
     return d1 * g2
 
 
-def _return_time_gcd(dist: StepDistribution, max_lag: int = 24) -> int:
-    """gcd of lags k <= max_lag at which the walk can sit at the origin."""
-    s = dist.max_step
-    half = max_lag * s + 1
-    size = 2 * half + 1
-    if size * size > _MAX_GRID_CELLS:
-        raise ResourceLimit(
-            f"return-lag grid {size}^2 for max step {s} exceeds the cell budget")
-    reach = np.zeros((size, size), dtype=bool)
-    reach[half, half] = True
-    offsets = dist.support.tolist()
-    g = 0
-    for k in range(1, max_lag + 1):
-        nxt = np.zeros_like(reach)
-        for dx, dy in offsets:
-            # dilate: nxt[i+dx, j+dy] |= reach[i, j]
-            x0s, x0d = (0, dx) if dx >= 0 else (-dx, 0)
-            y0s, y0d = (0, dy) if dy >= 0 else (-dy, 0)
-            nxt[x0d: size - x0s, y0d: size - y0s] |= reach[x0s: size - x0d, y0s: size - y0d]
-        reach = nxt
-        if reach[half, half]:
-            g = math.gcd(g, k)
-            if g == 1:
-                break
-    return g
+def walk_period(dist: StepDistribution) -> int:
+    """Period of the return times of a symmetric law whose steps generate
+    Z^2: 2 when some parity a x + b y, (a, b) one of (1, 0), (0, 1),
+    (1, 1), is odd on every step, and 1 otherwise.
+
+    Such a parity flips at every step, so every return takes an even
+    time.  Conversely, x then -x returns in 2 steps; so when no return
+    takes an odd time, the parity of the number of steps to a site does
+    not depend on the path, and it is a homomorphism Z^2 -> Z/2 that is
+    odd on every step: one of the three parities."""
+    steps = dist.support.tolist()
+    odd = any(all((a * x + b * y) % 2 for x, y in steps)
+              for a, b in ((1, 0), (0, 1), (1, 1)))
+    return 2 if odd else 1
 
 
 @dataclass
@@ -337,9 +322,8 @@ class ValidationReport:
 def validate_distribution(dist: StepDistribution) -> ValidationReport:
     """Check the standing assumptions: exact unit mass, symmetry, full
     two-dimensional lattice support, nondegenerate covariance.  Also
-    reports the period of the possible return lags (1 means strongly
-    aperiodic, which the sharp local limit estimates require).  Raises
-    ResourceLimit when the step is too long for that lag grid's budget."""
+    reports the walk's period (see walk_period; 1 means strongly
+    aperiodic, which the sharp local limit estimates require)."""
     errors: list[str] = []
 
     total = sum(dist.fracs, Fraction(0))
@@ -365,7 +349,7 @@ def validate_distribution(dist: StepDistribution) -> ValidationReport:
             "support generates a proper sublattice of Z^2"
             if idx > 1 else "support does not generate a rank-2 lattice")
 
-    period = _return_time_gcd(dist) if not errors else 0
+    period = walk_period(dist) if not errors else 0
     strongly_aperiodic = period == 1
 
     return ValidationReport(

@@ -1,6 +1,7 @@
 """Experiment runner and command-line interface: config hashing,
 shard determinism, resume, reports, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -109,9 +110,9 @@ def test_cli_malformed_distribution_exit_code(tmp_path, capsys):
 
 
 def test_cli_long_step_distribution_exit_code(tmp_path, capsys):
-    """A step of length 200 needs a return-lag grid of side 48 * 200 + 3,
-    over the 2^26-cell budget: refused with exit code 3 before the grid
-    is allocated."""
+    """A step of length 200 makes the report's return table through
+    n = 256 need a spectral grid of side 8 * 200 * 16 = 25,600, over the
+    2^26-cell budget: refused with exit code 3 before any table work."""
     steps = _SRW_STEPS + [[200, 1, 1, 4], [-200, -1, 1, 4]]
     steps = [[x, y, 1, 6] for x, y, _, _ in steps]
     p = _write_cfg(tmp_path, {**DEV_CFG, "distribution": {"steps": steps}})
@@ -134,6 +135,23 @@ def test_cli_oversized_exact_table_exit_code(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
     cfg["params"]["n"] = 1 << 20
     ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("lil", {"n_max": 1 << 22}),
+    ("deviations", {"side": "upper", "n_ladder": [1 << 22], "b_schedule": [2.0],
+                    "thresholds": [1.0]}),
+])
+def test_cli_oversized_report_table_exit_code(tmp_path, capsys, kind, params):
+    """lil and deviations reports build a return table through n_max or
+    max(n_ladder); at 2^22 its grid side is 16,384, over the 2^26-cell
+    budget, so validate and run refuse it with exit code 3."""
+    cfg = {"kind": kind, "distribution": "srw", "replicas": 4, "params": params}
+    p = _write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", str(p)]) == 3
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err.count("resource limit") == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_exact_kind_must_be_single_replica(tmp_path):
@@ -400,3 +418,51 @@ def test_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+# One tiny config per sharded kind, with its config hash and the sha256
+# of its only shard file, as first written.  A refactor of the engine or
+# the samplers must leave every sampled byte where it was.
+PINNED_SHARDS = {
+    "identities": ({"kind": "identities", "distribution": "srw", "master_seed": 3,
+                    "replicas": 4, "params": {"n": 256, "t": 64.0}},
+                   "9174e4f05ce5451a26cd616a9fdc088892785d50631e82d4b1b169c79d2ce635",
+                   "58733b1bea97a95f11e1de71a39e3c3d84d0a3a2f27d8c9be3ac204088c14f63"),
+    "smoothed": ({"kind": "smoothed", "distribution": "lazy-srw", "master_seed": 5,
+                  "replicas": 3, "params": {"t": 64.0}},
+                 "15213b86fe68fed4e46ac07d0952fa0d4cb54ee2fa1a37d6fbf8831fe95f5048",
+                 "35b42da3e88509ad0c6d1b89917c3b692eddaf7d92ebc90df70a379c82db0409"),
+    "deviations": ({"kind": "deviations", "distribution": "king", "master_seed": 7,
+                    "replicas": 20,
+                    "params": {"side": "lower", "n_ladder": [16, 64, 16],
+                               "b_schedule": [2.0, 2.0, 2.0], "thresholds": [0.5]}},
+                   "feca7089429045fa62be19328b41de6351e573345cb1bb5b2dce202a9863c70b",
+                   "4fc16903a45ab7606c1098988b4abe03719373a1919920737e543583fceaee6a"),
+    "lil": ({"kind": "lil", "distribution": "lazy-srw", "master_seed": 11,
+             "replicas": 3, "params": {"n_max": 512}},
+            "fd9b118053633f1f3eb40e545b977452e7bc9946688df45db2c71e850097a447",
+            "bce5abf566e151626d2e54c1748dfec1d353a719b5def50663f808cc9912fd52"),
+}
+
+
+# The reports of these kinds read no return table, so their bytes hold
+# to the last bit as well.
+PINNED_SUMMARIES = {
+    "identities": "ca39f85881796e9a65bf3221a9dec3a2d33fa5629f56d0ef960fed88614b738e",
+    "smoothed": "731d195989a8d4d453029d64700b93629e9fee8c7f0bf63bc96640993e107ef9",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SHARDS))
+def test_shard_bytes_are_pinned(tmp_path, kind):
+    raw, config_hash, shard_sha = PINNED_SHARDS[kind]
+    out = tmp_path / "run"
+    cfg = ExperimentConfig.from_dict(raw, out=str(out))
+    assert cfg.config_hash == config_hash
+    run_experiment(cfg)
+    shard = (out / "shard_00000.jsonl").read_bytes()
+    assert hashlib.sha256(shard).hexdigest() == shard_sha
+    if kind in PINNED_SUMMARIES:
+        run_report(out)
+        summary = (out / "summary.csv").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == PINNED_SUMMARIES[kind]

@@ -15,8 +15,7 @@ from rangelab.deviations import (
     draw_range_sample,
     exp_moment_probe,
     lil_trajectory,
-    mc_lower_tail,
-    mc_upper_tail,
+    mc_tail,
     running_max_exceedance,
     sample_range_ladder,
     sample_range_values,
@@ -114,7 +113,7 @@ def test_upper_tail_rows_structure(lazy):
     probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(128, 512),
                            b_schedule=(3.0, 3.0), thresholds=(0.1, 0.3, 0.6),
                            side="upper", replicas=2000, master_seed=17)
-    rows = mc_upper_tail(probe)
+    rows = mc_tail(probe)
     # scale and exact-h variants for every (n, theta)
     assert len(rows) == 2 * 3 * 2
     by_n = {}
@@ -134,7 +133,7 @@ def test_lower_tail_rows(lazy):
     probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(256,),
                            b_schedule=(2.5,), thresholds=(0.05, 0.2),
                            side="lower", replicas=1500, master_seed=29)
-    rows = mc_lower_tail(probe)
+    rows = mc_tail(probe)
     assert len(rows) == 2
     assert all(r["variant"] == "scale" for r in rows)
     ex = [r["exceedances"] for r in sorted(rows, key=lambda r: r["theta"])]
@@ -142,11 +141,12 @@ def test_lower_tail_rows(lazy):
 
 
 def test_side_mismatch_rejected():
-    probe = DeviationProbe(dist_name="srw", n_ladder=(64,), b_schedule=(2.0,),
-                           thresholds=(0.1,), side="lower", replicas=10,
-                           master_seed=0)
+    """mc_tail follows the probe's side, so the side is checked once, by
+    the probe."""
     with pytest.raises(InvalidConfig):
-        mc_upper_tail(probe)
+        DeviationProbe(dist_name="srw", n_ladder=(64,), b_schedule=(2.0,),
+                       thresholds=(0.1,), side="both", replicas=10,
+                       master_seed=0)
 
 
 def test_zero_exceedance_reporting(lazy):
@@ -155,7 +155,7 @@ def test_zero_exceedance_reporting(lazy):
     probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(128,),
                            b_schedule=(4.0,), thresholds=(50.0,),
                            side="upper", replicas=500, master_seed=1)
-    rows = mc_upper_tail(probe)
+    rows = mc_tail(probe)
     row = [r for r in rows if r["variant"] == "scale"][0]
     assert row["zero_exceedances"]
     assert row["rate"] is None
@@ -167,7 +167,7 @@ def test_tail_rows_from_values_matches_simulation(lazy):
                            b_schedule=(2.0, 2.0), thresholds=(0.2,),
                            side="upper", replicas=800, master_seed=23)
     table = build_return_table(lazy, 256)
-    direct = mc_upper_tail(probe, dist=lazy, table=table)
+    direct = mc_tail(probe, dist=lazy, table=table)
     values = {n: sample_range_values(lazy, n, 800, 23) for n in (128, 256)}
     rebuilt = tail_rows_from_values(probe, lazy, table, values)
     assert direct == rebuilt

@@ -176,8 +176,13 @@ def test_expected_range_asymptotic_fields(lazy):
 
 @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
 def test_toeplitz_solver_matches_dense(size, seed):
-    """The unit-triangular Toeplitz solve agrees with a dense numpy
-    solve."""
+    """The unit-triangular Toeplitz solve agrees with a dense
+    forward-substitution solve.  (A pivoting LU solve is no reference
+    here: for kernels whose solution grows to ~1e9 it errs by ~1e-7
+    relative, while forward substitution agrees with exact rational
+    arithmetic.)"""
+    from scipy.linalg import solve_triangular
+
     rng = np.random.default_rng(seed)
     kernel = rng.normal(size=size) * 0.5
     kernel[0] = 1.0
@@ -185,7 +190,7 @@ def test_toeplitz_solver_matches_dense(size, seed):
     mat = np.zeros((size, size))
     for i in range(size):
         mat[i, : i + 1] = kernel[i::-1]
-    expected = np.linalg.solve(mat, rhs)
+    expected = solve_triangular(mat, rhs, lower=True)
     got = solve_unit_triangular_toeplitz(kernel, rhs)
     np.testing.assert_allclose(got, expected, atol=1e-9 * max(1.0, np.abs(expected).max()))
 

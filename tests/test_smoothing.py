@@ -71,7 +71,7 @@ def test_q_identity_on_walk_pairs():
     for j in range(4):
         pa = sample_path(LAZY, 512, master_seed=21, replica=2 * j)
         pb = sample_path(LAZY, 512, master_seed=21, replica=2 * j + 1)
-        out = q_identity_check(pa, pb, t=256.0, eps=0.5, b_t=4.0)
+        out = q_identity_check(pa, pb, q_kernel(256.0, 4.0, 0.5))
         assert out["residual"] < 1e-10
 
 
@@ -79,7 +79,7 @@ def test_q_identity_on_poissonized_pairs():
     for j in range(3):
         pa = sample_poissonized(SRW, 200.0, master_seed=31, replica=2 * j)
         pb = sample_poissonized(SRW, 200.0, master_seed=31, replica=2 * j + 1)
-        out = q_identity_check(pa, pb, t=200.0, eps=0.5, b_t=4.0)
+        out = q_identity_check(pa, pb, q_kernel(200.0, 4.0, 0.5))
         assert out["residual"] < 1e-10
 
 
@@ -115,7 +115,7 @@ def test_q_identity_counts_match_python_sets(pair, t, eps):
     rhs = 0.0
     for v, c in zip(q.values.tolist(), want):
         rhs += v * c
-    out = q_identity_check(pa, pb, t=t, eps=eps, b_t=4.0)
+    out = q_identity_check(pa, pb, q)
     assert out["rhs"].hex() == rhs.hex()
     assert out["residual"] < 1e-10
 

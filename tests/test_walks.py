@@ -50,6 +50,22 @@ def test_validation_verdicts():
     assert r_king.strongly_aperiodic
 
 
+@pytest.mark.parametrize("steps", [
+    [(12, 0), (13, 0), (0, 1)],  # first odd return at k = 25
+    [(5, 2), (1, -5), (0, 2)],   # first odd return at k = 39
+])
+def test_late_odd_return_is_aperiodic(steps):
+    """Every return before k = 25 is even for these laws, yet some odd
+    return exists, so the period is 1 and the local limit check runs."""
+    from rangelab.exact import local_clt_check
+
+    rows = [[x, y, 1, 6] for x, y in steps] + [[-x, -y, 1, 6] for x, y in steps]
+    dist = distribution_from_config({"name": "late-odd", "steps": rows})
+    report = validate_distribution(dist)
+    assert report.ok and report.period == 1 and report.strongly_aperiodic
+    assert len(local_clt_check(dist, 64)["rows"]) == 3
+
+
 def test_asymmetric_distribution_rejected():
     dist = StepDistribution.from_steps(
         "drift", [(1, 0, 3, 4), (-1, 0, 1, 4)])
