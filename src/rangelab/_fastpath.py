@@ -18,6 +18,7 @@ _COUNT_STEPS = 1 << 18  # steps held at once by batch_range_counts
 _BOX_CELLS_PER_STEP = 64  # bitmap bytes allowed per step counted
 _POWER_BLOCK = 64  # consecutive k per exp in log_power_sums
 _POWER_COLUMNS = 1 << 14  # la values per exp call in log_power_sums
+_ENUM_LEAVES = 1 << 15  # path prefixes held at once by enum_walk_moments
 
 __all__ = [
     "pack_positions",
@@ -240,50 +241,57 @@ def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
 # exhaustive enumeration over all length-n paths
 
 
-def _run_ranks(sorted_rows):
-    """For each element of each sorted row, how many earlier equal values
-    sit in its run.  Summing along the row counts equal pairs."""
-    t = sorted_rows[:, 1:] == sorted_rows[:, :-1]
-    c = np.cumsum(t, axis=1)
-    anchor = np.where(t, 0, c)
-    np.maximum.accumulate(anchor, axis=1, out=anchor)
-    return np.where(t, c - anchor, 0)
-
-
 def enum_walk_moments(sup_x: np.ndarray, sup_y: np.ndarray, probs: np.ndarray,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact E[distinct sites] and E[equal-time pairs] for every horizon
     m <= n, by full enumeration of all |support|^n paths.
 
     Returns (mean_range, mean_pairs), each indexed by number of steps.
-    Paths are decoded in chunks from mixed-radix path ids and every
-    prefix is recounted by sorting; nothing here shares code with the
-    renewal recursion, which makes their agreement a real cross-check.
+    The paths are walked as a tree of prefixes, one level per step: a
+    child's new site is compared with its parent's sites, which updates
+    the distinct-site and equal-time-pair counts carried down from the
+    parent, and its weight is the parent's times the step probability,
+    so each horizon's mean is a dot product over its level.  Levels are
+    expanded whole while they fit in _ENUM_LEAVES prefixes; past that,
+    blocks of parents that grow to at most that many are expanded depth
+    first.  Sites are keyed x * 2^32 + y, which is linear in the steps
+    and injective for int32 coordinates.  Nothing here shares code with
+    the renewal recursion, which makes their agreement a real
+    cross-check.
     """
     n = int(n)
-    if n == 0:
-        return np.zeros(1), np.zeros(1)
-    sup_x = np.ascontiguousarray(sup_x, dtype=np.int64)
-    sup_y = np.ascontiguousarray(sup_y, dtype=np.int64)
+    steps = ((np.asarray(sup_x, dtype=np.int64) << 32)
+             + np.asarray(sup_y, dtype=np.int64))
     probs = np.ascontiguousarray(probs, dtype=np.float64)
-    m = probs.size
-    total = m**n
     mean_r = np.zeros(n + 1, dtype=np.float64)
     mean_l = np.zeros(n + 1, dtype=np.float64)
-    radix = m ** np.arange(n, dtype=np.int64)
-    chunk = 1 << 15
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (ids[:, None] // radix[None, :]) % m
-        x = np.cumsum(sup_x[digits], axis=1)
-        y = np.cumsum(sup_y[digits], axis=1)
-        keys = (x << 32) ^ (y & np.int64(0xFFFFFFFF))
-        wfull = np.prod(probs[digits], axis=1)
-        for mm in range(1, n + 1):
-            srt = np.sort(keys[:, :mm], axis=1)
-            distinct = (srt[:, 1:] != srt[:, :-1]).sum(axis=1) + 1
-            mean_r[mm] += float(np.dot(wfull, distinct))
-            if mm > 1:
-                pairs = _run_ranks(srt).sum(axis=1)
-                mean_l[mm] += float(np.dot(wfull, pairs))
+    block = max(1, _ENUM_LEAVES // steps.size)
+
+    def grow(sites, w, r, l):
+        # sites[j, i] is the key of site j + 1 of prefix i; w, r and l are
+        # the prefixes' weights, distinct-site and equal-time-pair counts
+        d = sites.shape[0]
+        while d < n:
+            if w.size > block:
+                for b in range(0, w.size, block):
+                    grow(sites[:, b:b + block], w[b:b + block],
+                         r[b:b + block], l[b:b + block])
+                return
+            # children are numbered step-major: child s * P + i extends
+            # prefix i by step s
+            new = steps[:, None] + (sites[-1] if d else 0)
+            hits = np.zeros(new.shape, dtype=np.int64)
+            for row in sites:
+                hits += row == new
+            w = np.multiply.outer(probs, w).ravel()
+            r = (r + (hits == 0)).ravel()
+            l = (l + hits).ravel()
+            sites = np.concatenate([np.tile(sites, steps.size),
+                                    new.reshape(1, -1)])
+            d += 1
+            mean_r[d] += float(np.dot(w, r))
+            mean_l[d] += float(np.dot(w, l))
+
+    zero = np.zeros(1, dtype=np.int64)
+    grow(np.zeros((0, 1), dtype=np.int64), np.ones(1), zero, zero)
     return mean_r, mean_l

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._fastpath import enum_walk_moments, log_power_sums
 from .errors import InvalidConfig, ResourceLimit
-from .walks import StepDistribution, validate_distribution
+from .walks import COORD_LIMIT, StepDistribution, validate_distribution
 
 __all__ = [
     "ReturnProbTable",
@@ -48,6 +48,7 @@ __all__ = [
     "return_probs_dp",
     "build_return_table",
     "check_table_size",
+    "check_enumeration",
     "h_difference",
     "enumeration_oracle",
     "expected_range_asymptotic",
@@ -61,6 +62,7 @@ _TCUT = 60.0  # drop series terms below e^{-60}
 TABLE_ALGORITHM = "newton-inverse-1"
 _REGIME_A_TOP = 256
 _MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids
+_MAX_ENUM_PATHS = 2.0e8  # budget for full path enumeration
 
 _table_cache: dict[tuple[str, int], "ReturnProbTable"] = {}
 _context_cache: dict[str, "_SpectralContext"] = {}
@@ -595,22 +597,32 @@ def expected_range_asymptotic(dist: StepDistribution, n: int,
     }
 
 
-def enumeration_oracle(dist: StepDistribution, n: int,
-                       max_paths: float = 2.0e8) -> dict:
+def check_enumeration(dist: StepDistribution, n: int) -> None:
+    """Refuse an enumeration of all |support|^n paths over the path
+    budget, or one whose sites could leave the int32 coordinate box."""
+    if n < 0:
+        raise InvalidConfig("n must be nonnegative")
+    total = len(dist.probs) ** n
+    if total > _MAX_ENUM_PATHS:
+        raise ResourceLimit(
+            f"enumeration over {len(dist.probs)}^{n} = {total:.3e} paths "
+            f"exceeds the budget of {_MAX_ENUM_PATHS:.0e}")
+    if n * dist.max_step > COORD_LIMIT:
+        raise ResourceLimit(
+            f"enumeration to n={n} with steps of {dist.max_step} can leave "
+            f"the int32 coordinate box")
+
+
+def enumeration_oracle(dist: StepDistribution, n: int) -> dict:
     """Exact E[range] and E[equal-time meeting pairs] for every horizon
     m <= n by summing over all |support|^n paths.
 
     Unconditionally exact (up to float rounding in the probability
     products), so it serves as ground truth for both the convolution
-    table and Monte Carlo.  The path count is checked against max_paths
-    before any work happens."""
-    if n < 0:
-        raise InvalidConfig("n must be nonnegative")
+    table and Monte Carlo.  check_enumeration runs before any work
+    happens."""
+    check_enumeration(dist, n)
     total = len(dist.probs) ** n
-    if total > max_paths:
-        raise ResourceLimit(
-            f"enumeration over {len(dist.probs)}^{n} = {total:.3e} paths "
-            f"exceeds the budget of {max_paths:.0e}")
     sup_x = dist.support[:, 0].astype(np.int64)
     sup_y = dist.support[:, 1].astype(np.int64)
     mean_range, mean_pairs = enum_walk_moments(sup_x, sup_y, dist.probs, n)

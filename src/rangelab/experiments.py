@@ -38,6 +38,7 @@ from .deviations import (
 from .errors import IdentityCheckFailure, InvalidConfig
 from .exact import (
     build_return_table,
+    check_enumeration,
     check_table_size,
     enumeration_oracle,
     expected_range_asymptotic,
@@ -529,23 +530,25 @@ def _write_csv(path: Path, config_hash: str, schema: str, columns: list,
                    {c: [cell(row[c]) for row in rows] for c in columns})
 
 
+def _enumerate_n(params: dict) -> int | None:
+    """The enumeration depth of an exact config, None without one."""
+    if not params["enumerate"]:
+        return None
+    return params["enumerate_n"] or min(params["n"], 9)
+
+
 def _check_enumeration(cfg: ExperimentConfig, dist: StepDistribution) -> None:
-    p = cfg.params
-    n_enum = p["enumerate_n"] or min(p["n"], 9)
-    if p["enumerate"] and len(dist.probs) ** n_enum > 2.0e8:
-        raise InvalidConfig(
-            f"enumeration over {len(dist.probs)}^{n_enum} paths is too "
-            f"large; lower params.enumerate_n")
+    n_enum = _enumerate_n(cfg.params)
+    if n_enum is not None:
+        check_enumeration(dist, n_enum)
 
 
 def _run_exact(cfg: ExperimentConfig, out: Path) -> list:
     dist = cfg.dist()
     n = cfg.params["n"]
     table = build_return_table(dist, n)
-    enum_er = None
-    if cfg.params["enumerate"]:
-        n_enum = cfg.params["enumerate_n"] or min(n, 9)
-        enum_er = enumeration_oracle(dist, n_enum)["er"]
+    n_enum = _enumerate_n(cfg.params)
+    enum_er = None if n_enum is None else enumeration_oracle(dist, n_enum)["er"]
     # written column-wise: repr of the floats, as _write_csv gives them
     columns = {"k": list(map(str, range(n + 1)))}
     for name in ("u", "h", "r", "f", "er"):
@@ -617,6 +620,10 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
     started = _utcnow()
     kind = _kind(cfg.kind)
     out = run_dir_for(cfg)
+    if (out / "config.json").is_file() and _stored_hash(out) != cfg.config_hash:
+        raise InvalidConfig(
+            f"{out} holds a run of another config, not of "
+            f"{cfg.config_hash[:12]}; choose another run directory")
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "config.json",
                   json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -690,12 +697,24 @@ def _iter_records(cfg: ExperimentConfig, run_dir: Path):
                     yield json.loads(line)
 
 
+def _stored_hash(run_dir: Path) -> str | None:
+    """The config_hash that run_dir/config.json stores, None if none."""
+    try:
+        raw = json.loads((run_dir / "config.json").read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return raw.get("config_hash") if isinstance(raw, dict) else None
+
+
 def _load_run(run_dir: Path):
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
     if not cfg_path.is_file():
         raise InvalidConfig(f"{run_dir} is not a run directory (no config.json)")
-    cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+    cfg = load_config(cfg_path)
+    if _stored_hash(run_dir) != cfg.config_hash:
+        raise InvalidConfig(f"{cfg_path} does not hash to the config_hash "
+                            f"it stores")
     missing = [i for i, ok in _verified_shards(cfg, run_dir).items() if not ok]
     return cfg, missing
 

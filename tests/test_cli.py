@@ -154,6 +154,49 @@ def test_cli_oversized_report_table_exit_code(tmp_path, capsys, kind, params):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_oversized_enumeration_exit_code(tmp_path, capsys):
+    """An exact config that enumerates 4^40 paths meets the same guard as
+    `enumerate-oracle --n 40`: exit code 3 from validate and run, and no
+    run directory."""
+    cfg = {"kind": "exact", "distribution": "srw", "replicas": 1,
+           "params": {"n": 16, "enumerate": True, "enumerate_n": 40}}
+    p = _write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", str(p)]) == 3
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
+    assert main(["enumerate-oracle", "--dist", "srw", "--n", "40"]) == 3
+    assert capsys.readouterr().err.count("resource limit") == 3
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_refuses_a_foreign_run_directory(tmp_path, capsys):
+    """`run --out DIR` where DIR/config.json holds another config_hash
+    exits 2 and leaves every file in DIR as it was."""
+    out = tmp_path / "run"
+    first = _write_cfg(tmp_path, DEV_CFG, "first.json")
+    other = _write_cfg(tmp_path, {**DEV_CFG, "master_seed": 100}, "other.json")
+    assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+    before = _tree_bytes(out, skip=())
+    assert main(["run", "--config", str(other), "--out", str(out)]) == 2
+    assert "another config" in capsys.readouterr().err
+    assert _tree_bytes(out, skip=()) == before
+    assert main(["run", "--config", str(first), "--out", str(out),
+                 "--resume"]) == 0
+
+
+def test_report_refuses_an_edited_config(tmp_path, capsys):
+    """A config.json whose params were edited but whose stored hash was
+    kept no longer describes its shards: report exits 2."""
+    out = tmp_path / "run"
+    p = _write_cfg(tmp_path, DEV_CFG)
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    stored = json.loads((out / "config.json").read_text())
+    stored["params"]["thresholds"] = [0.5]
+    (out / "config.json").write_text(json.dumps(stored))
+    assert main(["report", "--out", str(out)]) == 2
+    assert "config_hash" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 def test_exact_kind_must_be_single_replica(tmp_path):
     cfg = {"kind": "exact", "distribution": "srw", "replicas": 5,
            "params": {"n": 16}}
@@ -246,11 +289,16 @@ def test_report_ignores_shards_of_an_earlier_config(tmp_path):
     params = {"side": "upper", "n_ladder": [8, 16], "b_schedule": [2.0, 2.0],
               "thresholds": [0.25]}
     out = str(tmp_path / "run")
-    for replicas in (5000, 100):
-        p = _write_cfg(tmp_path, {"kind": "deviations", "distribution": "srw",
+    cfgs = [_write_cfg(tmp_path, {"kind": "deviations", "distribution": "srw",
                                   "master_seed": 3, "replicas": replicas,
                                   "params": params}, f"r{replicas}.json")
-        assert main(["run", "--config", str(p), "--out", out]) == 0
+            for replicas in (5000, 100)]
+    assert main(["run", "--config", str(cfgs[0]), "--out", out]) == 0
+    # run refuses the directory while it holds the earlier config.json;
+    # without it, the earlier shards are all that is left of that run
+    assert main(["run", "--config", str(cfgs[1]), "--out", out]) == 2
+    (tmp_path / "run" / "config.json").unlink()
+    assert main(["run", "--config", str(cfgs[1]), "--out", out]) == 0
     assert (tmp_path / "run" / "shard_00002.jsonl").is_file()
     assert main(["report", "--out", out]) == 0
     lines = (tmp_path / "run" / "moments.csv").read_text().splitlines()

@@ -6,14 +6,16 @@ and by full path enumeration; srw/lazy values are exact dyadic
 rationals (u_k = integer / 4^k), so equality is essentially exact.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rangelab import exact
-from rangelab._fastpath import log_power_sums
+from rangelab import _fastpath, exact
+from rangelab._fastpath import enum_walk_moments, log_power_sums
 from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.exact import (
     ReturnProbTable,
@@ -27,6 +29,7 @@ from rangelab.exact import (
     solve_unit_triangular_toeplitz,
 )
 from rangelab.experiments import ExperimentConfig, _write_csv, run_experiment
+from rangelab.walks import distribution_from_config
 
 SRW_U = [1.0, 0.0, 0.25, 0.0, 0.140625, 0.0, 0.09765625, 0.0,
          0.07476806640625]
@@ -66,6 +69,106 @@ def test_enumeration_guard(srw):
         enumeration_oracle(srw, 64)
     with pytest.raises(InvalidConfig):
         enumeration_oracle(srw, -1)
+    # three steps of 2^30 can leave the int32 box the site keys assume
+    far = distribution_from_config(
+        {"steps": [[1 << 30, 0, 1, 4], [-(1 << 30), 0, 1, 4],
+                   [0, 1, 1, 4], [0, -1, 1, 4]]})
+    enumeration_oracle(far, 1)
+    with pytest.raises(ResourceLimit):
+        enumeration_oracle(far, 3)
+
+
+# a long-step law with weights 1/6, 1/5 and 2/15, none of them dyadic
+NON_DYADIC = {"name": "non-dyadic", "steps": [
+    [2, 1, 1, 6], [-2, -1, 1, 6], [0, 1, 1, 5], [0, -1, 1, 5],
+    [1, 0, 2, 15], [-1, 0, 2, 15]]}
+ENUM_LAWS = [pytest.param("srw", 6, id="srw"), pytest.param("king", 4, id="king"),
+             pytest.param("lazy-srw", 5, id="lazy-srw"),
+             pytest.param(NON_DYADIC, 5, id="non-dyadic")]
+
+
+def _set_recount(dist, n):
+    """E[distinct sites] and E[equal-time pairs] for every m <= n, summed
+    path by path over a Python dict of visit counts per site."""
+    steps = [(int(x), int(y)) for x, y in dist.support]
+    probs = [float(p) for p in dist.probs]
+    er = [[0.0] for _ in range(n + 1)]
+    pairs = [[0.0] for _ in range(n + 1)]
+    for path in itertools.product(range(len(steps)), repeat=n):
+        w = math.prod(probs[i] for i in path)
+        x = y = meetings = 0
+        seen = {}
+        for m, i in enumerate(path, 1):
+            x, y = x + steps[i][0], y + steps[i][1]
+            meetings += seen.get((x, y), 0)
+            seen[(x, y)] = seen.get((x, y), 0) + 1
+            er[m].append(w * len(seen))
+            pairs[m].append(w * meetings)
+    return ([math.fsum(t) for t in er], [math.fsum(t) for t in pairs])
+
+
+def _moments(dist, n):
+    return enum_walk_moments(dist.support[:, 0], dist.support[:, 1],
+                             dist.probs, n)
+
+
+@pytest.mark.parametrize("law, n", ENUM_LAWS)
+def test_enum_walk_moments_match_set_recount(law, n):
+    dist = distribution_from_config(law)
+    er, pairs = _moments(dist, n)
+    want_er, want_pairs = _set_recount(dist, n)
+    np.testing.assert_allclose(er, want_er, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(pairs, want_pairs, rtol=1e-14, atol=0)
+
+
+# float.hex of (er, equal_time_pairs) at the last horizon, from the
+# sort-based kernel this one replaced; dyadic weights make every partial
+# sum exact, so the prefix tree must reproduce them bit for bit
+ENUM_BITS = {
+    ("srw", 9): ("0x1.aceb000000000p+2", "0x1.6912000000000p+1"),
+    ("king", 6): ("0x1.50a8000000000p+2", "0x1.90c0000000000p-1"),
+    ("lazy-srw", 7): ("0x1.baba000000000p+1", "0x1.9375000000000p+2"),
+}
+
+
+@pytest.mark.parametrize("name, n", list(ENUM_BITS))
+def test_enum_walk_moments_bits_pinned(name, n):
+    er, pairs = _moments(distribution_from_config(name), n)
+    assert (float(er[n]).hex(), float(pairs[n]).hex()) == ENUM_BITS[name, n]
+
+
+@pytest.mark.parametrize("law, n, leaves", [
+    pytest.param("king", 4, 100, id="king"),
+    pytest.param(NON_DYADIC, 5, 50, id="non-dyadic")])
+def test_enum_walk_moments_depth_first_blocks(monkeypatch, law, n, leaves):
+    """A leaf budget far below |support|^n forces depth-first blocks whose
+    last block is ragged (64 king prefixes in blocks of 12, 36 of the
+    long-step law in blocks of 8); the moments are those of the set
+    recount, and for the dyadic king law the same bits."""
+    dist = distribution_from_config(law)
+    whole = _moments(dist, n)
+    monkeypatch.setattr(_fastpath, "_ENUM_LEAVES", leaves)
+    er, pairs = _moments(dist, n)
+    want_er, want_pairs = _set_recount(dist, n)
+    np.testing.assert_allclose(er, want_er, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(pairs, want_pairs, rtol=1e-14, atol=0)
+    if law == "king":
+        assert er.tobytes() == whole[0].tobytes()
+        assert pairs.tobytes() == whole[1].tobytes()
+
+
+def test_enum_walk_moments_memory_follows_the_leaf_budget(monkeypatch, srw):
+    """At 2^10 leaves the 4^9 srw paths fit in well under 2 MiB; the whole
+    last level alone would take 4^9 * 12 words, 24 MiB."""
+    monkeypatch.setattr(_fastpath, "_ENUM_LEAVES", 1 << 10)
+    tracemalloc.start()
+    try:
+        er, _ = _moments(srw, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert er[9] == SRW_ER[9]
+    assert peak < 2 << 20
 
 
 def test_table_matches_enumeration(srw):
