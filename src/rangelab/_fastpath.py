@@ -16,8 +16,8 @@ import numpy.ma  # np.unique imports it on first call: load it here, not in a ru
 _PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
 _COUNT_STEPS = 1 << 18  # steps held at once by batch_range_counts
 _BOX_CELLS_PER_STEP = 64  # bitmap bytes allowed per step counted
-_POWER_BLOCK = 64  # consecutive k per exp in log_power_sums
-_POWER_COLUMNS = 1 << 14  # la values per exp call in log_power_sums
+_POWER_BLOCK = 64  # consecutive k per block in log_power_sums
+_POWER_COLUMNS = 1 << 14  # distinct la values held at once by log_power_sums
 _ENUM_LEAVES = 1 << 15  # path prefixes held at once by enum_walk_moments
 
 __all__ = [
@@ -209,10 +209,13 @@ def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
     """out[k - k_lo] = sum_i e^{k la_pos[i]} + (-1)^k sum_i e^{k la_neg[i]}.
 
     The la arrays hold log |phi| values sorted in decreasing order (all
-    <= 0); la_pos lists points where phi >= 0, la_neg the rest.  The k
-    are taken _POWER_BLOCK at a time, with one exp of the outer product
-    of the block's k and the la values; terms below e^{-tcut} at the
-    block's first k are dropped, which is why the sort order matters.
+    <= 0); la_pos lists points where phi >= 0, la_neg the rest.  Each run
+    of equal values is summed once, weighted by its length.  The k are
+    taken _POWER_BLOCK at a time: with T[t, i] = mult_i e^{t la_i} built
+    once, the block at k0 is the row sums of T * e^{k0 la}, so a term
+    costs one multiply and no exp.  Terms below e^{-tcut} at the block's
+    first k are dropped, which is why the sort order matters.  Columns
+    are taken _POWER_COLUMNS at a time, which bounds the memory.
     """
     la_pos = np.ascontiguousarray(la_pos, dtype=np.float64)
     la_neg = np.ascontiguousarray(la_neg, dtype=np.float64)
@@ -222,14 +225,23 @@ def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
     ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
     out = np.zeros(ks.size, dtype=np.float64)
     signs = np.where(ks % 2 == 0, 1.0, -1.0)
+    steps = np.arange(min(_POWER_BLOCK, ks.size), dtype=np.float64)
     for la, sign in ((la_pos, None), (la_neg, signs)):
-        ascending = -la
-        for t0 in range(0, ks.size, _POWER_BLOCK):
-            kb = ks[t0:t0 + _POWER_BLOCK]
-            cut = int(np.searchsorted(ascending, tcut / kb[0], side="right"))
-            for c0 in range(0, cut, _POWER_COLUMNS):
-                terms = np.multiply.outer(kb, la[c0:min(c0 + _POWER_COLUMNS, cut)])
-                np.exp(terms, out=terms)
+        starts = np.flatnonzero(np.diff(la, prepend=np.inf))
+        mult = np.diff(starts, append=la.size).astype(np.float64)
+        la = la[starts]
+        cuts = np.searchsorted(-la, tcut / ks[::_POWER_BLOCK], side="right").tolist()
+        top = cuts[0] if cuts else 0
+        for c0 in range(0, top, _POWER_COLUMNS):
+            c1 = min(c0 + _POWER_COLUMNS, top)
+            powers = np.exp(np.multiply.outer(steps, la[c0:c1]))
+            powers *= mult[c0:c1]
+            for t0, cut in zip(range(0, ks.size, _POWER_BLOCK), cuts):
+                width = min(cut, c1) - c0
+                if width <= 0:
+                    break
+                kb = ks[t0:t0 + _POWER_BLOCK]
+                terms = powers[:kb.size, :width] * np.exp(kb[0] * la[c0:c0 + width])
                 sums = terms.sum(axis=1)
                 if sign is not None:
                     sums *= sign[t0:t0 + _POWER_BLOCK]

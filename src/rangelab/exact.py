@@ -40,7 +40,7 @@ import numpy as np
 
 from ._fastpath import enum_walk_moments, log_power_sums
 from .errors import InvalidConfig, ResourceLimit
-from .walks import COORD_LIMIT, StepDistribution, validate_distribution
+from .walks import StepDistribution, check_walk_length, validate_distribution
 
 __all__ = [
     "ReturnProbTable",
@@ -59,13 +59,34 @@ __all__ = [
 
 _TCUT = 60.0  # drop series terms below e^{-60}
 # Stamped into disk-cache files; change it whenever a table's bits change.
-TABLE_ALGORITHM = "newton-inverse-1"
+TABLE_ALGORITHM = "distinct-power-sums-1"
 _REGIME_A_TOP = 256
 _MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids
 _MAX_ENUM_PATHS = 2.0e8  # budget for full path enumeration
 
+# In-process caches, least recently used first; a table through 2^20
+# holds 40 MB, so a handful is kept.
+_TABLE_CACHE_ENTRIES = 4
+_CONTEXT_CACHE_ENTRIES = 16
 _table_cache: dict[tuple[str, int], "ReturnProbTable"] = {}
 _context_cache: dict[str, "_SpectralContext"] = {}
+
+
+def _cache_get(cache: dict, key):
+    """cache[key] or None; a hit becomes the most recently used entry."""
+    value = cache.pop(key, None)
+    if value is not None:
+        cache[key] = value
+    return value
+
+
+def _cache_put(cache: dict, key, value, entries: int) -> None:
+    """Store value as the most recently used entry and evict the least
+    recently used ones past the given number of entries."""
+    cache.pop(key, None)
+    cache[key] = value
+    while len(cache) > entries:
+        del cache[next(iter(cache))]
 
 
 def _even_at_least(x: float) -> int:
@@ -144,6 +165,8 @@ class _SpectralContext:
         self.lip1 = float(sum(f * (abs(x) + abs(y)) for (x, y), f in zip(pts, fr)))
         # quartic term of g is below half the quadratic term inside radius dstar
         self.dstar = math.sqrt(6.0 * self.gamma_min / self.kappa4) if self.kappa4 else 0.0
+        # side of the grid that certified_floor scans
+        self.scan_size = min(1024, 512 * self.s)
         self._floor: tuple[float, float] | None = None
 
     def ball_radius(self, g_cut: float) -> float:
@@ -170,7 +193,7 @@ class _SpectralContext:
         lam_x in [0, pi] see every value of the grid."""
         if self._floor is not None:
             return self._floor
-        mc = min(4096, 2048 * self.s)
+        mc = self.scan_size
         rho = min(self.dstar, 0.4)
         slack = math.pi / mc
         lam = 2 * math.pi * np.arange(mc) / mc
@@ -189,9 +212,11 @@ class _SpectralContext:
 
 def _spectral_context(dist: StepDistribution) -> _SpectralContext:
     key = dist.digest()
-    if key not in _context_cache:
-        _context_cache[key] = _SpectralContext(dist)
-    return _context_cache[key]
+    ctx = _cache_get(_context_cache, key)
+    if ctx is None:
+        ctx = _SpectralContext(dist)
+        _cache_put(_context_cache, key, ctx, _CONTEXT_CACHE_ENTRIES)
+    return ctx
 
 
 def _harvest_band(ctx: _SpectralContext, m: int, g_cut: float):
@@ -490,7 +515,7 @@ def build_return_table(dist: StepDistribution, n: int,
         # Only exact hits: a slice of a larger table differs from a fresh
         # build in the last bits, which would make outputs depend on what
         # the process built before.
-        tab = _table_cache.get((digest, n))
+        tab = _cache_get(_table_cache, (digest, n))
         if tab is not None:
             return tab
         cdir = _cache_dir()
@@ -503,7 +528,7 @@ def build_return_table(dist: StepDistribution, n: int,
                 if tab is not None and tab.dist_digest == digest and tab.n == n and all(
                         col.shape == (n + 1,)
                         for col in (tab.u, tab.h, tab.r, tab.f, tab.er)):
-                    _table_cache[(digest, n)] = tab
+                    _cache_put(_table_cache, (digest, n), tab, _TABLE_CACHE_ENTRIES)
                     return tab
 
     report = validate_distribution(dist)
@@ -554,7 +579,7 @@ def build_return_table(dist: StepDistribution, n: int,
     tab = ReturnProbTable(dist_name=dist.name, dist_digest=digest, n=n,
                           u=u, h=h, r=r, f=f, er=er)
     if use_cache:
-        _table_cache[(digest, n)] = tab
+        _cache_put(_table_cache, (digest, n), tab, _TABLE_CACHE_ENTRIES)
         cdir = _cache_dir()
         if cdir is not None:
             tab.save_npz(cdir / f"table_{digest}_{n}.npz")
@@ -607,10 +632,7 @@ def check_enumeration(dist: StepDistribution, n: int) -> None:
         raise ResourceLimit(
             f"enumeration over {len(dist.probs)}^{n} = {total:.3e} paths "
             f"exceeds the budget of {_MAX_ENUM_PATHS:.0e}")
-    if n * dist.max_step > COORD_LIMIT:
-        raise ResourceLimit(
-            f"enumeration to n={n} with steps of {dist.max_step} can leave "
-            f"the int32 coordinate box")
+    check_walk_length(dist, n)
 
 
 def enumeration_oracle(dist: StepDistribution, n: int) -> dict:

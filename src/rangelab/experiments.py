@@ -44,16 +44,11 @@ from .exact import (
     expected_range_asymptotic,
 )
 from .rangestats import decomposition_check
-from .smoothing import (
-    a_functional,
-    b_functional,
-    parseval_check,
-    q_identity_check,
-    q_kernel,
-)
+from .smoothing import pair_functionals, q_identity_check, q_kernel
 from .variational import gaussian_half_quotient, gn_audit, kappa22_solve
 from .walks import (
     StepDistribution,
+    check_walk_length,
     distribution_from_config,
     sample_path,
     sample_poissonized,
@@ -413,8 +408,7 @@ def _shard_is_complete(path: Path, header: dict) -> bool:
     return first == header
 
 
-def _q_fields(path_a, path_b, q) -> dict:
-    out = q_identity_check(path_a, path_b, q)
+def _q_fields(out: dict) -> dict:
     return {"q_lhs": out["lhs"], "q_rhs": out["rhs"], "q_residual": out["residual"]}
 
 
@@ -430,8 +424,9 @@ def _identity_records(cfg: ExperimentConfig, dist: StepDistribution,
         for check in p["checks"]:
             if check == "q-kernel":
                 # a pair of fresh walks per record: replicas 2j and 2j + 1
-                rec.update(_q_fields(sample_path(dist, n, seed, replica=2 * j),
-                                     sample_path(dist, n, seed, replica=2 * j + 1), q))
+                rec.update(_q_fields(q_identity_check(
+                    sample_path(dist, n, seed, replica=2 * j),
+                    sample_path(dist, n, seed, replica=2 * j + 1), q)))
                 rec["q_ok"] = rec["q_residual"] <= p["q_tol"]
                 continue
             if path is None:
@@ -446,21 +441,23 @@ def _identity_records(cfg: ExperimentConfig, dist: StepDistribution,
 def _smoothed_records(cfg: ExperimentConfig, dist: StepDistribution,
                       start: int, stop: int) -> list:
     p = cfg.params
-    t, eps, b_t, level = p["t"], p["eps"], p["b_t"], p["level"]
-    q = q_kernel(t, b_t, eps)
+    t, level = p["t"], p["level"]
+    q = q_kernel(t, p["b_t"], p["eps"])
+    max_fft = p["max_fft"] if p["parseval"] else None
     records = []
     for j in range(start, stop):
         pa = sample_poissonized(dist, t, cfg.master_seed, replica=2 * j)
         pb = sample_poissonized(dist, t, cfg.master_seed, replica=2 * j + 1)
+        stats = pair_functionals(pa, pb, q, level=level, max_fft=max_fft)
         rec = {
             "replica": j,
-            "a_value": a_functional(pa, t, eps, b_t=b_t),
-            "b_value": b_functional(pa, pb, t, eps, b_t=b_t, level=level),
+            "a_value": stats["a"],
+            "b_value": stats["b"],
             "b_level": level,
-            **_q_fields(pa, pb, q),
+            **_q_fields(stats["q"]),
         }
-        if p["parseval"]:
-            pv = parseval_check(pa, pb, t, eps, b_t=b_t, max_fft=p["max_fft"])
+        pv = stats["parseval"]
+        if pv is not None:
             rec["parseval_lhs"] = pv["lhs"]
             rec["parseval_rhs"] = pv["rhs"]
             rec["parseval_residual"] = pv["residual"]
@@ -936,6 +933,7 @@ _REGISTRY = {
     "identities": Kind(schema="identities-v1",
                        canonical_params=_identities_params,
                        report=_report_identities, records=_identity_records,
+                       check=lambda cfg, dist: check_walk_length(dist, cfg.params["n"]),
                        violation_keys=tuple(flag for _, flag in _IDENTITY_KEYS.values())),
     "smoothed": Kind(schema="smoothed-v1", canonical_params=_smoothed_params,
                      report=_report_smoothed, records=_smoothed_records),

@@ -34,6 +34,7 @@ __all__ = [
     "q_kernel",
     "q_identity_check",
     "parseval_check",
+    "pair_functionals",
     "site_set",
 ]
 
@@ -132,9 +133,11 @@ def _stamped_fields(stamp: SmoothingKernel, *site_sets) -> list:
 def a_functional(path, t: float, eps: float, b_t: float = 1.0) -> float:
     """Squared smoothed occupation mass at scale s = t / b_t,
     normalized by lambda_eps(s)^2."""
-    s = t / b_t
-    stamp = smoothing_stamp(s, eps)
-    sites = site_set(path, horizon=t)
+    return _a_of_sites(site_set(path, horizon=t), smoothing_stamp(t / b_t, eps))
+
+
+def _a_of_sites(sites: np.ndarray, stamp: SmoothingKernel) -> float:
+    """a_functional of a site set."""
     if sites.shape[0] == 0:
         return 0.0
     field, = _stamped_fields(stamp, sites)
@@ -214,7 +217,11 @@ def q_identity_check(path_a, path_b, q: QKernel) -> dict:
     identity.  q is built once (q_kernel) for every pair at its scale."""
     sa = site_set(path_a, horizon=q.t)
     sb = site_set(path_b, horizon=q.t)
-    lhs = _b_of_sites(sa, sb, smoothing_stamp(q.t / q.b_t, q.eps))
+    return _q_identity(sa, sb, q, _b_of_sites(sa, sb, smoothing_stamp(q.t / q.b_t, q.eps)))
+
+
+def _q_identity(sa: np.ndarray, sb: np.ndarray, q: QKernel, lhs: float) -> dict:
+    """q_identity_check of two site sets whose B is lhs."""
     counts = shift_overlaps(sa, sb, q.offsets)
     rhs = 0.0
     # one offset at a time in q-offset order; np.dot would round differently
@@ -234,11 +241,17 @@ def parseval_check(path_a, path_b, t: float, eps: float, b_t: float = 1.0,
     The integrand is a trigonometric polynomial, so any grid beating its
     degree gives the same number; the window is the smallest power of
     two containing both ranges plus the stamp, zero-padded twice."""
-    s = t / b_t
-    stamp = smoothing_stamp(s, eps)
-    rad = int(math.floor(stamp.radius))
+    stamp = smoothing_stamp(t / b_t, eps)
     sa = site_set(path_a, horizon=t)
     sb = site_set(path_b, horizon=t)
+    return _parseval(sa, sb, stamp, max_fft, _b_of_sites(sa, sb, stamp))
+
+
+def _parseval(sa: np.ndarray, sb: np.ndarray, stamp: SmoothingKernel,
+              max_fft: int, b: float) -> dict:
+    """parseval_check of two site sets whose B is b."""
+    s = stamp.scale
+    rad = int(math.floor(stamp.radius))
     if sa.shape[0] == 0 or sb.shape[0] == 0:
         raise ValueError("empty range")
     lo = np.minimum(sa.min(axis=0), sb.min(axis=0))
@@ -264,7 +277,26 @@ def parseval_check(path_a, path_b, t: float, eps: float, b_t: float = 1.0,
     rhs = s * (2.0 * math.pi) ** 2 * float(grid_mean.real)
     imag_leak = abs(float(grid_mean.imag)) / max(abs(float(grid_mean.real)), 1e-300)
 
-    lhs = (2.0 * math.pi) ** 2 * s * b_functional(path_a, path_b, t, eps, b_t=b_t)
+    lhs = (2.0 * math.pi) ** 2 * s * b
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / denom,
             "imag_leak": imag_leak, "fft_size": m}
+
+
+def pair_functionals(path_a, path_b, q: QKernel, level: int = 0,
+                     max_fft: int | None = None) -> dict:
+    """Every statistic of one pair at q's scale (q.t, q.eps, q.b_t), from
+    one pair of site sets and one level-0 B: "a" is a_functional of
+    path_a, "b" b_functional at level, "q" the q_identity_check dict and
+    "parseval" the parseval_check dict, or None without max_fft."""
+    stamp = smoothing_stamp(q.t / q.b_t, q.eps)
+    sa = site_set(path_a, horizon=q.t)
+    sb = site_set(path_b, horizon=q.t)
+    b0 = _b_of_sites(sa, sb, stamp)
+    return {
+        "a": _a_of_sites(sa, stamp),
+        "b": b0 if level == 0 else b_functional(path_a, path_b, q.t, q.eps,
+                                                b_t=q.b_t, level=level),
+        "q": _q_identity(sa, sb, q, b0),
+        "parseval": None if max_fft is None else _parseval(sa, sb, stamp, max_fft, b0),
+    }

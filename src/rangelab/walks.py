@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ResourceLimit
 
 __all__ = [
     "StepDistribution",
@@ -34,6 +34,7 @@ __all__ = [
     "distribution_from_config",
     "validate_distribution",
     "walk_period",
+    "check_walk_length",
     "sample_path",
     "sample_poissonized",
     "stream",
@@ -396,8 +397,16 @@ def _positions_from_indices(dist: StepDistribution, idx: np.ndarray) -> np.ndarr
     steps = dist.support[idx]
     pos = np.cumsum(steps.astype(np.int64), axis=0)
     if pos.size and np.abs(pos).max() > COORD_LIMIT:
-        raise OverflowError("walk left the int32 coordinate box")
+        raise ResourceLimit("walk left the int32 coordinate box")
     return pos.astype(np.int32)
+
+
+def check_walk_length(dist: StepDistribution, n: int) -> None:
+    """Refuse n-step walks that could leave the int32 coordinate box."""
+    if n * dist.max_step > COORD_LIMIT:
+        raise ResourceLimit(
+            f"{n}-step walks with steps of {dist.max_step} can leave the "
+            f"int32 coordinate box")
 
 
 def sample_path(dist: StepDistribution, n: int, master_seed: int,

@@ -154,6 +154,29 @@ def test_cli_oversized_report_table_exit_code(tmp_path, capsys, kind, params):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_oversized_walk_exit_code(tmp_path, capsys):
+    """64 steps of 2^30 can leave the int32 coordinate box that sampled
+    walks live in: an identities config on such a law is refused with
+    exit code 3 by validate and run, before a run directory is made."""
+    steps = [[1 << 30, 0, 1, 6], [-(1 << 30), 0, 1, 6], [1, 0, 1, 6],
+             [-1, 0, 1, 6], [0, 1, 1, 6], [0, -1, 1, 6]]
+    cfg = {"kind": "identities", "distribution": {"steps": steps},
+           "replicas": 2, "params": {"n": 64, "t": 16.0}}
+    p = _write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", str(p)]) == 3
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err.count("resource limit") == 2
+    assert not (tmp_path / "run").exists()
+    # Poisson clocks bound no walk length up front: a smoothed run on the
+    # same law ends in exit code 3 once a walk leaves the box
+    cfg = {"kind": "smoothed", "distribution": {"steps": steps}, "replicas": 4,
+           "params": {"t": 64.0, "parseval": False}}
+    p = _write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", str(p)]) == 0
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
+    assert "coordinate box" in capsys.readouterr().err
+
+
 def test_cli_oversized_enumeration_exit_code(tmp_path, capsys):
     """An exact config that enumerates 4^40 paths meets the same guard as
     `enumerate-oracle --n 40`: exit code 3 from validate and run, and no

@@ -314,14 +314,20 @@ def test_series_inverse_matches_dense(size, seed):
 
 
 @given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 150),
-       st.integers(0, 300), st.integers(0, 2**32 - 1))
-def test_log_power_sums_match_per_k_loop(n_pos, n_neg, k_lo, width, seed):
+       st.integers(0, 300), st.integers(0, 2**32 - 1), st.booleans())
+def test_log_power_sums_match_per_k_loop(n_pos, n_neg, k_lo, width, seed, tied):
     """The blocked power sums agree with one sum per k over the terms at
     or above e^{-tcut}; the blocks keep a few more terms, each below
-    e^{-tcut}."""
+    e^{-tcut}.  With tied set, the la values are drawn from a pool of
+    four, so runs of equal values are summed once with their lengths."""
     rng = np.random.default_rng(seed)
-    la_pos = -np.sort(rng.exponential(0.5, n_pos))
-    la_neg = -np.sort(rng.exponential(0.5, n_neg))
+    if tied:
+        pool = rng.exponential(0.5, 4)
+        la_pos = -np.sort(rng.choice(pool, n_pos))
+        la_neg = -np.sort(rng.choice(pool, n_neg))
+    else:
+        la_pos = -np.sort(rng.exponential(0.5, n_pos))
+        la_neg = -np.sort(rng.exponential(0.5, n_neg))
     k_hi = k_lo + width
     got = log_power_sums(la_pos, la_neg, k_lo, k_hi, 60.0)
     for k in range(k_lo, k_hi + 1):
@@ -331,14 +337,15 @@ def test_log_power_sums_match_per_k_loop(n_pos, n_neg, k_lo, width, seed):
         assert abs(got[k - k_lo] - want) <= 1e-13 * (sp + sn) + 1e-24
 
 
+# a law with no reflection symmetry
+SKEW_STEPS = [[1, 0, 1, 8], [-1, 0, 1, 8], [0, 1, 1, 8], [0, -1, 1, 8],
+              [1, 1, 1, 8], [-1, -1, 1, 8], [2, -1, 1, 8], [-2, 1, 1, 8]]
+
+
 def test_g_grid_matches_direct_trig():
     """The angle-sum evaluation of g = 1 - |phi| agrees with sines and
     cosines taken on the grid, for a law with no reflection symmetry."""
-    from rangelab.walks import distribution_from_config
-
-    steps = [[1, 0, 1, 8], [-1, 0, 1, 8], [0, 1, 1, 8], [0, -1, 1, 8],
-             [1, 1, 1, 8], [-1, -1, 1, 8], [2, -1, 1, 8], [-2, 1, 1, 8]]
-    dist = distribution_from_config({"name": "skew", "steps": steps})
+    dist = distribution_from_config({"name": "skew", "steps": SKEW_STEPS})
     lx = np.linspace(0.0, 2 * math.pi, 37)
     ly = np.linspace(0.0, 2 * math.pi, 41)
     g, negative = exact._g_sign_grid(dist, lx, ly)
@@ -359,12 +366,67 @@ def test_certified_floor_matches_full_scan(name):
 
     ctx = exact._SpectralContext(builtin_distribution(name))
     rho, floor = ctx.certified_floor()
-    mc = min(4096, 2048 * ctx.s)
+    mc = ctx.scan_size
     lam = 2 * math.pi * np.arange(mc) / mc
     g, _ = exact._g_sign_grid(ctx.dist, lam, lam)
     outside = ctx._peak_dist2(lam, lam) > (rho - math.pi / mc * math.sqrt(2.0)) ** 2
     full = float(g[outside].min()) - ctx.lip1 * math.pi / mc
     assert floor == pytest.approx(full, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king", "skew"])
+def test_certified_floor_holds_on_a_finer_grid(name):
+    """g >= floor at every point farther than rho from every peak, on a
+    grid 4x finer per axis than the one certified_floor scans."""
+    from rangelab.walks import builtin_distribution
+
+    dist = (distribution_from_config({"name": "skew", "steps": SKEW_STEPS})
+            if name == "skew" else builtin_distribution(name))
+    ctx = exact._SpectralContext(dist)
+    rho, floor = ctx.certified_floor()
+    fine = 4 * ctx.scan_size
+    lam = 2 * math.pi * np.arange(fine) / fine
+    lowest = math.inf
+    for r0 in range(0, fine, 256):
+        lx = lam[r0:r0 + 256]
+        g, _ = exact._g_sign_grid(dist, lx, lam)
+        outside = ctx._peak_dist2(lx, lam) > rho * rho
+        lowest = min(lowest, float(np.min(g, where=outside, initial=math.inf)))
+    assert floor > 0
+    assert lowest >= floor
+
+
+def test_caches_keep_the_most_recent_entries(monkeypatch, lazy):
+    """Both in-process caches hold a fixed number of entries, evict the
+    least recently used first, and serve exact (digest, n) hits."""
+    monkeypatch.setattr(exact, "_table_cache", {})
+    monkeypatch.setattr(exact, "_context_cache", {})
+    limit = exact._TABLE_CACHE_ENTRIES
+    sizes = list(range(2, limit + 5))
+    built = {n: build_return_table(lazy, n) for n in sizes}
+    assert len(exact._table_cache) == limit
+    for n in sizes[-limit:]:
+        assert build_return_table(lazy, n) is built[n]
+    # a hit on the oldest entry saves it from the next eviction
+    build_return_table(lazy, sizes[-limit])
+    build_return_table(lazy, 1)
+    assert build_return_table(lazy, sizes[-limit]) is built[sizes[-limit]]
+    assert (lazy.digest(), sizes[-limit + 1]) not in exact._table_cache
+    fresh = build_return_table(lazy, sizes[0])
+    assert fresh is not built[sizes[0]] and fresh.n == sizes[0]
+    assert fresh.er.tobytes() == built[sizes[0]].er.tobytes()
+    assert len(exact._table_cache) == limit
+
+    limit = exact._CONTEXT_CACHE_ENTRIES
+    laws = [distribution_from_config(
+        {"steps": [[1, 0, a, 2 * a + 2], [-1, 0, a, 2 * a + 2],
+                   [0, 1, 1, 2 * a + 2], [0, -1, 1, 2 * a + 2]]})
+        for a in range(1, limit + 4)]
+    contexts = [exact._spectral_context(dist) for dist in laws]
+    assert len(exact._context_cache) == limit
+    assert exact._spectral_context(laws[-1]) is contexts[-1]
+    assert exact._spectral_context(laws[0]) is not contexts[0]
+    assert len(exact._context_cache) == limit
 
 
 def test_periodic_table_has_exact_zeros(srw):
