@@ -44,7 +44,12 @@ from .exact import (
     expected_range_asymptotic,
 )
 from .rangestats import decomposition_check
-from .smoothing import pair_functionals, q_identity_check, q_kernel
+from .smoothing import (
+    check_stamp_window,
+    pair_functionals,
+    q_identity_check,
+    q_kernel,
+)
 from .variational import gaussian_half_quotient, gn_audit, kappa22_solve
 from .walks import (
     StepDistribution,
@@ -345,8 +350,9 @@ def run_dir_for(cfg: ExperimentConfig) -> Path:
 class RunManifest:
     """Completion record for a run directory.
 
-    The only file in a run that carries wall-clock times; everything
-    else is a deterministic function of the config."""
+    The only file in a run that carries wall-clock times and the host
+    environment; everything else is a deterministic function of the
+    config."""
 
     config_hash: str
     version: str
@@ -356,6 +362,7 @@ class RunManifest:
     status: str
     shards: list = field(default_factory=list)
     files: list = field(default_factory=list)
+    environment: dict = field(default_factory=dict)
 
 
 def _utcnow() -> str:
@@ -653,7 +660,12 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
     manifest = RunManifest(config_hash=cfg.config_hash, version=__version__,
                            kind=cfg.kind, started_at=started,
                            finished_at=_utcnow(), status="complete",
-                           shards=shard_meta, files=files)
+                           shards=shard_meta, files=files,
+                           environment={
+                               "nproc": os.cpu_count(),
+                               "python": ".".join(map(str, sys.version_info[:3])),
+                               "numpy": np.__version__,
+                               "workers": cfg.workers})
     _atomic_write(out / "manifest.json",
                   json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
 
@@ -936,7 +948,9 @@ _REGISTRY = {
                        check=lambda cfg, dist: check_walk_length(dist, cfg.params["n"]),
                        violation_keys=tuple(flag for _, flag in _IDENTITY_KEYS.values())),
     "smoothed": Kind(schema="smoothed-v1", canonical_params=_smoothed_params,
-                     report=_report_smoothed, records=_smoothed_records),
+                     report=_report_smoothed, records=_smoothed_records,
+                     check=lambda cfg, dist: check_stamp_window(
+                         dist, cfg.params["t"], cfg.params["eps"], cfg.params["b_t"])),
     "deviations": Kind(schema="deviations-v1",
                        canonical_params=_deviations_params,
                        report=_report_deviations, records=_deviation_records,

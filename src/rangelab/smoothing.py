@@ -23,7 +23,7 @@ import numpy as np
 
 from ._fastpath import pack_positions, shift_overlaps, unpack_keys
 from .errors import ResourceLimit
-from .walks import PoissonizedPath, WalkPath
+from .walks import PoissonizedPath, StepDistribution, WalkPath
 
 __all__ = [
     "SmoothingKernel",
@@ -36,6 +36,7 @@ __all__ = [
     "parseval_check",
     "pair_functionals",
     "site_set",
+    "check_stamp_window",
 ]
 
 _MAX_WINDOW_CELLS = 1 << 24
@@ -76,6 +77,18 @@ def smoothing_stamp(scale: float, eps: float) -> SmoothingKernel:
     vals = (4.0 / math.pi) / (eps * eps) * rel**3
     offsets = np.stack([gx[inside], gy[inside]], axis=1).astype(np.int64)
     return SmoothingKernel(eps=eps, scale=scale, offsets=offsets, values=vals)
+
+
+def check_stamp_window(dist: StepDistribution, t: float, eps: float,
+                       b_t: float) -> None:
+    """Refuse a law whose longest step alone overflows the stamped-field
+    window at scale t / b_t: two sites one such step apart already span
+    (max_step + 2 rad + 1)(2 rad + 1) cells, rad as in _stamped_fields."""
+    side = 2 * int(math.floor(eps * math.sqrt(t / b_t))) + 1
+    if (dist.max_step + side) * side > _MAX_WINDOW_CELLS:
+        raise ResourceLimit(
+            f"steps of {dist.max_step} stamped at radius {side // 2} exceed "
+            f"the {_MAX_WINDOW_CELLS}-cell field window")
 
 
 def lambda_eps(t: float, eps: float) -> float:

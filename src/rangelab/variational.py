@@ -157,6 +157,35 @@ def weinstein_quotient(r: np.ndarray, f: np.ndarray) -> float:
     return i4 / (ig * i2)
 
 
+def _tridiagonal_solver(diag: np.ndarray, off: np.ndarray):
+    """Solver for the symmetric positive definite tridiagonal system with
+    diagonal diag and off-diagonal off.
+
+    The factor L D L^T (unit bidiagonal L with subdiagonal sub, diagonal
+    piv) is built once, in O(n); each call of the returned solve(rhs) is
+    one forward and one back substitution.  Both follow LAPACK's
+    dpttrf/dpttrs operation for operation, so on IEEE doubles without
+    fused multiply-adds they give LAPACK's bits."""
+    piv = diag.tolist()
+    sub = off.tolist()
+    n = len(piv)
+    for i in range(n - 1):
+        e = sub[i]
+        sub[i] = e / piv[i]
+        piv[i + 1] -= sub[i] * e
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = rhs.tolist()
+        for i in range(1, n):
+            y[i] -= y[i - 1] * sub[i - 1]
+        y[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            y[i] = y[i] / piv[i] - y[i + 1] * sub[i]
+        return np.array(y)
+
+    return solve
+
+
 def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
                   max_iter: int = 50000, step: float = 0.8,
                   shift: float = 1.0, tol: float = 1e-10,
@@ -171,7 +200,6 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
     line search handles the rest.  Converged means the objective moved
     by less than tol over stall_steps consecutive accepted steps (or the
     residual vanished outright)."""
-    from scipy.linalg import solveh_banded
     if nodes < 256 or nodes % 2 != 0:
         raise InvalidConfig("nodes must be even and at least 256")
     if r_max < 10.0:
@@ -187,9 +215,8 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
     diag[1:] = c[:-1] + c[1:]
     off = -c[:-1]
 
-    banded = np.zeros((2, n))
-    banded[0, 1:] = off
-    banded[1, :] = diag + shift * w
+    # the preconditioner K + shift W is fixed: factor it once
+    precondition = _tridiagonal_solver(diag + shift * w, off)
 
     def mass_norm(v):
         return math.sqrt(float((w * v * v).sum()))
@@ -225,7 +252,7 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
                 g_best = g_val
                 f_best = f.copy()
             break
-        d = solveh_banded(banded, resid)
+        d = precondition(resid)
         d -= float(d @ (w * f)) * f
         accepted = False
         for _ in range(40):

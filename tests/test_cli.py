@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rangelab
@@ -157,7 +158,8 @@ def test_cli_oversized_report_table_exit_code(tmp_path, capsys, kind, params):
 def test_cli_oversized_walk_exit_code(tmp_path, capsys):
     """64 steps of 2^30 can leave the int32 coordinate box that sampled
     walks live in: an identities config on such a law is refused with
-    exit code 3 by validate and run, before a run directory is made."""
+    exit code 3 by validate and run, before a run directory is made, and
+    so is a smoothed one."""
     steps = [[1 << 30, 0, 1, 6], [-(1 << 30), 0, 1, 6], [1, 0, 1, 6],
              [-1, 0, 1, 6], [0, 1, 1, 6], [0, -1, 1, 6]]
     cfg = {"kind": "identities", "distribution": {"steps": steps},
@@ -167,14 +169,16 @@ def test_cli_oversized_walk_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
     assert capsys.readouterr().err.count("resource limit") == 2
     assert not (tmp_path / "run").exists()
-    # Poisson clocks bound no walk length up front: a smoothed run on the
-    # same law ends in exit code 3 once a walk leaves the box
+    # Poisson clocks bound no walk length up front, but one step of 2^30
+    # already overflows the stamped-field window: a smoothed config on
+    # the same law is refused the same way
     cfg = {"kind": "smoothed", "distribution": {"steps": steps}, "replicas": 4,
            "params": {"t": 64.0, "parseval": False}}
     p = _write_cfg(tmp_path, cfg)
-    assert main(["validate", "--config", str(p)]) == 0
+    assert main(["validate", "--config", str(p)]) == 3
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
-    assert "coordinate box" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("field window") == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_oversized_enumeration_exit_code(tmp_path, capsys):
@@ -238,10 +242,12 @@ def test_plan_shards_covers_range():
 
 
 def test_run_bytes_identical_across_worker_counts(tmp_path):
-    cfg1 = ExperimentConfig.from_dict(DEV_CFG, workers=1,
-                                      out=str(tmp_path / "w1"))
-    cfg2 = ExperimentConfig.from_dict(DEV_CFG, workers=2,
-                                      out=str(tmp_path / "w2"))
+    """Every file but manifest.json keeps its bytes at 1 and 2 workers;
+    the manifest names the host and the worker count.  Three shards, so
+    the 2-worker run goes through the process pool."""
+    raw = {**DEV_CFG, "replicas": 2 * SHARD_SIZE + 1}
+    cfg1 = ExperimentConfig.from_dict(raw, workers=1, out=str(tmp_path / "w1"))
+    cfg2 = ExperimentConfig.from_dict(raw, workers=2, out=str(tmp_path / "w2"))
     run_experiment(cfg1)
     run_experiment(cfg2)
     run_report(tmp_path / "w1")
@@ -250,6 +256,12 @@ def test_run_bytes_identical_across_worker_counts(tmp_path):
     t2 = _tree_bytes(tmp_path / "w2")
     assert t1.keys() == t2.keys()
     assert all(t1[k] == t2[k] for k in t1)
+    for workers in (1, 2):
+        manifest = json.loads((tmp_path / f"w{workers}" / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "nproc": os.cpu_count(),
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__, "workers": workers}
 
 
 def test_resume_skips_and_rebuilds(tmp_path):
@@ -489,6 +501,28 @@ def test_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_lil_report_and_kappa_load_no_scipy(tmp_path):
+    """The variational solve in a lil report and in `rangelab kappa`
+    factors its tridiagonal preconditioner itself: neither CLI path
+    imports scipy."""
+    src = str(Path(rangelab.__file__).resolve().parents[1])
+    p = _write_cfg(tmp_path, {"kind": "lil", "distribution": "srw",
+                              "master_seed": 12, "replicas": 2,
+                              "params": {"n_max": 1024}})
+    code = ("import sys; from rangelab.cli import main; "
+            f"assert main(['run', '--config', {str(p)!r}, '--out', "
+            f"{str(tmp_path / 'lil')!r}, '--report']) == 0; "
+            f"assert main(['kappa', '--nodes', '256', '--out', "
+            f"{str(tmp_path / 'kap')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "lil" / "references.csv").is_file()
+    assert (tmp_path / "kap" / "constants.json").is_file()
 
 
 # One tiny config per sharded kind, with its config hash and the sha256

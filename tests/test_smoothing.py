@@ -9,8 +9,10 @@ import pytest
 from rangelab._fastpath import _PAIR_CHUNK, shift_overlaps
 from rangelab.errors import ResourceLimit
 from rangelab.smoothing import (
+    _MAX_WINDOW_CELLS,
     a_functional,
     b_functional,
+    check_stamp_window,
     lambda_eps,
     parseval_check,
     q_identity_check,
@@ -18,7 +20,12 @@ from rangelab.smoothing import (
     smoothing_stamp,
     site_set,
 )
-from rangelab.walks import builtin_distribution, sample_path, sample_poissonized
+from rangelab.walks import (
+    builtin_distribution,
+    distribution_from_config,
+    sample_path,
+    sample_poissonized,
+)
 
 LAZY = builtin_distribution("lazy-srw")
 SRW = builtin_distribution("srw")
@@ -161,3 +168,21 @@ def test_b_of_path_with_itself_is_a():
     a = a_functional(pa, 128.0, 0.5, b_t=4.0)
     b = b_functional(pa, pa, 128.0, 0.5, b_t=4.0)
     assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_stamp_window_guard_boundary():
+    """At t = 64, eps = 0.5, b_t = 4 the stamp radius is 2, so two sites
+    one step of s apart span (s + 5) * 5 cells: the longest step that
+    fits the window passes and the next one is refused."""
+    fits = _MAX_WINDOW_CELLS // 5 - 5
+    for step, refused in ((fits, False), (fits + 1, True)):
+        dist = distribution_from_config({"steps": [
+            [step, 0, 1, 6], [-step, 0, 1, 6], [1, 0, 1, 6], [-1, 0, 1, 6],
+            [0, 1, 1, 6], [0, -1, 1, 6]]})
+        if refused:
+            with pytest.raises(ResourceLimit, match="field window"):
+                check_stamp_window(dist, 64.0, 0.5, 4.0)
+        else:
+            check_stamp_window(dist, 64.0, 0.5, 4.0)
+    for name in ("srw", "lazy-srw", "king"):
+        check_stamp_window(builtin_distribution(name), 1 << 20, 1.0, 1.0)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from rangelab.errors import InvalidConfig
 from rangelab.variational import (
+    _tridiagonal_solver,
     gaussian_half_quotient,
     gn_audit,
     kappa22_solve,
@@ -74,6 +75,48 @@ def test_grid_validation():
         kappa22_solve(nodes=513)
     with pytest.raises(InvalidConfig):
         kappa22_solve(nodes=512, r_max=4.0)
+
+
+@given(st.integers(1, 1100), st.integers(0, 2**32 - 1), st.floats(0.01, 10.0))
+def test_tridiagonal_solver_matches_lapack(size, seed, margin):
+    """The once-factored L D L^T solve of a symmetric positive definite
+    tridiagonal system agrees with LAPACK's.  The matrices are diagonally
+    dominant by margin, with off-diagonals of either sign; two right-hand
+    sides check that the factor is reusable."""
+    from scipy.linalg import solveh_banded
+
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-10.0, 10.0, size=size - 1)
+    diag = margin * rng.uniform(1.0, 2.0, size=size)
+    diag[:-1] += np.abs(off)
+    diag[1:] += np.abs(off)
+    banded = np.zeros((2, size))
+    banded[0, 1:] = off
+    banded[1] = diag
+    solve = _tridiagonal_solver(diag, off)
+    for rhs in rng.normal(size=(2, size)):
+        # scipy's tridiagonal route rejects a 1 x 1 system
+        expected = rhs / diag if size == 1 else solveh_banded(banded, rhs)
+        np.testing.assert_allclose(solve(rhs), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
+# nodes -> (iterations, backtracks, m_hat) of the solver when it called
+# scipy's solveh_banded; the preconditioner solve must not change the
+# path the ascent takes
+PINNED_SOLVES = {
+    256: (124, 120, float.fromhex("0x1.5e0ce99b9aa5ep-4")),
+    512: (118, 114, float.fromhex("0x1.5e0cf31fd1831p-4")),
+    1024: (118, 114, float.fromhex("0x1.5e0cf490b2666p-4")),
+}
+
+
+@pytest.mark.parametrize("nodes", sorted(PINNED_SOLVES))
+def test_solver_path_is_pinned(nodes):
+    iterations, backtracks, m_hat = PINNED_SOLVES[nodes]
+    res = kappa22_solve(nodes=nodes)
+    assert (res.iterations, res.backtracks) == (iterations, backtracks)
+    assert res.m_hat == pytest.approx(m_hat, rel=1e-13, abs=0.0)
 
 
 @given(st.floats(0.25, 4.0))
