@@ -301,8 +301,9 @@ def enum_walk_moments(sup_x: np.ndarray, sup_y: np.ndarray, probs: np.ndarray,
             sites = np.concatenate([np.tile(sites, steps.size),
                                     new.reshape(1, -1)])
             d += 1
-            mean_r[d] += float(np.dot(w, r))
-            mean_l[d] += float(np.dot(w, l))
+            # numpy's pairwise sums: a BLAS dot would round by thread count
+            mean_r[d] += float((w * r).sum())
+            mean_l[d] += float((w * l).sum())
 
     zero = np.zeros(1, dtype=np.int64)
     grow(np.zeros((0, 1), dtype=np.int64), np.ones(1), zero, zero)

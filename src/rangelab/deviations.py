@@ -26,6 +26,7 @@ import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 from ._fastpath import pack_positions, prefix_range_counts, batch_range_counts
 from .errors import InvalidConfig
 from .exact import ReturnProbTable, build_return_table
+from .rangestats import p_fold_intersection
 from .walks import (
     PURPOSE_PARTNER,
     PURPOSE_STEPS,
@@ -98,17 +99,6 @@ class DeviationProbe:
                 ratio = b / ln ** 0.2
             out.append({"n": n, "b": b, "ratio": ratio, "ok": ratio <= 1.0})
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "dist_name": self.dist_name,
-            "n_ladder": list(self.n_ladder),
-            "b_schedule": list(self.b_schedule),
-            "thresholds": list(self.thresholds),
-            "side": self.side,
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-        }
 
 
 def wilson_interval(k: int, m: int, z: float = 1.96) -> tuple:
@@ -189,9 +179,6 @@ class RangeSample:
         else:
             self.skewness = 0.0
 
-    def centered(self, er_exact: float) -> np.ndarray:
-        return self.values.astype(np.float64) - er_exact
-
     def mean_check(self, table: ReturnProbTable) -> dict:
         er = float(table.er[self.n])
         gap = abs(self.mean - er)
@@ -205,7 +192,7 @@ class RangeSample:
         The hard bound -R_bar <= E R_n (ranges are at least 1) is
         reported alongside."""
         er = float(table.er[self.n])
-        c = self.centered(er)
+        c = self.values.astype(np.float64) - er
         a = sd_multiple * self.sd
         plus = int((c > a).sum())
         minus = int((-c > a).sum())
@@ -307,13 +294,9 @@ def _intersection_sizes(dist: StepDistribution, n: int, replicas: int,
     pair of independent n-step walks."""
     vals = np.empty(replicas, dtype=np.float64)
     for j in range(replicas):
-        pa = sample_path(dist, n, master_seed, replica=j,
-                         purpose=PURPOSE_STEPS)
-        pb = sample_path(dist, n, master_seed, replica=j,
-                         purpose=PURPOSE_PARTNER)
-        ka = np.unique(pack_positions(pa.positions))
-        kb = np.unique(pack_positions(pb.positions))
-        vals[j] = np.intersect1d(ka, kb, assume_unique=True).size
+        pair = [sample_path(dist, n, master_seed, replica=j, purpose=purpose)
+                for purpose in (PURPOSE_STEPS, PURPOSE_PARTNER)]
+        vals[j] = p_fold_intersection(pair).count
     return vals
 
 
@@ -478,7 +461,7 @@ def running_max_exceedance(dist: StepDistribution, n: int, replicas: int,
     maxima = np.empty(replicas)
     for j in range(replicas):
         path = sample_path(dist, n, master_seed, replica=j)
-        prefix = prefix_range_counts(path.packed()).astype(np.float64)
+        prefix = prefix_range_counts(pack_positions(path.positions)).astype(np.float64)
         maxima[j] = float((prefix - er).max())
     base = n * lll / math.log(n) ** 2
     lambdas = sorted(float(x) for x in lambdas)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -431,19 +430,17 @@ class ReturnProbTable:
     f: np.ndarray
     er: np.ndarray
 
-    def h_difference(self, m: int, n: int) -> float:
-        return float(self.h[n] - self.h[m])
-
     def identity_residuals(self, sample: int = 64) -> dict[str, float]:
         """Worst-case residuals of the defining identities, for audits."""
         n = self.n
         ks = np.unique(np.clip(np.linspace(1, n, min(sample, n)).astype(int), 1, n))
         res_first = 0.0
         res_last = 0.0
+        # numpy's pairwise sums: a BLAS dot would round by thread count
         for k in ks:
-            conv_r = float(np.dot(self.r[1:k + 1], self.u[:k][::-1]))
+            conv_r = float((self.r[1:k + 1] * self.u[:k][::-1]).sum())
             res_first = max(res_first, abs(conv_r - self.u[k]))
-            conv_f = float(np.dot(self.u[:k + 1], self.f[:k + 1][::-1]))
+            conv_f = float((self.u[:k + 1] * self.f[:k + 1][::-1]).sum())
             res_last = max(res_last, abs(conv_f - 1.0))
         res_fr = float(np.max(np.abs(self.f - (1.0 - _prefix_sum(self.r)))))
         return {
@@ -451,14 +448,6 @@ class ReturnProbTable:
             "last_visit": res_last,
             "f_vs_r": res_fr,
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("k,u,h,r,f,er\n")
-            for k in range(self.n + 1):
-                fh.write(f"{k},{float(self.u[k])!r},{float(self.h[k])!r},"
-                         f"{float(self.r[k])!r},{float(self.f[k])!r},"
-                         f"{float(self.er[k])!r}\n")
 
     def save_npz(self, path) -> None:
         tmp = str(path) + ".tmp.npz"
@@ -592,7 +581,7 @@ def h_difference(dist: StepDistribution, m: int, n: int,
     (m, n].  Additive by construction: differences telescope."""
     if table is None or table.n < max(m, n):
         table = build_return_table(dist, max(m, n))
-    return table.h_difference(m, n)
+    return float(table.h[n] - table.h[m])
 
 
 def expected_range_asymptotic(dist: StepDistribution, n: int,
@@ -645,9 +634,8 @@ def enumeration_oracle(dist: StepDistribution, n: int) -> dict:
     happens."""
     check_enumeration(dist, n)
     total = len(dist.probs) ** n
-    sup_x = dist.support[:, 0].astype(np.int64)
-    sup_y = dist.support[:, 1].astype(np.int64)
-    mean_range, mean_pairs = enum_walk_moments(sup_x, sup_y, dist.probs, n)
+    mean_range, mean_pairs = enum_walk_moments(dist.support[:, 0], dist.support[:, 1],
+                                               dist.probs, n)
     return {
         "dist": dist.name,
         "n": n,

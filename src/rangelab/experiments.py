@@ -45,6 +45,7 @@ from .exact import (
 )
 from .rangestats import decomposition_check
 from .smoothing import (
+    check_q_kernel,
     check_stamp_window,
     pair_functionals,
     q_identity_check,
@@ -181,8 +182,10 @@ def _lil_params(take) -> dict:
 
 
 def _kappa_params(take) -> dict:
-    nodes = _as_list(take("nodes", [256, 512, 1024]), "params.nodes")
-    return {"nodes": [_as_int(v, "params.nodes[]", 256) for v in nodes],
+    nodes = [_as_int(v, "params.nodes[]", 256)
+             for v in _as_list(take("nodes", [256, 512, 1024]), "params.nodes")]
+    _require(all(v % 2 == 0 for v in nodes), "params.nodes must be even")
+    return {"nodes": nodes,
             "r_max": _as_float(take("r_max", 16.0), "params.r_max", 10.0),
             "audit_num": _as_int(take("audit_num", 100), "params.audit_num", 0),
             "audit_margin": _as_float(take("audit_margin", 1e-6),
@@ -244,9 +247,9 @@ def _kind(name) -> Kind:
 class ExperimentConfig:
     """One experiment: what to simulate, from which seed, how many times.
 
-    workers and out are runtime placement knobs; they are carried here
-    for convenience but excluded from the canonical form, so the config
-    hash (and therefore every output byte) ignores them."""
+    workers and out are runtime placement knobs, set by CLI flags only;
+    they are excluded from the canonical form, so the config hash (and
+    therefore every output byte) ignores them."""
 
     kind: str
     distribution: object
@@ -291,7 +294,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise InvalidConfig("config must be a JSON object")
         allowed = {"kind", "distribution", "master_seed", "replicas", "params",
-                   "workers", "out", "config_hash"}
+                   "config_hash"}
         unknown = set(raw) - allowed
         if unknown:
             raise InvalidConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -539,6 +542,19 @@ def _enumerate_n(params: dict) -> int | None:
     if not params["enumerate"]:
         return None
     return params["enumerate_n"] or min(params["n"], 9)
+
+
+def _check_identities(cfg: ExperimentConfig, dist: StepDistribution) -> None:
+    p = cfg.params
+    check_walk_length(dist, p["n"])
+    if "q-kernel" in p["checks"]:
+        check_q_kernel(p["t"], p["eps"], p["b_t"])
+
+
+def _check_smoothed(cfg: ExperimentConfig, dist: StepDistribution) -> None:
+    p = cfg.params
+    check_stamp_window(dist, p["t"], p["eps"], p["b_t"])
+    check_q_kernel(p["t"], p["eps"], p["b_t"])
 
 
 def _check_enumeration(cfg: ExperimentConfig, dist: StepDistribution) -> None:
@@ -945,12 +961,11 @@ _REGISTRY = {
     "identities": Kind(schema="identities-v1",
                        canonical_params=_identities_params,
                        report=_report_identities, records=_identity_records,
-                       check=lambda cfg, dist: check_walk_length(dist, cfg.params["n"]),
+                       check=_check_identities,
                        violation_keys=tuple(flag for _, flag in _IDENTITY_KEYS.values())),
     "smoothed": Kind(schema="smoothed-v1", canonical_params=_smoothed_params,
                      report=_report_smoothed, records=_smoothed_records,
-                     check=lambda cfg, dist: check_stamp_window(
-                         dist, cfg.params["t"], cfg.params["eps"], cfg.params["b_t"])),
+                     check=_check_smoothed),
     "deviations": Kind(schema="deviations-v1",
                        canonical_params=_deviations_params,
                        report=_report_deviations, records=_deviation_records,

@@ -33,9 +33,7 @@ __all__ = [
 def _as_keys(path) -> np.ndarray:
     """Accept a WalkPath or an (n, 2) integer array; return packed keys
     in path order."""
-    if isinstance(path, WalkPath):
-        return path.packed()
-    pos = np.asarray(path)
+    pos = path.positions if isinstance(path, WalkPath) else np.asarray(path)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError("expected a WalkPath or an (n, 2) position array")
     return pack_positions(pos)
@@ -46,12 +44,6 @@ class RangeStats:
     n: int
     count: int
     prefix: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        d = {"n": self.n, "count": self.count}
-        if self.prefix is not None:
-            d["prefix"] = self.prefix.tolist()
-        return d
 
 
 def range_count(path, with_prefix: bool = False) -> RangeStats:
@@ -75,10 +67,6 @@ class IntersectionStats:
     lengths: tuple[int, ...]
     count: int
 
-    def to_dict(self) -> dict:
-        return {"num_walks": self.num_walks, "lengths": list(self.lengths),
-                "count": self.count}
-
 
 def p_fold_intersection(paths, starts=None) -> IntersectionStats:
     """Number of sites visited by every one of the given walks.
@@ -95,18 +83,13 @@ def p_fold_intersection(paths, starts=None) -> IntersectionStats:
     sets = []
     lengths = []
     for path, (sx, sy) in zip(paths, starts):
-        if isinstance(path, WalkPath):
-            pos = path.positions
-        else:
-            pos = np.asarray(path)
+        pos = path.positions if isinstance(path, WalkPath) else np.asarray(path)
         lengths.append(len(pos))
         if len(pos) == 0:
             sets.append(np.empty(0, np.int64))
             continue
         shifted = pos.astype(np.int64) + np.array([sx, sy], dtype=np.int64)
-        x = shifted[:, 0]
-        y = shifted[:, 1]
-        sets.append(np.unique((x << 32) ^ (y & np.int64(0xFFFFFFFF))))
+        sets.append(np.unique(pack_positions(shifted)))
     common = sets[0]
     for s in sets[1:]:
         common = np.intersect1d(common, s, assume_unique=True)
@@ -149,18 +132,6 @@ class DecompositionRecord:
     @property
     def exact(self) -> bool:
         return self.lhs == self.rhs
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "boundaries": self.boundaries,
-            "block_counts": self.block_counts,
-            "overlap_counts": self.overlap_counts,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "exact": self.exact,
-        }
 
 
 def _site_blocks(keys: np.ndarray, boundaries: list[int]):
@@ -264,17 +235,6 @@ class BlockStats:
         if self.pairwise_overlap_sum is None:
             return None
         return self.upper_bound - self.pairwise_overlap_sum
-
-    def to_dict(self) -> dict:
-        return {
-            "num_blocks": self.num_blocks,
-            "boundaries": self.boundaries,
-            "block_counts": self.block_counts,
-            "adjacent_overlaps": self.adjacent_overlaps,
-            "total": self.total,
-            "pairwise_overlap_sum": self.pairwise_overlap_sum,
-            "bounds_ok": self.bounds_ok,
-        }
 
 
 def block_statistics(path, num_blocks: int,

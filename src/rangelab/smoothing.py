@@ -37,9 +37,12 @@ __all__ = [
     "pair_functionals",
     "site_set",
     "check_stamp_window",
+    "check_q_kernel",
 ]
 
 _MAX_WINDOW_CELLS = 1 << 24
+_STAMP_CHUNK = 1 << 18  # scatter terms held at once by _stamped_fields
+_MAX_Q_TERMS = 1 << 32  # q scatter terms, and shift lookups per record
 
 
 @dataclass(frozen=True)
@@ -123,23 +126,31 @@ def site_set(obj, horizon: float | None = None) -> np.ndarray:
     return unpack_keys(keys)
 
 
-def _stamped_fields(stamp: SmoothingKernel, *site_sets) -> list:
-    """Dense fields sum_y values * [x = y + offset], one per site set, on
-    one window box that holds every stamped site."""
+def _stamped_fields(stamp: SmoothingKernel, *site_sets, weights=None) -> list:
+    """Dense fields sum_y w_y values * [x = y + offset], one per site set
+    (w_y = 1, or weights[i] for set i), on one window box that holds
+    every stamped site.  One np.add.at over offset-major terms, taken
+    _STAMP_CHUNK at a time: a cell gets at most one term per offset, so
+    it sums them in offset order, as a scatter per offset would."""
     rad = int(math.floor(stamp.radius))
     lo = np.min([sites.min(axis=0) for sites in site_sets], axis=0) - rad
     hi = np.max([sites.max(axis=0) for sites in site_sets], axis=0) + rad
     shape = hi - lo + 1
     if int(shape[0]) * int(shape[1]) > _MAX_WINDOW_CELLS:
         raise ResourceLimit("stamped field window exceeds the cell budget")
+    width = int(shape[1])
+    o_flat = stamp.offsets[:, 0] * width + stamp.offsets[:, 1]
     fields = []
-    for sites in site_sets:
-        field = np.zeros((int(shape[0]), int(shape[1])))
-        sx = sites[:, 0] - lo[0]
-        sy = sites[:, 1] - lo[1]
-        for (ox, oy), v in zip(stamp.offsets.tolist(), stamp.values.tolist()):
-            field[sx + ox, sy + oy] += v
-        fields.append(field)
+    for i, sites in enumerate(site_sets):
+        field = np.zeros(int(shape[0]) * width)
+        s_flat = (sites[:, 0] - lo[0]) * width + (sites[:, 1] - lo[1])
+        rows = max(1, _STAMP_CHUNK // s_flat.size)
+        for j in range(0, o_flat.size, rows):
+            vals = stamp.values[j:j + rows]
+            terms = (np.repeat(vals, s_flat.size) if weights is None
+                     else np.multiply.outer(vals, weights[i]).ravel())
+            np.add.at(field, (o_flat[j:j + rows, None] + s_flat).ravel(), terms)
+        fields.append(field.reshape(int(shape[0]), width))
     return fields
 
 
@@ -192,36 +203,36 @@ class QKernel:
     offsets: np.ndarray
     values: np.ndarray
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    def value(self, x: int, y: int) -> float:
-        hit = (self.offsets[:, 0] == x) & (self.offsets[:, 1] == y)
-        idx = np.nonzero(hit)[0]
-        return float(self.values[idx[0]]) if idx.size else 0.0
-
 
 def q_kernel(t: float, b_t: float, eps: float) -> QKernel:
     """q(x) = lambda^{-2} sum_z k(x - z) k(z) with k the stamp at scale
     t / b_t.  Sums to 1 exactly (finite-sum algebra), supported on
-    |x| < 2 eps sqrt(t / b_t)."""
-    s = t / b_t
-    stamp = smoothing_stamp(s, eps)
-    rad = int(math.floor(stamp.radius))
-    size = 4 * rad + 1
-    acc = np.zeros((size, size))
-    ox = stamp.offsets[:, 0] + 2 * rad
-    oy = stamp.offsets[:, 1] + 2 * rad
-    for (ax, ay), v in zip(stamp.offsets.tolist(), stamp.values.tolist()):
-        acc[ox - ax, oy - ay] += v * stamp.values
+    |x| < 2 eps sqrt(t / b_t).  As k is symmetric, q is the field of k
+    placed at the sites -offsets with weights k."""
+    stamp = smoothing_stamp(t / b_t, eps)
+    sites = -stamp.offsets
+    acc, = _stamped_fields(stamp, sites, weights=[stamp.values])
     lam = stamp.total
     acc /= lam * lam
     nz = acc > 0
-    gx, gy = np.meshgrid(np.arange(size) - 2 * rad, np.arange(size) - 2 * rad,
-                         indexing="ij")
-    offsets = np.stack([gx[nz], gy[nz]], axis=1).astype(np.int64)
-    return QKernel(t=t, b_t=b_t, eps=eps, offsets=offsets, values=acc[nz])
+    # the window's corner (the stamp need not reach +-rad)
+    corner = sites.min(axis=0) - int(math.floor(stamp.radius))
+    return QKernel(t=t, b_t=b_t, eps=eps, offsets=np.argwhere(nz) + corner,
+                   values=acc[nz])
+
+
+def check_q_kernel(t: float, eps: float, b_t: float) -> None:
+    """Refuse a q kernel whose scatter (m^2 terms for m stamp points) or
+    whose shift counts (|q| offsets times about t sites, per record)
+    exceed _MAX_Q_TERMS.  m and |q| are bounded by the squares around
+    their disks, (2 rad + 1)^2 and (4 rad + 1)^2, rad as in
+    _stamped_fields."""
+    rad = int(math.floor(eps * math.sqrt(t / b_t)))
+    terms = max((2 * rad + 1) ** 4, (4 * rad + 1) ** 2 * t)
+    if terms > _MAX_Q_TERMS:
+        raise ResourceLimit(
+            f"the q kernel at radius {rad} and t = {t:g} takes {terms:.3g} "
+            f"terms, over the budget of {_MAX_Q_TERMS}")
 
 
 def q_identity_check(path_a, path_b, q: QKernel) -> dict:
@@ -236,13 +247,10 @@ def q_identity_check(path_a, path_b, q: QKernel) -> dict:
 def _q_identity(sa: np.ndarray, sb: np.ndarray, q: QKernel, lhs: float) -> dict:
     """q_identity_check of two site sets whose B is lhs."""
     counts = shift_overlaps(sa, sb, q.offsets)
-    rhs = 0.0
-    # one offset at a time in q-offset order; np.dot would round differently
-    for v, c in zip(q.values.tolist(), counts.tolist()):
-        rhs += v * c
+    # a running sum in q-offset order; np.dot would round differently
+    rhs = float(np.cumsum(q.values * counts)[-1])
     denom = max(abs(lhs), abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / denom,
-            "q_total": q.total}
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs) / denom}
 
 
 def parseval_check(path_a, path_b, t: float, eps: float, b_t: float = 1.0,

@@ -84,25 +84,6 @@ class KappaResult:
     def kappa22_candidates(self) -> dict:
         return {name: val ** 0.25 for name, val in self.kappa4_candidates.items()}
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "r_max": self.r_max,
-            "m_hat": self.m_hat,
-            "g_best": self.g_best,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "backtracks": self.backtracks,
-            "balance_residual": self.balance_residual,
-            "l2_norm": self.l2_norm,
-            "l4_norm": self.l4_norm,
-            "grad_norm": self.grad_norm,
-            "weinstein": self.weinstein,
-            "boundary_value": self.boundary_value,
-            "kappa4_candidates": self.kappa4_candidates,
-            "kappa22_candidates": self.kappa22_candidates,
-        }
-
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
     if n_nodes % 2 == 0:

@@ -13,7 +13,6 @@ scheduling or worker count.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -303,22 +302,6 @@ class ValidationReport:
     strongly_aperiodic: bool
     max_step: int
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "errors": list(self.errors),
-            "symmetric": self.symmetric,
-            "prob_sum_exact": self.prob_sum_exact,
-            "covariance": self.covariance.tolist(),
-            "det_covariance": self.det_covariance,
-            "det_covariance_exact": (str(self.det_covariance_exact)
-                                     if self.det_covariance_exact is not None else None),
-            "lattice_index": self.lattice_index,
-            "period": self.period,
-            "strongly_aperiodic": self.strongly_aperiodic,
-            "max_step": self.max_step,
-        }
-
 
 def validate_distribution(dist: StepDistribution) -> ValidationReport:
     """Check the standing assumptions: exact unit mass, symmetry, full
@@ -385,12 +368,6 @@ class WalkPath:
     def __post_init__(self):
         assert self.positions.shape == (self.n, 2)
         assert self.positions.dtype == np.int32
-
-    def packed(self) -> np.ndarray:
-        """Positions packed into int64 keys (x in the high 32 bits)."""
-        x = self.positions[:, 0].astype(np.int64)
-        y = self.positions[:, 1].astype(np.int64)
-        return (x << 32) ^ (y & np.int64(0xFFFFFFFF))
 
 
 def _positions_from_indices(dist: StepDistribution, idx: np.ndarray) -> np.ndarray:

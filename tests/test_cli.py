@@ -195,6 +195,78 @@ def test_cli_oversized_enumeration_exit_code(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_q_kernel_cost_exit_code(tmp_path, capsys):
+    """A smoothed srw config at t = 2e6 (stamp radius 353) needs about
+    1.6e11 q-kernel scatter terms and 3e12 shift lookups per record:
+    exit code 3 from validate and run, and no run directory.  So does an
+    identities config whose checks include q-kernel at that t; without
+    that check the q kernel is never built and the config is accepted."""
+    smoothed = {"kind": "smoothed", "distribution": "srw", "replicas": 1,
+                "params": {"t": 2e6, "parseval": False}}
+    identities = {"kind": "identities", "distribution": "srw", "replicas": 1,
+                  "params": {"n": 1 << 21, "t": 2e6, "checks": ["q-kernel"]}}
+    for cfg in (smoothed, identities):
+        p = _write_cfg(tmp_path, cfg)
+        assert main(["validate", "--config", str(p)]) == 3
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.count("q kernel") == 2
+        assert not (tmp_path / "run").exists()
+    identities["params"]["checks"] = ["binary"]
+    assert main(["validate", "--config", str(_write_cfg(tmp_path, identities))]) == 0
+
+
+def test_cli_refuses_odd_kappa_nodes(tmp_path, capsys):
+    """The solver needs an even node count: nodes [257] is refused by
+    validate and by run with exit code 2, before a run directory is made."""
+    cfg = {"kind": "kappa", "distribution": "srw", "replicas": 1,
+           "params": {"nodes": [256, 257]}}
+    p = _write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", str(p)]) == 2
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.count("must be even") == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_cannot_set_workers_or_out(tmp_path, capsys):
+    """workers and out come from the CLI flags only: a config file that
+    names them is refused as having unknown keys, not silently obeyed in
+    part."""
+    for key, value in (("workers", 2), ("out", str(tmp_path / "run"))):
+        p = _write_cfg(tmp_path, {**DEV_CFG, key: value})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_exact_outputs_independent_of_blas_threads(tmp_path):
+    """An exact run on a non-dyadic law, whose sums round, writes the same
+    bytes at one and at two BLAS threads: every file but manifest.json,
+    including er_enum and the identity residuals of results.json, whose
+    sums run to k = n: n is large enough that a BLAS dot product there
+    would be split across threads."""
+    src = str(Path(rangelab.__file__).resolve().parents[1])
+    steps = [[x, y, 1, 6] for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                                       (1, 1), (-1, -1))]
+    p = _write_cfg(tmp_path, {"kind": "exact", "distribution": {"steps": steps},
+                              "replicas": 1,
+                              "params": {"n": 16384, "enumerate": True,
+                                         "enumerate_n": 7}})
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        env.pop("RANGELAB_CACHE_DIR", None)
+        subprocess.run([sys.executable, "-m", "rangelab.cli", "run", "--config",
+                        str(p), "--out", str(out), "--report"],
+                       check=True, capture_output=True, env=env)
+        trees.append(_tree_bytes(out))
+    assert sorted(trees[0]) == ["config.json", "results.json", "summary.csv",
+                                "table.csv"]
+    for name in trees[0]:
+        assert trees[0][name] == trees[1][name], name
+
+
 def test_run_refuses_a_foreign_run_directory(tmp_path, capsys):
     """`run --out DIR` where DIR/config.json holds another config_hash
     exits 2 and leaves every file in DIR as it was."""

@@ -248,16 +248,6 @@ def test_disk_cache_rebuilds_a_foreign_table(tmp_path, monkeypatch, srw, lazy):
                 assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
 
 
-def test_to_csv_layout(tmp_path, srw):
-    table = build_return_table(srw, 4)
-    out = tmp_path / "table.csv"
-    table.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "k,u,h,r,f,er"
-    assert lines[1].startswith("0,1.0,")
-    assert len(lines) == 6
-
-
 def test_local_clt_normalization(lazy):
     check = local_clt_check(lazy, 2000)
     assert check["final_abs_dev"] < 0.02

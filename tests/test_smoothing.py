@@ -6,12 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from rangelab import smoothing
 from rangelab._fastpath import _PAIR_CHUNK, shift_overlaps
 from rangelab.errors import ResourceLimit
 from rangelab.smoothing import (
+    _MAX_Q_TERMS,
     _MAX_WINDOW_CELLS,
+    _stamped_fields,
     a_functional,
     b_functional,
+    check_q_kernel,
     check_stamp_window,
     lambda_eps,
     parseval_check,
@@ -29,6 +33,50 @@ from rangelab.walks import (
 
 LAZY = builtin_distribution("lazy-srw")
 SRW = builtin_distribution("srw")
+KING = builtin_distribution("king")
+
+
+def _fields_by_offset(stamp, *site_sets, weights=None):
+    """Reference for _stamped_fields: one scatter of every site per
+    stamp offset, in offset order."""
+    rad = int(math.floor(stamp.radius))
+    lo = np.min([sites.min(axis=0) for sites in site_sets], axis=0) - rad
+    hi = np.max([sites.max(axis=0) for sites in site_sets], axis=0) + rad
+    shape = tuple(int(v) for v in hi - lo + 1)
+    fields = []
+    for i, sites in enumerate(site_sets):
+        field = np.zeros(shape)
+        sx = sites[:, 0] - lo[0]
+        sy = sites[:, 1] - lo[1]
+        for (ox, oy), v in zip(stamp.offsets.tolist(), stamp.values.tolist()):
+            field[sx + ox, sy + oy] += v if weights is None else v * weights[i]
+        fields.append(field)
+    return fields
+
+
+def _q_kernel_by_offset(t, b_t, eps):
+    """Reference for q_kernel: one scatter of the whole stamp, weighted
+    by k(a), per stamp offset a, on the (4 rad + 1)^2 box."""
+    stamp = smoothing_stamp(t / b_t, eps)
+    rad = int(math.floor(stamp.radius))
+    size = 4 * rad + 1
+    acc = np.zeros((size, size))
+    ox = stamp.offsets[:, 0] + 2 * rad
+    oy = stamp.offsets[:, 1] + 2 * rad
+    for (ax, ay), v in zip(stamp.offsets.tolist(), stamp.values.tolist()):
+        acc[ox - ax, oy - ay] += v * stamp.values
+    lam = stamp.total
+    acc /= lam * lam
+    nz = acc > 0
+    gx, gy = np.meshgrid(np.arange(size) - 2 * rad, np.arange(size) - 2 * rad,
+                         indexing="ij")
+    return np.stack([gx[nz], gy[nz]], axis=1).astype(np.int64), acc[nz]
+
+
+def _pair_sites(dist, t, seed):
+    pa = sample_poissonized(dist, t, master_seed=seed, replica=0)
+    pb = sample_poissonized(dist, t, master_seed=seed, replica=1)
+    return site_set(pa, horizon=t), site_set(pb, horizon=t)
 
 
 def test_stamp_mass_approaches_continuum():
@@ -186,3 +234,80 @@ def test_stamp_window_guard_boundary():
             check_stamp_window(dist, 64.0, 0.5, 4.0)
     for name in ("srw", "lazy-srw", "king"):
         check_stamp_window(builtin_distribution(name), 1 << 20, 1.0, 1.0)
+
+
+# t, b_t, eps: eps^2 t / b_t is a perfect square (the stamp stops short of
+# +-rad) in the first four cases
+Q_SCALES = [(64.0, 4.0, 0.5), (256.0, 4.0, 0.5), (100.0, 1.0, 1.0),
+            (4096.0, 4.0, 0.5), (1000.0, 4.0, 0.5), (300.0, 3.0, 0.7),
+            (16000.0, 4.0, 0.5)]
+
+
+@pytest.mark.parametrize("t, b_t, eps", Q_SCALES)
+def test_q_kernel_matches_per_offset_loop(t, b_t, eps):
+    offsets, values = _q_kernel_by_offset(t, b_t, eps)
+    q = q_kernel(t, b_t, eps)
+    assert q.offsets.dtype == offsets.dtype
+    assert q.offsets.tobytes() == offsets.tobytes()
+    assert q.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("dist, t", [(SRW, 64.0), (LAZY, 256.0), (KING, 256.0),
+                                     (SRW, 1000.0), (KING, 4096.0)])
+def test_stamped_fields_match_per_offset_loop(dist, t):
+    """Bit for bit, for a pair of site sets and for one weighted set, at
+    perfect-square radii (t = 64, 256, 4096 with b_t = 4) and not."""
+    stamp = smoothing_stamp(t / 4.0, 0.5)
+    sa, sb = _pair_sites(dist, t, seed=17)
+    got = _stamped_fields(stamp, sa, sb)
+    want = _fields_by_offset(stamp, sa, sb)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    weights = np.random.default_rng(3).random(sa.shape[0])
+    got, = _stamped_fields(stamp, sa, weights=[weights])
+    want, = _fields_by_offset(stamp, sa, weights=[weights])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 41, 1000])
+def test_stamped_fields_chunk_boundaries(monkeypatch, chunk):
+    """Chunks of one term, of part of an offset's row, and of rows that
+    split the stamp raggedly give the same bits as the per-offset loop."""
+    monkeypatch.setattr(smoothing, "_STAMP_CHUNK", chunk)
+    stamp = smoothing_stamp(32.0, 0.7)
+    sa, sb = _pair_sites(KING, 128.0, seed=5)
+    assert sa.shape[0] > 40 and sb.shape[0] > 40
+    sa = sa[:40]
+    weights = [np.ones(40), np.linspace(0.5, 2.0, sb.shape[0])]
+    got = _stamped_fields(stamp, sa, sb, weights=weights)
+    want = _fields_by_offset(stamp, sa, sb, weights=weights)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    for t, b_t, eps in Q_SCALES[:3]:
+        offsets, values = _q_kernel_by_offset(t, b_t, eps)
+        q = q_kernel(t, b_t, eps)
+        assert q.offsets.tobytes() == offsets.tobytes()
+        assert q.values.tobytes() == values.tobytes()
+
+
+def test_q_kernel_guard_boundary(monkeypatch):
+    """At eps = 0.5, b_t = 4 the radius is 63 up to t = 65535 and 64 from
+    t = 65536, where 257^2 * t first exceeds the budget.  With eps = 1,
+    b_t = 1, t = r^2, the stamp term (2r + 1)^4 exceeds r^2 (4r + 1)^2, so
+    a budget just below it refuses on the stamp term alone."""
+    check_q_kernel(65535.0, 0.5, 4.0)
+    with pytest.raises(ResourceLimit, match="q kernel"):
+        check_q_kernel(65536.0, 0.5, 4.0)
+    r = 40
+    assert (4 * r + 1) ** 2 * r * r < (2 * r + 1) ** 4 - 1
+    monkeypatch.setattr(smoothing, "_MAX_Q_TERMS", (2 * r + 1) ** 4)
+    check_q_kernel(float(r * r), 1.0, 1.0)
+    monkeypatch.setattr(smoothing, "_MAX_Q_TERMS", (2 * r + 1) ** 4 - 1)
+    with pytest.raises(ResourceLimit, match="q kernel"):
+        check_q_kernel(float(r * r), 1.0, 1.0)
+    monkeypatch.undo()
+    # the defaults and every scale the tests run pass
+    for t, b_t, eps in Q_SCALES + [(10000.0, 4.0, 0.1), (200.0, 4.0, 0.5)]:
+        check_q_kernel(t, eps, b_t)
+    assert _MAX_Q_TERMS == 1 << 32
