@@ -212,10 +212,10 @@ def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
     <= 0); la_pos lists points where phi >= 0, la_neg the rest.  Each run
     of equal values is summed once, weighted by its length.  The k are
     taken _POWER_BLOCK at a time: with T[t, i] = mult_i e^{t la_i} built
-    once, the block at k0 is the row sums of T * e^{k0 la}, so a term
-    costs one multiply and no exp.  Terms below e^{-tcut} at the block's
-    first k are dropped, which is why the sort order matters.  Columns
-    are taken _POWER_COLUMNS at a time, which bounds the memory.
+    once, the block at k0 is T e^{k0 la} (einsum: no temporary, no BLAS),
+    so a term costs one multiply and no exp.  Terms below e^{-tcut} at
+    the block's first k are dropped, which is why the sort order matters.
+    Columns are taken _POWER_COLUMNS at a time, which bounds the memory.
     """
     la_pos = np.ascontiguousarray(la_pos, dtype=np.float64)
     la_neg = np.ascontiguousarray(la_neg, dtype=np.float64)
@@ -241,8 +241,8 @@ def log_power_sums(la_pos: np.ndarray, la_neg: np.ndarray,
                 if width <= 0:
                     break
                 kb = ks[t0:t0 + _POWER_BLOCK]
-                terms = powers[:kb.size, :width] * np.exp(kb[0] * la[c0:c0 + width])
-                sums = terms.sum(axis=1)
+                sums = np.einsum("ij,j->i", powers[:kb.size, :width],
+                                 np.exp(kb[0] * la[c0:c0 + width]))
                 if sign is not None:
                     sums *= sign[t0:t0 + _POWER_BLOCK]
                 out[t0:t0 + kb.size] += sums

@@ -316,6 +316,25 @@ def _exp_statistics(dist: StepDistribution, n_ladder: tuple, replicas: int,
     return stats
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a nonempty 1-d array, in the operation order
+    of scipy 1.17's logsumexp: the maximum and its t ties are taken out
+    of the sum for precision, giving log1p(s / t) + log(t) + max with s
+    the sum of exp(a - max) over the other entries.  A result that is
+    not finite falls back to log(sum(exp(a)))."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        ties = a == a_max
+        rest = np.exp(a - a_max)
+        rest[ties] = 0.0
+        t = ties.sum(dtype=np.float64)
+        s = rest.sum()
+        out = np.log1p(s / t if s != 0 else s) + np.log(t) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
+
+
 def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
                      mode: str = "signed-range", replicas: int = 10_000,
                      master_seed: int = 0,
@@ -334,7 +353,6 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
     2^8 .. 2^14).  The weight on which the curve is flat is
     (2 pi sqrt(det Gamma) H(n))^2 / n; reach it with the per-n
     theta_n = theta0 (2 pi sqrt(det Gamma) H(n) / log n)^2."""
-    from scipy.special import logsumexp
     if mode not in _EXP_MODES:
         raise InvalidConfig(f"mode must be one of {_EXP_MODES}")
     n_ladder = tuple(int(n) for n in n_ladder)
@@ -352,12 +370,12 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
         scale = theta_n * math.log(n) ** 2 / n
         w = scale * stat
         m = w.size
-        log_mean = float(logsumexp(w) - math.log(m))
+        log_mean = float(_logsumexp(w) - math.log(m))
         if bootstrap > 0:
             bs = np.empty(bootstrap)
             for i in range(bootstrap):
                 pick = boot_rng.integers(0, m, size=m)
-                bs[i] = logsumexp(w[pick]) - math.log(m)
+                bs[i] = _logsumexp(w[pick]) - math.log(m)
             lo, hi = np.quantile(bs, [0.025, 0.975])
         else:
             lo = hi = log_mean

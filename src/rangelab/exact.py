@@ -58,7 +58,7 @@ __all__ = [
 
 _TCUT = 60.0  # drop series terms below e^{-60}
 # Stamped into disk-cache files; change it whenever a table's bits change.
-TABLE_ALGORITHM = "distinct-power-sums-1"
+TABLE_ALGORITHM = "distinct-power-sums-2"
 _REGIME_A_TOP = 256
 _MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids
 _MAX_ENUM_PATHS = 2.0e8  # budget for full path enumeration
@@ -536,12 +536,13 @@ def build_return_table(dist: StepDistribution, n: int,
     if k0 >= 1:
         m0 = 2 * k0 * s + 2
         lam = 2 * math.pi * np.arange(m0) / m0
-        phi = _phi_grid(dist, lam, lam)
-        phi_d = phi ** d
-        power = np.ones_like(phi)
+        # the grid's symmetries repeat values: power each distinct one
+        values, counts = np.unique(_phi_grid(dist, lam, lam) ** d,
+                                   return_counts=True)
+        power, counts = np.ones_like(values), counts.astype(np.float64)
         for k in range(d, k0 + 1, d):
-            power *= phi_d
-            u[k] = float(power.mean())
+            power *= values
+            u[k] = float(np.einsum("i,i->", power, counts)) / float(m0 * m0)
         u[1] = float(next((f for (x, y), f in zip(dist.support.tolist(), dist.fracs)
                            if x == y == 0), 0))
 

@@ -75,6 +75,7 @@ __all__ = [
 # Shards are replica ranges of fixed width, so the shard layout (and with
 # it every output byte) is independent of how many workers execute them.
 SHARD_SIZE = 2048
+_CSV_BLOCK_ROWS = 8192  # CSV rows formatted and held at a time
 
 OUT_ROOT_ENV = "RANGELAB_OUT_ROOT"
 
@@ -511,12 +512,29 @@ def _run_shard(task) -> str:
 
 def _write_columns(path: Path, config_hash: str, schema: str,
                    columns: dict) -> None:
-    """CSV with a leading config-hash comment, from equal-length columns
-    of formatted cells, keyed by header name."""
-    lines = [f"# config_hash={config_hash} schema={schema}",
-             ",".join(columns)]
-    lines.extend(map(",".join, zip(*columns.values())))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """CSV with a leading config-hash comment, from columns keyed by header
+    name: lists of formatted cells, or float64 arrays whose distinct
+    values (by bit pattern, which keeps -0.0 apart from 0.0) are repr'd
+    once per block.  Columns shorter than the first are blank past their
+    end.  Rows go _CSV_BLOCK_ROWS at a time into a .tmp file that then
+    replaces path."""
+    rows = len(next(iter(columns.values())))
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write(f"# config_hash={config_hash} schema={schema}\n"
+                 + ",".join(columns) + "\n")
+        for lo in range(0, rows, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, rows)
+            cells = []
+            for block in (col[lo:hi] for col in columns.values()):
+                if isinstance(block, np.ndarray):
+                    bits, inverse = np.unique(block.view(np.int64),
+                                              return_inverse=True)
+                    text = list(map(repr, bits.view(np.float64).tolist()))
+                    block = list(map(text.__getitem__, inverse.tolist()))
+                cells.append(block + [""] * (hi - lo - len(block)))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    os.replace(tmp, path)
 
 
 def _write_csv(path: Path, config_hash: str, schema: str, columns: list,
@@ -569,13 +587,11 @@ def _run_exact(cfg: ExperimentConfig, out: Path) -> list:
     table = build_return_table(dist, n)
     n_enum = _enumerate_n(cfg.params)
     enum_er = None if n_enum is None else enumeration_oracle(dist, n_enum)["er"]
-    # written column-wise: repr of the floats, as _write_csv gives them
     columns = {"k": list(map(str, range(n + 1)))}
     for name in ("u", "h", "r", "f", "er"):
-        columns[name] = list(map(repr, getattr(table, name).tolist()))
+        columns[name] = getattr(table, name)
     if enum_er is not None:
-        cells = list(map(repr, enum_er[:n + 1].tolist()))
-        columns["er_enum"] = cells + [""] * (n + 1 - len(cells))
+        columns["er_enum"] = enum_er[:n + 1]
     _write_columns(out / "table.csv", cfg.config_hash, _kind(cfg.kind).schema,
                    columns)
     results = {

@@ -210,7 +210,7 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
 
     def energy(v):
         p4 = float((w * v**4).sum())
-        return math.sqrt(p4) - 0.5 * float(v @ apply_k(v)), math.sqrt(p4)
+        return math.sqrt(p4) - 0.5 * float((v * apply_k(v)).sum()), math.sqrt(p4)
 
     f = np.exp(-(r_in**2) / 8.0)
     f /= mass_norm(f)
@@ -225,7 +225,7 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
     for it in range(1, max_iter + 1):
         g_val, p2 = energy(f)
         grad = 2.0 * (w * f**3) / p2 - apply_k(f)
-        lam = float(grad @ f)
+        lam = float((grad * f).sum())
         resid = grad - lam * (w * f)
         if float(np.abs(resid).max()) < 1e-12:
             converged = True
@@ -234,7 +234,7 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
                 f_best = f.copy()
             break
         d = precondition(resid)
-        d -= float(d @ (w * f)) * f
+        d -= float((d * (w * f)).sum()) * f
         accepted = False
         for _ in range(40):
             f_try = f + tau * d

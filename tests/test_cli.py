@@ -239,32 +239,42 @@ def test_config_file_cannot_set_workers_or_out(tmp_path, capsys):
 
 
 def test_exact_outputs_independent_of_blas_threads(tmp_path):
-    """An exact run on a non-dyadic law, whose sums round, writes the same
-    bytes at one and at two BLAS threads: every file but manifest.json,
-    including er_enum and the identity residuals of results.json, whose
-    sums run to k = n: n is large enough that a BLAS dot product there
-    would be split across threads."""
+    """An exact run on a non-dyadic law, whose sums round, and a kappa run
+    write the same bytes at one and at two BLAS threads: every file but
+    manifest.json.  The exact run covers er_enum and the identity
+    residuals of results.json, whose sums run to k = n; the kappa solve's
+    inner products run over 16,384 nodes.  Both sizes are large enough
+    that a BLAS dot product there would be split across threads."""
     src = str(Path(rangelab.__file__).resolve().parents[1])
     steps = [[x, y, 1, 6] for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1),
                                        (1, 1), (-1, -1))]
-    p = _write_cfg(tmp_path, {"kind": "exact", "distribution": {"steps": steps},
-                              "replicas": 1,
-                              "params": {"n": 16384, "enumerate": True,
-                                         "enumerate_n": 7}})
-    trees = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        env.pop("RANGELAB_CACHE_DIR", None)
-        subprocess.run([sys.executable, "-m", "rangelab.cli", "run", "--config",
-                        str(p), "--out", str(out), "--report"],
-                       check=True, capture_output=True, env=env)
-        trees.append(_tree_bytes(out))
-    assert sorted(trees[0]) == ["config.json", "results.json", "summary.csv",
-                                "table.csv"]
-    for name in trees[0]:
-        assert trees[0][name] == trees[1][name], name
+    configs = {
+        "exact": ({"kind": "exact", "distribution": {"steps": steps},
+                   "replicas": 1,
+                   "params": {"n": 16384, "enumerate": True,
+                              "enumerate_n": 7}},
+                  ["config.json", "results.json", "summary.csv", "table.csv"]),
+        "kappa": ({"kind": "kappa", "distribution": "srw", "replicas": 1,
+                   "params": {"nodes": [16384], "audit_num": 0}},
+                  ["config.json", "constants.json", "profile.csv",
+                   "summary.csv"]),
+    }
+    for kind, (payload, files) in configs.items():
+        p = _write_cfg(tmp_path, payload, f"{kind}.json")
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{kind}-threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            env.pop("RANGELAB_CACHE_DIR", None)
+            subprocess.run([sys.executable, "-m", "rangelab.cli", "run",
+                            "--config", str(p), "--out", str(out), "--report"],
+                           check=True, capture_output=True, env=env)
+            trees.append(_tree_bytes(out))
+        assert sorted(trees[0]) == files, kind
+        for name in trees[0]:
+            assert trees[0][name] == trees[1][name], (kind, name)
 
 
 def test_run_refuses_a_foreign_run_directory(tmp_path, capsys):
@@ -564,10 +574,14 @@ def test_smoothed_run_and_report(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    """`import rangelab` stays cheap: scipy is imported only inside the
-    functions that use it."""
+    """rangelab depends on numpy alone: neither `import rangelab` nor the
+    exponential-moment probe, whose logsumexp was scipy's, loads scipy."""
     src = str(Path(rangelab.__file__).resolve().parents[1])
     code = ("import sys, rangelab; "
+            "from rangelab.deviations import exp_moment_probe; "
+            "from rangelab.walks import builtin_distribution; "
+            "exp_moment_probe(builtin_distribution('srw'), (16, 32), 0.5, "
+            "replicas=20, bootstrap=3); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

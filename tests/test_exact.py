@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rangelab import _fastpath, exact
+from rangelab import _fastpath, exact, experiments
 from rangelab._fastpath import enum_walk_moments, log_power_sums
 from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.exact import (
@@ -54,6 +54,21 @@ def test_quadrature_matches_dp_small(srw, lazy, king):
     for dist, frozen in ((srw, SRW_U), (lazy, LAZY_U), (king, KING_U)):
         for k, expected in enumerate(frozen):
             assert abs(return_prob_exact(dist, k) - expected) < 1e-12
+
+
+KNIGHT_STEPS = [[a * x, b * y, 1, 8] for x, y in ((1, 2), (2, 1))
+                for a in (1, -1) for b in (1, -1)]
+
+
+@pytest.mark.parametrize("law", ["srw", "king", {"steps": KNIGHT_STEPS}])
+def test_small_k_quadrature_matches_exact_grid(law):
+    """Up to k0 = 256 the table powers each distinct value of phi on the
+    exact grid once, weighted by its count: u stays within 1e-15 of the
+    cell-by-cell quadrature."""
+    dist = distribution_from_config(law)
+    table = build_return_table(dist, 256, use_cache=False)
+    for k in list(range(1, 13)) + [63, 64, 127, 128, 201, 255, 256]:
+        assert abs(table.u[k] - return_prob_exact(dist, k)) <= 1e-15, k
 
 
 def test_enumeration_oracle_frozen(srw, lazy):
@@ -327,6 +342,31 @@ def test_log_power_sums_match_per_k_loop(n_pos, n_neg, k_lo, width, seed, tied):
         assert abs(got[k - k_lo] - want) <= 1e-13 * (sp + sn) + 1e-24
 
 
+@pytest.mark.parametrize("columns", [None, 97])
+@pytest.mark.parametrize("signs", ["pos", "neg", "both"])
+@pytest.mark.parametrize("tied", [False, True])
+def test_log_power_sums_match_fsum(monkeypatch, columns, signs, tied):
+    """The blocked sums agree with math.fsum over the raw terms to a
+    relative 1e-13 of the sum of their magnitudes, over several k blocks
+    and, with 97 columns at a time, several column chunks.  The terms the
+    blocks drop are below e^{-60} each."""
+    if columns is not None:
+        monkeypatch.setattr(_fastpath, "_POWER_COLUMNS", columns)
+    rng = np.random.default_rng(7 + 2 * ("pos", "neg", "both").index(signs) + tied)
+    draw = (lambda size: rng.choice(-rng.exponential(0.05, 9), size)) if tied \
+        else (lambda size: -rng.exponential(0.05, size))
+    la_pos = -np.sort(-draw(1500)) if signs != "neg" else np.empty(0)
+    la_neg = -np.sort(-draw(1200)) if signs != "pos" else np.empty(0)
+    k_lo, k_hi = 3, 300
+    got = log_power_sums(la_pos, la_neg, k_lo, k_hi, 60.0)
+    for k in range(k_lo, k_hi + 1):
+        sign = 1.0 if k % 2 == 0 else -1.0
+        terms = np.concatenate((np.exp(k * la_pos), sign * np.exp(k * la_neg)))
+        want = math.fsum(terms.tolist())
+        scale = math.fsum(np.abs(terms).tolist())
+        assert abs(got[k - k_lo] - want) <= 1e-13 * scale, k
+
+
 # a law with no reflection symmetry
 SKEW_STEPS = [[1, 0, 1, 8], [-1, 0, 1, 8], [0, 1, 1, 8], [0, -1, 1, 8],
               [1, 1, 1, 8], [-1, -1, 1, 8], [2, -1, 1, 8], [-2, 1, 1, 8]]
@@ -502,6 +542,72 @@ def test_table_csv_matches_row_writer(tmp_path):
     got = (tmp_path / "run" / "table.csv").read_bytes()
     assert got == (tmp_path / "rows.csv").read_bytes()
     assert got.decode().splitlines()[-1].endswith(",")
+
+
+def _column_writer_bytes(config_hash: str, schema: str, columns: dict) -> bytes:
+    """The column-wise writer that the block writer replaced, kept as its
+    oracle: every float formatted up front by repr, columns padded with
+    blank cells to the first one's length, and the whole file joined at
+    once."""
+    rows = len(columns[next(iter(columns))])
+    cells = {}
+    for name, col in columns.items():
+        text = list(map(repr, col.tolist())) if isinstance(col, np.ndarray) else col
+        cells[name] = text + [""] * (rows - len(text))
+    lines = [f"# config_hash={config_hash} schema={schema}", ",".join(cells)]
+    lines.extend(map(",".join, zip(*cells.values())))
+    return ("\n".join(lines) + "\n").encode()
+
+
+NONDYADIC_STEPS = [[x, y, 1, 6] for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                                             (1, 1), (-1, -1))]
+
+
+@pytest.mark.parametrize("law, n, enumerate_n", [
+    ("srw", 1 << 16, 9),
+    ("srw", experiments._CSV_BLOCK_ROWS - 1, None),
+    ("srw", experiments._CSV_BLOCK_ROWS + 1, 5),
+    ("lazy-srw", 3000, 6),
+    ({"steps": NONDYADIC_STEPS}, 1000, None),
+    ({"steps": NONDYADIC_STEPS}, 1000, 7),
+])
+def test_table_csv_matches_column_writer(tmp_path, law, n, enumerate_n):
+    """table.csv, written in row blocks with one repr per distinct value,
+    has the bytes of the column-wise writer for the same table: across
+    block edges (n is the block size -1 and +1), on a period-2
+    law with exact zeros and on lazy and non-dyadic laws, with and
+    without er_enum."""
+    params = {"n": n, "enumerate": enumerate_n is not None}
+    if enumerate_n is not None:
+        params["enumerate_n"] = enumerate_n
+    cfg = ExperimentConfig.from_dict(
+        {"kind": "exact", "distribution": law, "replicas": 1, "params": params},
+        out=str(tmp_path / "run"))
+    run_experiment(cfg)
+    table = build_return_table(cfg.dist(), n)
+    columns = {"k": list(map(str, range(n + 1)))}
+    for name in ("u", "h", "r", "f", "er"):
+        columns[name] = getattr(table, name)
+    if enumerate_n is not None:
+        columns["er_enum"] = enumeration_oracle(cfg.dist(), enumerate_n)["er"]
+    want = _column_writer_bytes(cfg.config_hash, "exact-table-v1", columns)
+    assert (tmp_path / "run" / "table.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 8192])
+def test_block_writer_keeps_signed_zeros(tmp_path, monkeypatch, block_rows):
+    """-0.0 and 0.0 compare equal but print apart: the block writer
+    deduplicates on bit patterns, so each keeps its own text, at any
+    block size, next to a short column and a column of formatted cells."""
+    monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(3)
+    values = rng.choice([0.0, -0.0, 1.5, -1.5, 0.1, 1e-300, -5e-324], 40)
+    columns = {"k": list(map(str, range(40))), "x": values,
+               "short": values[:9].copy()}
+    experiments._write_columns(tmp_path / "t.csv", "abc", "s-v1", columns)
+    got = (tmp_path / "t.csv").read_bytes()
+    assert got == _column_writer_bytes("abc", "s-v1", columns)
+    assert b"-0.0" in got and b",0.0," in got
 
 
 def test_spectral_vs_dp_midrange(king):
