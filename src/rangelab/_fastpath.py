@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import numpy.ma  # np.unique imports it on first call: load it here, not in a run
 
+from .walks import COORD_LIMIT
+
 _PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
 _COUNT_STEPS = 1 << 18  # steps held at once by batch_range_counts
 _BOX_CELLS_PER_STEP = 64  # bitmap bytes allowed per step counted
@@ -76,31 +78,51 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
     prefixes are marked on it in increasing order and counted after
     each.  A row whose box holds more than _BOX_CELLS_PER_STEP cells per
     step (long-step laws) is counted by sorting its keys instead, which
-    bounds the bitmap at that many bytes per step."""
+    bounds the bitmap at that many bytes per step.
+
+    Rows that could leave the int32 box (n * max step > COORD_LIMIT, as
+    in walks.check_walk_length) raise OverflowError.  A chunk's steps
+    are taken from one packed table, (dx << 32) + dy, and summed by one
+    cumsum; 2^31 added to the first step keeps the y part in [0, 2^32),
+    so x and y unpack exactly, y shifted by 2^31, which no count depends
+    on."""
     rows, n = idx2d.shape
     ends = np.array([n] if lengths is None else lengths, dtype=np.int64)
     if ends.size == 0 or ends.min() < 0 or ends.max() > n:
         raise ValueError(f"prefix lengths must lie in 0..{n}")
     stops = np.unique(ends)
     counts = np.zeros((rows, stops.size), dtype=np.int64)
-    if n:
-        sup_x = np.ascontiguousarray(sup_x, dtype=np.int64)
-        sup_y = np.ascontiguousarray(sup_y, dtype=np.int64)
-        chunk = max(1, _COUNT_STEPS // n)
+    if n and rows:
+        sup_x = np.asarray(sup_x, dtype=np.int64)
+        sup_y = np.asarray(sup_y, dtype=np.int64)
+        k = sup_x.size
+        if n * int(max(np.abs(sup_x).max(), np.abs(sup_y).max())) > COORD_LIMIT:
+            raise OverflowError(f"{n}-step walks can leave the int32 box")
+        table = (sup_x << 32) + sup_y
+        chunk = min(rows, max(1, _COUNT_STEPS // n))
+        # packed positions, then their y; their x; bitmap cells
+        bufs = np.empty((3, chunk, n), dtype=np.int64)
         for r0 in range(0, rows, chunk):
-            idx = idx2d[r0:r0 + chunk]
-            x = np.take(sup_x, idx)
-            y = np.take(sup_y, idx)
-            np.cumsum(x, axis=1, out=x)
-            np.cumsum(y, axis=1, out=y)
-            counts[r0:r0 + chunk] = _chunk_counts(x, y, stops)
+            idx = idx2d[r0:r0 + chunk].astype(np.int64, casting="same_kind", copy=False)
+            # one pass: a negative index reads as a huge unsigned one
+            if idx.view(np.uint64).max() >= k:
+                raise IndexError(f"step indices must lie in 0..{k - 1}")
+            p, x, flat = bufs[:, :len(idx)]
+            np.take(table, idx, out=p, mode="clip")
+            p[:, 0] += 1 << 31
+            np.cumsum(p, axis=1, out=p)
+            np.right_shift(p, 32, out=x)
+            np.bitwise_and(p, 0xFFFFFFFF, out=p)
+            counts[r0:r0 + chunk] = _chunk_counts(x, p, stops, flat)
     counts = counts[:, np.searchsorted(stops, ends)]
     return counts[:, 0] if lengths is None else counts
 
 
-def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray) -> np.ndarray:
+def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray,
+                  flat: np.ndarray) -> np.ndarray:
     """counts[r, i] = distinct sites among row r's first stops[i]
-    positions (x[r], y[r]), for sorted distinct stops.  Overwrites x."""
+    positions (x[r], y[r]), for sorted distinct stops.  flat is int64
+    scratch of at least x.size cells."""
     rows, n = x.shape
     x0 = x.min(axis=1)
     y0 = y.min(axis=1)
@@ -111,20 +133,22 @@ def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray) -> np.ndarray
     if wide.any():
         keep = ~wide
         counts[wide] = _sorted_counts(x[wide], y[wide], stops)
-        counts[keep] = _chunk_counts(x[keep], y[keep], stops)
+        counts[keep] = _chunk_counts(x[keep], y[keep], stops, flat)
         return counts
     # row r owns occ[start[r]:end[r]], with (x, y) at (x - x0) * width + y - y0
     end = np.cumsum(area)
     start = end - area
-    flat = x
-    flat *= width[:, None]
-    flat += y
-    flat += (start - x0 * width - y0)[:, None]
+    offset = (start - x0 * width - y0)[:, None]
     occ = np.zeros(int(area.sum()), dtype=np.uint8)
     bounds = list(zip(start.tolist(), end.tolist()))
     lo = 0
     for i, m in enumerate(stops.tolist()):
-        occ[flat[:, lo:m]] = 1
+        # each prefix's new cells, contiguous: a strided index scatters slower
+        cells = flat.reshape(-1)[:rows * (m - lo)].reshape(rows, m - lo)
+        np.multiply(x[:, lo:m], width[:, None], out=cells)
+        cells += y[:, lo:m]
+        cells += offset
+        occ[cells] = 1
         lo = m
         counts[:, i] = [np.count_nonzero(occ[a:b]) for a, b in bounds]
     return counts

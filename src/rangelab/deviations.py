@@ -32,6 +32,7 @@ from .walks import (
     PURPOSE_STEPS,
     StepDistribution,
     distribution_from_config,
+    rekey,
     sample_path,
     stream,
 )
@@ -128,18 +129,22 @@ def sample_range_ladder(dist: StepDistribution, n_ladder, replicas: int,
     counter-based stream, and every entry counts a prefix of that walk,
     which is the walk a single-n draw of the same replica gives.  So the
     result is independent of batching; batches of _SAMPLE_STEPS steps
-    only bound peak memory."""
+    only bound peak memory.  One generator is rekeyed from replica to
+    replica, and one index buffer holds every batch."""
     lengths = [int(n) for n in n_ladder]
     n = max(lengths)
     sup_x = dist.support[:, 0].astype(np.int64)
     sup_y = dist.support[:, 1].astype(np.int64)
     batch = max(1, _SAMPLE_STEPS // max(n, 1))
     out = np.empty((replicas, len(lengths)), dtype=np.int64)
+    buf = np.empty((min(batch, replicas), n), dtype=np.int64)
+    rng = stream(master_seed, first_replica, PURPOSE_STEPS)
     for start in range(0, replicas, batch):
         stop = min(start + batch, replicas)
-        idx = np.empty((stop - start, n), dtype=np.int64)
+        idx = buf[:stop - start]
         for j in range(start, stop):
-            rng = stream(master_seed, first_replica + j, PURPOSE_STEPS)
+            if j:
+                rekey(rng, master_seed, first_replica + j, PURPOSE_STEPS)
             idx[j - start] = dist.sample_step_indices(n, rng)
         out[start:stop] = batch_range_counts(idx, sup_x, sup_y, lengths)
     return out

@@ -373,8 +373,11 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _atomic_write(path: Path, text: str) -> None:

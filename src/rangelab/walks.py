@@ -37,6 +37,7 @@ __all__ = [
     "sample_path",
     "sample_poissonized",
     "stream",
+    "rekey",
     "BUILTIN_NAMES",
     "PURPOSE_STEPS",
     "PURPOSE_CLOCK",
@@ -63,13 +64,31 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream(master_seed: int, replica: int = 0, purpose: int = PURPOSE_STEPS) -> np.random.Generator:
-    """Counter-based generator for one (seed, replica, purpose) triple."""
+def _stream_key(master_seed: int, replica: int, purpose: int) -> np.ndarray:
+    """The Philox key of one (seed, replica, purpose) triple."""
     if not 0 <= master_seed <= _MASK64:
         raise ValueError("master seed must fit in 64 bits")
     word = _mix64((replica & _MASK64) * 0x9E3779B97F4A7C15 + purpose + 1)
-    key = np.array([master_seed, word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([master_seed, word], dtype=np.uint64)
+
+
+def stream(master_seed: int, replica: int = 0, purpose: int = PURPOSE_STEPS) -> np.random.Generator:
+    """Counter-based generator for one (seed, replica, purpose) triple."""
+    return np.random.Generator(np.random.Philox(key=_stream_key(master_seed, replica, purpose)))
+
+
+def rekey(rng: np.random.Generator, master_seed: int, replica: int = 0,
+          purpose: int = PURPOSE_STEPS) -> None:
+    """Turn a generator made by stream() into stream(master_seed, replica,
+    purpose) at its start: the new key, counter 0 and an empty buffer,
+    set through Philox's documented state dict.  It costs a fraction of
+    building a new generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": _stream_key(master_seed, replica, purpose)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,6 +136,7 @@ class StepDistribution:
     _accept: np.ndarray = field(init=False, repr=False)
     _alias: np.ndarray = field(init=False, repr=False)
     _accept_all: bool = field(init=False, repr=False)
+    _shift: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=np.int32)
@@ -127,6 +147,10 @@ class StepDistribution:
         self.probs = np.array([float(f) for f in self.fracs], dtype=np.float64)
         self._accept, self._alias = _build_alias(self.probs)
         self._accept_all = bool((self._accept == 1.0).all())
+        # 64 - b when the decode is floor(u k) with k = 2^b, b >= 1; else 0
+        k = len(self.probs)
+        pow2 = self._accept_all and k > 1 and k & (k - 1) == 0
+        self._shift = 65 - k.bit_length() if pow2 else 0
 
     @classmethod
     def from_steps(cls, name: str, steps: Sequence[tuple[int, int, int, int]]) -> "StepDistribution":
@@ -187,7 +211,14 @@ class StepDistribution:
         """Draw n support indices with one uniform per step (alias decode).
 
         When every accept weight is 1 (equal weights, as for srw and king)
-        the decode keeps j = floor(u k) whatever u is, since frac < 1."""
+        the decode keeps j = floor(u k) whatever u is, since frac < 1.
+        For a Philox generator u is (w >> 11) 2^-53 for the raw word w, so
+        when also k = 2^b, j is the top b bits of w: the same indices from
+        the same words, without the float multiply and cast."""
+        if self._shift:
+            w = rng.bit_generator.random_raw(n)
+            w >>= self._shift
+            return w.view(np.int64)
         u = rng.random(n)
         v = u * len(self.probs)
         j = v.astype(np.int64)

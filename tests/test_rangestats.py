@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from rangelab import _fastpath
 from rangelab._fastpath import batch_range_counts, pack_positions, prefix_range_counts
 from rangelab.rangestats import (
     block_statistics,
@@ -112,6 +113,58 @@ def test_batch_range_counts_rejects_bad_lengths():
     for lengths in ([], [6], [-1, 3]):
         with pytest.raises(ValueError):
             batch_range_counts(idx, _SRW_SUPPORT[:, 0], _SRW_SUPPORT[:, 1], lengths)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_batch_range_counts_rejects_bad_step_indices(bad):
+    """Steps are taken in clip mode, so an index outside the support must
+    be refused before it could be clamped to its first or last step."""
+    idx = np.zeros((70, 9), dtype=np.int64)
+    for row in (0, 69):
+        idx[row, 8 - row % 2] = bad
+        with pytest.raises(IndexError):
+            batch_range_counts(idx, _SRW_SUPPORT[:, 0], _SRW_SUPPORT[:, 1])
+        idx[row] = 0
+
+
+def test_batch_range_counts_refuses_to_leave_the_int32_box():
+    """Positions reach both edges of the int32 box and are counted; one
+    unit more is refused, not wrapped."""
+    idx = np.array([[0, 0], [1, 1], [0, 1]])
+    wide = np.array([2**30 - 1, 1 - 2**30])
+    assert batch_range_counts(idx, wide, wide).tolist() == [2, 2, 2]
+    assert batch_range_counts(idx, wide, -wide, [1, 2]).tolist() == [[1, 2]] * 3
+    with pytest.raises(OverflowError):
+        batch_range_counts(idx, wide + 1, wide - 1)
+
+
+def test_short_steps_stay_on_the_bitmap(monkeypatch):
+    """Walks that cross both axes are boxed tightly after the packed
+    cumsum, so the bitmap counts them and no row needs the sort."""
+    def refuse(*args):
+        raise AssertionError("a short-step row left the bitmap")
+
+    monkeypatch.setattr(_fastpath, "_sorted_counts", refuse)
+    left, down, up, right = range(4)  # _SRW_SUPPORT is sorted
+    spiral = [left] * 20 + [down] * 40 + [right] * 80 + [up] * 80
+    idx = np.array([spiral, [left, down, up, right] * 55])
+    got = batch_range_counts(idx, _SRW_SUPPORT[:, 0], _SRW_SUPPORT[:, 1], [20, 220])
+    assert got.tolist() == [[20, 220], [3, 3]]
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 997, 4 * 997 + 996])
+def test_batch_range_counts_chunks(monkeypatch, budget):
+    """Rows counted in chunks of 1, 3 (the last holding 1) and 4 (the
+    last holding 3) rows give the counts of the whole batch in one."""
+    rng = np.random.default_rng(3)
+    lengths = [997, 1, 400, 0, 997, 60]
+    for name, support in sorted(_BATCH_SUPPORTS.items()):
+        idx = rng.integers(0, len(support), size=(7, 997))
+        want = batch_range_counts(idx, support[:, 0], support[:, 1], lengths)
+        with monkeypatch.context() as m:
+            m.setattr(_fastpath, "_COUNT_STEPS", budget)
+            got = batch_range_counts(idx, support[:, 0], support[:, 1], lengths)
+        assert np.array_equal(got, want)
 
 
 @given(st.sampled_from(sorted(_SUPPORTS)), st.data())

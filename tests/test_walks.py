@@ -13,8 +13,10 @@ from rangelab.walks import (
     PURPOSE_PARTNER,
     PURPOSE_STEPS,
     StepDistribution,
+    PURPOSE_CLOCK,
     builtin_distribution,
     distribution_from_config,
+    rekey,
     sample_path,
     sample_poissonized,
     stream,
@@ -128,16 +130,63 @@ def test_alias_sampling_frequencies(lazy):
     assert np.abs(freqs - lazy.probs).max() < 5e-3
 
 
-@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king"])
+def _equal_weight_law(name, steps):
+    rows = [[x, y, 1, 2 * len(steps)] for x, y in steps]
+    rows += [[-x, -y, 1, 2 * len(steps)] for x, y in steps]
+    return distribution_from_config({"name": name, "steps": rows})
+
+
+_DECODE_LAWS = {
+    # name: (law, equal weights, decoded by a shift: k = 2^b with b >= 1)
+    "one-step": (StepDistribution.from_steps("one-step", [(0, 0, 1, 1)]), True, False),
+    "srw": (builtin_distribution("srw"), True, True),
+    "lazy-srw": (builtin_distribution("lazy-srw"), False, False),
+    "king": (builtin_distribution("king"), True, True),
+    "sixteen": (_equal_weight_law("sixteen", [(1, 0), (0, 1), (1, 1), (1, -1), (2, 0),
+                                              (0, 2), (2, 1), (1, 2)]), True, True),
+    "six": (_equal_weight_law("six", [(1, 0), (2, 0), (0, 1)]), True, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECODE_LAWS))
 def test_step_indices_match_alias_decode(name):
-    """Equal-weight laws (srw, king) skip the alias decode, which would
-    keep floor(u k) for every u; all laws return what the decode does."""
-    dist = builtin_distribution(name)
-    assert dist._accept_all == (name != "lazy-srw")
-    idx = dist.sample_step_indices(100_000, stream(7, 3))
-    v = stream(7, 3).random(100_000) * len(dist.probs)
+    """Equal-weight laws skip the alias decode, which would keep
+    floor(u k) for every u, and with k = 2^b (srw, king, the 16-step law)
+    read the top b bits of each raw word (a one-step law, b = 0, keeps
+    the float decode); all laws return what the decode does and leave
+    the stream where rng.random leaves it."""
+    dist, equal, shifted = _DECODE_LAWS[name]
+    k = len(dist.probs)
+    assert dist._accept_all == equal
+    assert dist._shift == (65 - k.bit_length() if shifted else 0)
+    rng, ref = stream(7, 3), stream(7, 3)
+    idx = dist.sample_step_indices(100_001, rng)
+    v = ref.random(100_001) * k
     j = v.astype(np.int64)
+    assert idx.dtype == np.int64
     assert np.array_equal(idx, np.where(v - j < dist._accept[j], j, dist._alias[j]))
+    assert rng.random() == ref.random()
+
+
+def test_rekey_reproduces_stream():
+    """Rekeying one generator through the triples gives each triple's
+    stream from its first word, whatever the previous key left in
+    Philox's 4-word buffer (here 0 to 3 words used, and a 32-bit half)."""
+    triples = [(0, 0, PURPOSE_STEPS), (9, 3, PURPOSE_STEPS), (9, 4, PURPOSE_CLOCK),
+               (2**64 - 1, 2**40 + 5, PURPOSE_PARTNER), (1, 10**6, PURPOSE_STEPS)]
+    rng = stream(5, 1)
+    for used, (seed, replica, purpose) in enumerate(triples):
+        rng.bit_generator.random_raw(used % 4)
+        if used == 3:
+            rng.integers(0, 2**32, dtype=np.uint32)
+        rekey(rng, seed, replica, purpose)
+        want = stream(seed, replica, purpose)
+        assert np.array_equal(rng.bit_generator.random_raw(7),
+                              want.bit_generator.random_raw(7))
+        assert rng.random(3).tolist() == want.random(3).tolist()
+        assert rng.integers(0, 2**32, dtype=np.uint32) == want.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["state"]["counter"].tolist() == \
+            want.bit_generator.state["state"]["counter"].tolist()
 
 
 @given(st.lists(st.tuples(st.integers(-10**6, 10**6),
