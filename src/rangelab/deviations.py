@@ -416,6 +416,8 @@ def lil_checkpoints(n_max: int, checkpoints=None) -> list:
     if checkpoints is None:
         checkpoints = [1 << k for k in range(2, n_max.bit_length())] + [n_max]
     checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints:
+        raise InvalidConfig("checkpoints must be a nonempty list")
     if checkpoints[-1] > n_max:
         raise InvalidConfig("checkpoint beyond n_max")
     return checkpoints

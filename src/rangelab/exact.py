@@ -39,7 +39,8 @@ import numpy as np
 
 from ._fastpath import enum_walk_moments, log_power_sums
 from .errors import InvalidConfig, ResourceLimit
-from .walks import StepDistribution, check_walk_length, validate_distribution
+from .walks import (StepDistribution, check_walk_length, validate_distribution,
+                    walk_period)
 
 __all__ = [
     "ReturnProbTable",
@@ -58,7 +59,7 @@ __all__ = [
 
 _TCUT = 60.0  # drop series terms below e^{-60}
 # Stamped into disk-cache files; change it whenever a table's bits change.
-TABLE_ALGORITHM = "distinct-power-sums-2"
+TABLE_ALGORITHM = "region-harvest-1"
 _REGIME_A_TOP = 256
 _MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids
 _MAX_ENUM_PATHS = 2.0e8  # budget for full path enumeration
@@ -141,72 +142,33 @@ def _g_sign_grid(dist, lx, ly):
 
 
 class _SpectralContext:
-    """Per-distribution geometry for the large-k series: peak locations
-    of |phi| and a certified floor on g away from them."""
+    """Per-distribution floors on g = 1 - |phi| for the large-k series.
+
+    One scan of a coarse mc x mc grid, with nodes at the angles
+    2 pi j / mc - pi / 2, finds the minimum of g over each coarse row
+    and each coarse column and keeps it lowered by lip1 * pi / mc with
+    lip1 = sum p (|x| + |y|): |phi| moves by at most that much between a
+    point and its nearest node.  So g at any point is at least the floor
+    of its nearest row and that of its nearest column."""
 
     def __init__(self, dist: StepDistribution):
         self.dist = dist
         self.s = dist.max_step
-        pts = dist.support.tolist()
-        fr = dist.fracs
-        # peaks of |phi| can only sit at the four corners {0, pi}^2
-        self.peaks: list[tuple[float, float]] = []
-        for ca in (0, 1):
-            for cb in (0, 1):
-                val = sum(f * (-1) ** ((ca * x + cb * y) % 2) for (x, y), f in zip(pts, fr))
-                if val == 1 or val == -1:
-                    self.peaks.append((ca * math.pi, cb * math.pi))
-        cov = dist.covariance()
-        tr = cov[0, 0] + cov[1, 1]
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-        self.gamma_min = 0.5 * (tr - math.sqrt(max(tr * tr - 4 * det, 0.0)))
-        self.kappa4 = float(sum(f * (x * x + y * y) ** 2 for (x, y), f in zip(pts, fr)))
-        self.lip1 = float(sum(f * (abs(x) + abs(y)) for (x, y), f in zip(pts, fr)))
-        # quartic term of g is below half the quadratic term inside radius dstar
-        self.dstar = math.sqrt(6.0 * self.gamma_min / self.kappa4) if self.kappa4 else 0.0
-        # side of the grid that certified_floor scans
-        self.scan_size = min(1024, 512 * self.s)
-        self._floor: tuple[float, float] | None = None
-
-    def ball_radius(self, g_cut: float) -> float:
-        """g <= g_cut forces distance to some peak below this (valid while
-        the radius stays under dstar, where g >= gamma_min |d|^2 / 4)."""
-        return 2.0 * math.sqrt(g_cut / self.gamma_min)
-
-    def _peak_dist2(self, lx, ly):
-        a = lx[:, None]
-        b = ly[None, :]
-        best = None
-        for px, py in self.peaks:
-            da = np.minimum(np.abs(a - px), 2 * math.pi - np.abs(a - px))
-            db = np.minimum(np.abs(b - py), 2 * math.pi - np.abs(b - py))
-            d2 = da * da + db * db
-            best = d2 if best is None else np.minimum(best, d2)
-        return best
-
-    def certified_floor(self) -> tuple[float, float]:
-        """(rho, floor): g >= floor whenever the distance to every peak
-        exceeds rho.  Established by a Lipschitz argument over one scan.
-
-        g(-lam) = g(lam) and the peak set is symmetric too, so the rows
-        lam_x in [0, pi] see every value of the grid."""
-        if self._floor is not None:
-            return self._floor
-        mc = self.scan_size
-        rho = min(self.dstar, 0.4)
-        slack = math.pi / mc
-        lam = 2 * math.pi * np.arange(mc) / mc
-        rows = lam[: mc // 2 + 1]
-        lo = math.inf
-        chunk = max(1, (1 << 22) // mc)
-        for r0 in range(0, rows.size, chunk):
-            lx = rows[r0: r0 + chunk]
-            g, _ = _g_sign_grid(self.dist, lx, lam)
-            d2 = self._peak_dist2(lx, lam)
-            outside = d2 > (rho - slack * math.sqrt(2.0)) ** 2
-            lo = min(lo, float(np.min(g, where=outside, initial=math.inf)))
-        self._floor = (rho, lo - self.lip1 * slack)
-        return self._floor
+        lip1 = float(sum(f * (abs(x) + abs(y))
+                         for (x, y), f in zip(dist.support.tolist(), dist.fracs)))
+        mc = self.scan_size = min(1024, 512 * self.s)
+        lam = (np.arange(mc) - mc // 4) * (2 * math.pi / mc)
+        # g(-lam) = g(lam) and node j sits at minus node (mc/2 - j) mod mc,
+        # so the rows at angles [0, pi] see every value of the grid
+        rows = slice(mc // 4, 3 * mc // 4 + 1)
+        g, _ = _g_sign_grid(dist, lam[rows], lam)
+        row_min = np.full(mc, math.inf)
+        row_min[rows] = g.min(axis=1)
+        col_min = g.min(axis=0)
+        mirror = (mc // 2 - np.arange(mc)) % mc
+        slack = lip1 * math.pi / mc
+        self.row_floor = np.minimum(row_min, row_min[mirror]) - slack
+        self.col_floor = np.minimum(col_min, col_min[mirror]) - slack
 
 
 def _spectral_context(dist: StepDistribution) -> _SpectralContext:
@@ -219,40 +181,30 @@ def _spectral_context(dist: StepDistribution) -> _SpectralContext:
 
 
 def _harvest_band(ctx: _SpectralContext, m: int, g_cut: float):
-    """Collect (log|phi|, sign) on the m x m grid at points with
-    1 - |phi| <= g_cut; everything else is provably negligible for the
-    exponents this band serves."""
+    """Collect (log|phi|, sign) on the m x m grid, angles 2 pi i / m for
+    i in [-m/4, 3m/4), at points with 1 - |phi| <= g_cut; everything
+    else is provably negligible for the exponents this band serves.
+
+    Such a point lies on a row and a column whose nearest coarse node
+    has a floor at most g_cut, so only their product is evaluated."""
     dist = ctx.dist
-    rho_need = ctx.ball_radius(g_cut)
-    rho_cert, floor = ctx.certified_floor()
+    mc = ctx.scan_size
+    idx = np.arange(-(m // 4), m - m // 4)
+    # nearest coarse node: j - mc/4 = round(i mc / m), wrapped
+    near = ((2 * idx * mc + m) // (2 * m) + mc // 4) % mc
+    lam_unit = 2 * math.pi / m
+    lx = idx[ctx.row_floor[near] <= g_cut] * lam_unit
+    ly = idx[ctx.col_floor[near] <= g_cut] * lam_unit
     las_pos = []
     las_neg = []
-    lam_unit = 2 * math.pi / m
-
-    def collect(lx, ly):
-        g, neg = _g_sign_grid(dist, lx, ly)
+    chunk = max(1, (1 << 22) // m)
+    for r0 in range(0, lx.size, chunk):
+        g, neg = _g_sign_grid(dist, lx[r0: r0 + chunk], ly)
         keep = g <= g_cut
-        if not keep.any():
-            return
         la = np.log1p(-g[keep])
         nk = neg[keep]
         las_pos.append(la[~nk])
         las_neg.append(la[nk])
-
-    if rho_need <= rho_cert and g_cut < floor:
-        rad = int(math.ceil(rho_need / lam_unit)) + 1
-        for px, py in ctx.peaks:
-            ci = round(px / lam_unit)
-            cj = round(py / lam_unit)
-            lx = (ci + np.arange(-rad, rad + 1)) * lam_unit
-            ly = (cj + np.arange(-rad, rad + 1)) * lam_unit
-            collect(lx, ly)
-    else:
-        lam = np.arange(m) * lam_unit
-        chunk = max(1, (1 << 22) // m)
-        for r0 in range(0, m, chunk):
-            collect(lam[r0: r0 + chunk], lam)
-
     la_pos = np.concatenate(las_pos) if las_pos else np.empty(0)
     la_neg = np.concatenate(las_neg) if las_neg else np.empty(0)
     la_pos[::-1].sort()
@@ -286,11 +238,12 @@ def _band_u(ctx: _SpectralContext, k_lo: int, k_hi: int,
 
 
 def return_prob_spectral(dist: StepDistribution, k: int) -> float:
-    """u_k for a single large k without building a table."""
+    """u_k for a single large k without building a table; an exact 0
+    when the walk's period does not divide k, as in the table."""
     if k == 0:
         return 1.0
     ctx = _spectral_context(dist)
-    return float(_band_u(ctx, k, k)[0])
+    return float(_band_u(ctx, k, k, walk_period(dist))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,14 @@ def test_exp_moment_p_intersection_smoke(lazy):
     assert out["points"][0]["value"] > 0
 
 
+def test_lil_checkpoints_refuses_an_empty_list():
+    assert deviations.lil_checkpoints(64) == [4, 8, 16, 32, 64]
+    with pytest.raises(InvalidConfig):
+        deviations.lil_checkpoints(64, [])
+    with pytest.raises(InvalidConfig):
+        deviations.lil_checkpoints(64, [4, 128])
+
+
 def test_lil_trajectory_structure(srw):
     table = build_return_table(srw, 4096)
     out = lil_trajectory(srw, 4096, master_seed=41, replica=2, table=table)

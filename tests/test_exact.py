@@ -274,6 +274,16 @@ def test_local_clt_rejects_periodic(srw):
         local_clt_check(srw, 1000)
 
 
+def test_spectral_return_keeps_the_period(srw):
+    """A single spectral u_k of srw is an exact 0 at odd k, as in the
+    table, and matches the table at even k."""
+    table = build_return_table(srw, 2048)
+    for k in (257, 1001, 2047):
+        assert exact.return_prob_spectral(srw, k) == 0.0
+    for k in (300, 1000, 1024, 2046, 2048):
+        assert exact.return_prob_spectral(srw, k) == pytest.approx(table.u[k], rel=1e-14)
+
+
 def test_expected_range_asymptotic_fields(lazy):
     out = expected_range_asymptotic(lazy, 4096)
     assert out["leading"] > 0
@@ -389,41 +399,87 @@ def test_g_grid_matches_direct_trig():
                                rtol=0, atol=1e-15)
 
 
+LONG_STEPS = {a: [[x, 0, 1, 6] for x in (a, -a, a + 1, -a - 1)] + [[0, 1, 1, 6], [0, -1, 1, 6]]
+              for a in (1, 12)}
+
+
+def _law(name):
+    """A builtin law, the skew law, or +-(a,0), +-(a+1,0), +-(0,1) as "long-a"."""
+    from rangelab.walks import builtin_distribution
+
+    if name == "skew":
+        return distribution_from_config({"name": name, "steps": SKEW_STEPS})
+    if name.startswith("long-"):
+        return distribution_from_config({"name": name, "steps": LONG_STEPS[int(name[5:])]})
+    return builtin_distribution(name)
+
+
+def _nearest_node(i, m, mc):
+    """Index of the coarse node (angles 2 pi j / mc - pi / 2) nearest to
+    the angle 2 pi i / m, ties rounded up."""
+    return (np.floor(i * mc / m + 0.5).astype(np.int64) + mc // 4) % mc
+
+
 @pytest.mark.parametrize("name", ["srw", "lazy-srw", "king"])
 def test_certified_floor_matches_full_scan(name):
-    """Scanning half the grid finds the floor of the whole grid."""
-    from rangelab.walks import builtin_distribution
-
-    ctx = exact._SpectralContext(builtin_distribution(name))
-    rho, floor = ctx.certified_floor()
+    """The row and column floors are the minima of g over one scan of
+    the whole coarse grid, lowered by the Lipschitz slack."""
+    ctx = exact._SpectralContext(_law(name))
     mc = ctx.scan_size
-    lam = 2 * math.pi * np.arange(mc) / mc
+    lam = 2 * math.pi * np.arange(mc) / mc - 0.5 * math.pi
     g, _ = exact._g_sign_grid(ctx.dist, lam, lam)
-    outside = ctx._peak_dist2(lam, lam) > (rho - math.pi / mc * math.sqrt(2.0)) ** 2
-    full = float(g[outside].min()) - ctx.lip1 * math.pi / mc
-    assert floor == pytest.approx(full, rel=0, abs=1e-15)
+    slack = float(sum(p * (abs(x) + abs(y)) for (x, y), p in
+                      zip(ctx.dist.support.tolist(), ctx.dist.probs))) * math.pi / mc
+    np.testing.assert_allclose(ctx.row_floor, g.min(axis=1) - slack, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ctx.col_floor, g.min(axis=0) - slack, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king", "skew"])
+@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king", "skew", "long-1", "long-12"])
 def test_certified_floor_holds_on_a_finer_grid(name):
-    """g >= floor at every point farther than rho from every peak, on a
-    grid 4x finer per axis than the one certified_floor scans."""
-    from rangelab.walks import builtin_distribution
-
-    dist = (distribution_from_config({"name": "skew", "steps": SKEW_STEPS})
-            if name == "skew" else builtin_distribution(name))
+    """On a grid 4x finer per axis than the scan, g is at least the floor
+    of the point's nearest coarse row and of its nearest column; so no
+    point with g <= g_cut lies outside a kept row and column, whatever
+    g_cut."""
+    dist = _law(name)
     ctx = exact._SpectralContext(dist)
-    rho, floor = ctx.certified_floor()
     fine = 4 * ctx.scan_size
-    lam = 2 * math.pi * np.arange(fine) / fine
-    lowest = math.inf
+    idx = np.arange(-fine // 4, 3 * fine // 4)
+    near = _nearest_node(idx, fine, ctx.scan_size)
+    lam = idx * (2 * math.pi / fine)
+    col_floor = ctx.col_floor[near]
+    assert (ctx.row_floor > 0).any()
     for r0 in range(0, fine, 256):
-        lx = lam[r0:r0 + 256]
-        g, _ = exact._g_sign_grid(dist, lx, lam)
-        outside = ctx._peak_dist2(lx, lam) > rho * rho
-        lowest = min(lowest, float(np.min(g, where=outside, initial=math.inf)))
-    assert floor > 0
-    assert lowest >= floor
+        g, _ = exact._g_sign_grid(dist, lam[r0:r0 + 256], lam)
+        assert np.all(g >= ctx.row_floor[near[r0:r0 + 256], None])
+        assert np.all(g >= col_floor)
+
+
+@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king", "skew", "long-1", "long-12"])
+def test_region_harvest_matches_brute_force(name):
+    """At every band of a 4096 table the region harvest is, bit for bit,
+    the g <= g_cut filter of the whole fine grid over i in [-m/4, 3m/4)."""
+    dist = _law(name)
+    ctx = exact._spectral_context(dist)
+    k0 = min(exact._REGIME_A_TOP, max(16, 2048 // (2 * ctx.s) - 1))
+    lo = k0 + 1
+    while lo <= 4096:
+        hi = 2 * (lo - 1)
+        m = exact._even_at_least(8.0 * ctx.s * math.sqrt(hi))
+        g_cut = -math.expm1(-exact._TCUT / lo)
+        lam = np.arange(-(m // 4), m - m // 4) * (2 * math.pi / m)
+        pos, neg = [], []
+        for r0 in range(0, m, 512):
+            g, negative = exact._g_sign_grid(dist, lam[r0:r0 + 512], lam)
+            keep = g <= g_cut
+            la = np.log1p(-g[keep])
+            pos.append(la[~negative[keep]])
+            neg.append(la[negative[keep]])
+        got_pos, got_neg = exact._harvest_band(ctx, m, g_cut)
+        assert got_pos.size + got_neg.size > 0
+        for got, want in ((got_pos, pos), (got_neg, neg)):
+            want = np.sort(np.concatenate(want))[::-1]
+            assert got.tobytes() == want.tobytes()
+        lo = hi + 1
 
 
 def test_caches_keep_the_most_recent_entries(monkeypatch, lazy):
@@ -501,6 +557,13 @@ def test_no_negative_probabilities(srw, lazy, king):
         table = build_return_table(dist, 1 << 16)
         assert int((table.u < 0).sum()) == 0
         assert int((table.r < 0).sum()) == 0
+
+
+def test_top_band_bits_pinned(srw, king):
+    """u at 2^16 comes from the top band alone (m = 2048), so its bits
+    pin that band's harvest and power sums."""
+    assert build_return_table(srw, 1 << 16).u[-1].hex() == "0x1.45f263e341d58p-17"
+    assert build_return_table(king, 1 << 16).u[-1].hex() == "0x1.b2989d53db4e4p-19"
 
 
 def test_disk_cache_rebuilds_an_unstamped_table(tmp_path, monkeypatch, srw):
