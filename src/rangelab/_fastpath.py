@@ -35,10 +35,12 @@ __all__ = [
 
 
 def pack_positions(pos: np.ndarray) -> np.ndarray:
-    """(n, 2) integer positions -> int64 keys."""
-    x = pos[:, 0].astype(np.int64)
-    y = pos[:, 1].astype(np.int64)
-    return (x << 32) ^ (y & np.int64(0xFFFFFFFF))
+    """(..., 2) integer positions -> int64 keys of shape (...)."""
+    keys = pos[..., 0].astype(np.int64)
+    keys <<= 32
+    # the cast to uint32 keeps y mod 2^32, which is y & 0xFFFFFFFF
+    keys ^= pos[..., 1].astype(np.uint32)
+    return keys
 
 
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
@@ -166,27 +168,39 @@ def _sorted_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray) -> np.ndarra
 
 
 def sort_by_site(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted keys, times): one stable argsort, by key and then time.
+    """(times, fresh) of an (n,) or (rows, n) array of keys: one stable
+    argsort per row, by key and then time, and the flat mask of the
+    sorted entries that open a site, those whose key or row differs from
+    the previous entry's.
 
     Any grouping of times into consecutive blocks keeps the block ids
     nondecreasing within a key, so block_sites can reuse this order for
-    every blocking of the same path."""
+    every blocking of the same rows."""
     keys = np.asarray(keys, dtype=np.int64)
-    times = np.argsort(keys, kind="stable")
-    return keys[times], times
+    times = np.argsort(keys, axis=-1, kind="stable")
+    skeys = np.take_along_axis(keys, times, axis=-1)
+    flat = skeys.reshape(-1)
+    fresh = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=fresh[1:])
+    if keys.ndim == 2 and keys.shape[1]:
+        fresh[::keys.shape[1]] = True
+    return times, fresh
 
 
-def block_sites(sorted_keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def block_sites(fresh: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Mask of the entries that open a new (site, block) pair.
 
-    sorted_keys and blocks are aligned in sort_by_site order; an entry is
-    new when its key or its block id differs from the previous entry's.
-    The marked entries are the unique (site, block) pairs, ordered by key
-    and then block, and np.bincount(blocks[mask]) is the number of
-    distinct sites in every block."""
-    new = np.ones(sorted_keys.size, dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    new[1:] |= blocks[1:] != blocks[:-1]
+    fresh is sort_by_site's mask and blocks the flat block ids aligned
+    with it; an entry is new when it is fresh or its block id differs
+    from the previous entry's.  With ids that also number the row (row
+    times the blocks per row, plus the block), one mask serves every
+    row.  The marked entries are the unique (site, block) pairs, ordered
+    by row, key and then block, and np.bincount(blocks[mask]) is the
+    number of distinct sites in every block."""
+    new = np.empty(fresh.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=new[1:])
+    new |= fresh
     return new
 
 

@@ -32,8 +32,8 @@ from .walks import (
     PURPOSE_STEPS,
     StepDistribution,
     distribution_from_config,
-    rekey,
-    sample_path,
+    sample_paths,
+    step_index_rows,
     stream,
 )
 
@@ -57,6 +57,10 @@ __all__ = [
 
 _EXP_MODES = ("abs-range", "signed-range", "p-intersection")
 _SAMPLE_STEPS = 1 << 20  # steps held at once by sample_range_ladder
+# steps held at once as positions by _intersection_sizes and
+# running_max_exceedance
+_PATH_STEPS = 1 << 16
+_BOOT_TERMS = 1 << 18  # resampled weights held at once by exp_moment_probe
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,9 @@ def sample_range_ladder(dist: StepDistribution, n_ladder, replicas: int,
     for start in range(0, replicas, batch):
         stop = min(start + batch, replicas)
         idx = buf[:stop - start]
-        for j in range(start, stop):
-            if j:
-                rekey(rng, master_seed, first_replica + j, PURPOSE_STEPS)
-            idx[j - start] = dist.sample_step_indices(n, rng)
+        step_index_rows(dist, rng, master_seed,
+                        range(first_replica + start, first_replica + stop),
+                        PURPOSE_STEPS, idx)
         out[start:stop] = batch_range_counts(idx, sup_x, sup_y, lengths)
     return out
 
@@ -296,12 +299,16 @@ def mc_tail(probe: DeviationProbe, dist: StepDistribution | None = None,
 def _intersection_sizes(dist: StepDistribution, n: int, replicas: int,
                         master_seed: int) -> np.ndarray:
     """|range of walk A intersect range of walk B| for each replica's
-    pair of independent n-step walks."""
+    pair of independent n-step walks, A from its step stream and B from
+    its partner stream, sampled _PATH_STEPS steps at a time."""
     vals = np.empty(replicas, dtype=np.float64)
-    for j in range(replicas):
-        pair = [sample_path(dist, n, master_seed, replica=j, purpose=purpose)
-                for purpose in (PURPOSE_STEPS, PURPOSE_PARTNER)]
-        vals[j] = p_fold_intersection(pair).count
+    block = max(1, _PATH_STEPS // max(n, 1))
+    for start in range(0, replicas, block):
+        js = range(start, min(start + block, replicas))
+        a, b = (sample_paths(dist, n, master_seed, js, purpose)
+                for purpose in (PURPOSE_STEPS, PURPOSE_PARTNER))
+        for j, pa, pb in zip(js, a, b):
+            vals[j] = p_fold_intersection([pa, pb]).count
     return vals
 
 
@@ -321,23 +328,26 @@ def _exp_statistics(dist: StepDistribution, n_ladder: tuple, replicas: int,
     return stats
 
 
-def _logsumexp(a: np.ndarray) -> np.float64:
-    """log(sum(exp(a))) of a nonempty 1-d array, in the operation order
-    of scipy 1.17's logsumexp: the maximum and its t ties are taken out
-    of the sum for precision, giving log1p(s / t) + log(t) + max with s
-    the sum of exp(a - max) over the other entries.  A result that is
-    not finite falls back to log(sum(exp(a)))."""
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) over the last axis of a nonempty array, one value
+    per row (a numpy scalar for a 1-d array), in the operation order of
+    scipy 1.17's logsumexp: the row's maximum and its t ties are taken
+    out of the sum for precision, giving log1p(s / t) + log(t) + max
+    with s the sum of exp(a - max) over the row's other entries.  A row
+    whose result is not finite falls back to log(sum(exp(row)))."""
+    rows = a.reshape(-1, a.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        ties = a == a_max
-        rest = np.exp(a - a_max)
+        a_max = rows.max(axis=1, keepdims=True)
+        ties = rows == a_max
+        rest = np.exp(rows - a_max)
         rest[ties] = 0.0
-        t = ties.sum(dtype=np.float64)
-        s = rest.sum()
-        out = np.log1p(s / t if s != 0 else s) + np.log(t) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return out
+        t = ties.sum(axis=1, dtype=np.float64)
+        s = rest.sum(axis=1)
+        out = np.log1p(np.where(s != 0, s / t, s)) + np.log(t) + a_max[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(rows[bad]).sum(axis=1))
+    return out.reshape(a.shape[:-1])[()]
 
 
 def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
@@ -377,10 +387,14 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
         m = w.size
         log_mean = float(_logsumexp(w) - math.log(m))
         if bootstrap > 0:
+            # resamples are taken _BOOT_TERMS terms at a time; one draw
+            # of a block's picks reads the generator's words in the order
+            # one draw per resample does, so the picks do not change
             bs = np.empty(bootstrap)
-            for i in range(bootstrap):
-                pick = boot_rng.integers(0, m, size=m)
-                bs[i] = _logsumexp(w[pick]) - math.log(m)
+            block = max(1, _BOOT_TERMS // m)
+            for i in range(0, bootstrap, block):
+                picks = boot_rng.integers(0, m, size=(min(block, bootstrap - i), m))
+                bs[i:i + len(picks)] = _logsumexp(w[picks]) - math.log(m)
             lo, hi = np.quantile(bs, [0.025, 0.975])
         else:
             lo = hi = log_mean
@@ -484,10 +498,13 @@ def running_max_exceedance(dist: StepDistribution, n: int, replicas: int,
         raise InvalidConfig("n too small for the triple logarithm")
     er = table.er[1:n + 1]
     maxima = np.empty(replicas)
-    for j in range(replicas):
-        path = sample_path(dist, n, master_seed, replica=j)
-        prefix = prefix_range_counts(pack_positions(path.positions)).astype(np.float64)
-        maxima[j] = float((prefix - er).max())
+    block = max(1, _PATH_STEPS // n)
+    for start in range(0, replicas, block):
+        keys = pack_positions(sample_paths(
+            dist, n, master_seed, range(start, min(start + block, replicas))))
+        for j, row in enumerate(keys, start):
+            prefix = prefix_range_counts(row).astype(np.float64)
+            maxima[j] = float((prefix - er).max())
     base = n * lll / math.log(n) ** 2
     lambdas = sorted(float(x) for x in lambdas)
     freqs = [float((maxima >= lam * base).mean()) for lam in lambdas]

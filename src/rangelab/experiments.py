@@ -43,7 +43,8 @@ from .exact import (
     enumeration_oracle,
     expected_range_asymptotic,
 )
-from .rangestats import decomposition_check
+from ._fastpath import pack_positions
+from .rangestats import batch_decompositions
 from .smoothing import (
     check_q_kernel,
     check_stamp_window,
@@ -56,7 +57,7 @@ from .walks import (
     StepDistribution,
     check_walk_length,
     distribution_from_config,
-    sample_path,
+    sample_paths,
     sample_poissonized,
     validate_distribution,
 )
@@ -76,6 +77,7 @@ __all__ = [
 # it every output byte) is independent of how many workers execute them.
 SHARD_SIZE = 2048
 _CSV_BLOCK_ROWS = 8192  # CSV rows formatted and held at a time
+_RECORD_STEPS = 1 << 14  # walk steps sampled at once by _identity_records
 
 OUT_ROOT_ENV = "RANGELAB_OUT_ROOT"
 
@@ -426,29 +428,52 @@ def _q_fields(out: dict) -> dict:
     return {"q_lhs": out["lhs"], "q_rhs": out["rhs"], "q_residual": out["residual"]}
 
 
+def _split_fields(dist: StepDistribution, n: int, seed: int, js: range,
+                  splits: list) -> list:
+    """The decomposition fields of records js, from one sampler call for
+    their walks j and one batched decomposition."""
+    keys = pack_positions(sample_paths(dist, n, seed, js))
+    fields = [{} for _ in js]
+    for check, d in batch_decompositions(keys, splits).items():
+        for f, lhs, rhs in zip(fields, d.lhs.tolist(), d.rhs.tolist()):
+            f.update({f"{check}_lhs": lhs, f"{check}_rhs": rhs,
+                      f"{check}_exact": lhs == rhs})
+    return fields
+
+
+def _q_pair_fields(dist: StepDistribution, n: int, seed: int, js: range,
+                   q, tol: float) -> list:
+    """The q-kernel fields of records js, from one sampler call for their
+    pairs of fresh walks, replicas 2j and 2j + 1."""
+    pairs = sample_paths(dist, n, seed, [r for j in js for r in (2 * j, 2 * j + 1)])
+    fields = []
+    for a, b in zip(pairs[0::2], pairs[1::2]):
+        f = _q_fields(q_identity_check(a, b, q))
+        f["q_ok"] = f["q_residual"] <= tol
+        fields.append(f)
+    return fields
+
+
 def _identity_records(cfg: ExperimentConfig, dist: StepDistribution,
                       start: int, stop: int) -> list:
+    """Records taken _RECORD_STEPS walk steps at a time; a block's arrays
+    are freed before the next is sampled, which bounds peak memory."""
     p = cfg.params
     n, seed = p["n"], cfg.master_seed
     q = q_kernel(p["t"], p["b_t"], p["eps"]) if "q-kernel" in p["checks"] else None
+    splits = [c for c in p["checks"] if c != "q-kernel"]
+    block = max(1, _RECORD_STEPS // n)
     records = []
-    for j in range(start, stop):
-        rec = {"replica": j}
-        path = None
-        for check in p["checks"]:
-            if check == "q-kernel":
-                # a pair of fresh walks per record: replicas 2j and 2j + 1
-                rec.update(_q_fields(q_identity_check(
-                    sample_path(dist, n, seed, replica=2 * j),
-                    sample_path(dist, n, seed, replica=2 * j + 1), q)))
-                rec["q_ok"] = rec["q_residual"] <= p["q_tol"]
-                continue
-            if path is None:
-                path = sample_path(dist, n, seed, replica=j)
-            d = decomposition_check(path, kind=check)
-            rec.update({f"{check}_lhs": d.lhs, f"{check}_rhs": d.rhs,
-                        f"{check}_exact": d.exact})
-        records.append(rec)
+    for lo in range(start, stop, block):
+        js = range(lo, min(lo + block, stop))
+        recs = [{"replica": j} for j in js]
+        if splits:
+            for rec, f in zip(recs, _split_fields(dist, n, seed, js, splits)):
+                rec.update(f)
+        if q is not None:
+            for rec, f in zip(recs, _q_pair_fields(dist, n, seed, js, q, p["q_tol"])):
+                rec.update(f)
+        records.extend(recs)
     return records
 
 
@@ -781,6 +806,7 @@ def _check_probe(cfg: ExperimentConfig, dist: StepDistribution) -> None:
 
 def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
     dist = cfg.dist()
+    config_hash = cfg.config_hash  # a property that hashes on every read
     collected: dict = {n: {} for n in cfg.params["n_ladder"]}
     for rec in _iter_records(cfg, run_dir):
         collected[rec["n"]][rec["replica"]] = rec["range"]
@@ -799,7 +825,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
                "exceedances", "replicas", "p_hat", "rate", "rate_lo",
                "rate_hi", "zero_exceedances", "constraint_ok",
                "constraint_ratio"]
-    _write_csv(run_dir / "summary.csv", cfg.config_hash,
+    _write_csv(run_dir / "summary.csv", config_hash,
                "deviations-summary-v1", columns, rows)
 
     plot_rows = []
@@ -809,7 +835,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
             "x": row["n"], "y": row["rate"],
             "ci_lo": row["rate_lo"], "ci_hi": row["rate_hi"],
         })
-    _write_csv(run_dir / "plot.csv", cfg.config_hash, "plot-v1",
+    _write_csv(run_dir / "plot.csv", config_hash, "plot-v1",
                ["series", "x", "y", "ci_lo", "ci_hi"], plot_rows)
 
     moment_rows = []
@@ -825,7 +851,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
             "count_plus_2sd": tails["count_plus"],
             "count_minus_2sd": tails["count_minus"],
         })
-    _write_csv(run_dir / "moments.csv", cfg.config_hash,
+    _write_csv(run_dir / "moments.csv", config_hash,
                "deviations-moments-v1",
                ["n", "replicas", "mean", "er_exact", "gap_in_se", "sd",
                 "skewness", "count_plus_2sd", "count_minus_2sd"], moment_rows)
@@ -834,6 +860,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
 
 def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
     dist = cfg.dist()
+    config_hash = cfg.config_hash  # a property that hashes on every read
     n_max = cfg.params["n_max"]
     table = build_return_table(dist, n_max)
 
@@ -847,7 +874,7 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
         j = rec["replica"]
         rows = lil_rows(rec["checkpoints"], rec["ranges"], table)
         name = f"trajectories/replica_{j:05d}.csv"
-        _write_csv(run_dir / name, cfg.config_hash, "lil-trajectory-v1",
+        _write_csv(run_dir / name, config_hash, "lil-trajectory-v1",
                    columns, rows)
         written.append(name)
         for row in rows:
@@ -866,12 +893,12 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
         {"name": "theta_inverse_weinstein",
          "value": consts.theta_inverse["weinstein"]},
     ]
-    _write_csv(run_dir / "references.csv", cfg.config_hash, "lil-references-v1",
+    _write_csv(run_dir / "references.csv", config_hash, "lil-references-v1",
                ["name", "value"], ref_rows)
     for row in ref_rows:
         plot_rows.append({"series": f"ref-{row['name']}", "x": n_max,
                           "y": row["value"], "ci_lo": None, "ci_hi": None})
-    _write_csv(run_dir / "plot.csv", cfg.config_hash, "plot-v1",
+    _write_csv(run_dir / "plot.csv", config_hash, "plot-v1",
                ["series", "x", "y", "ci_lo", "ci_hi"], plot_rows)
     return written + ["references.csv", "plot.csv"]
 

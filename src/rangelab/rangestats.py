@@ -20,12 +20,14 @@ from .walks import WalkPath
 __all__ = [
     "RangeStats",
     "DecompositionRecord",
+    "DecompositionBatch",
     "IntersectionStats",
     "BlockStats",
     "range_count",
     "p_fold_intersection",
     "self_intersection_count",
     "decomposition_check",
+    "batch_decompositions",
     "block_statistics",
 ]
 
@@ -134,62 +136,122 @@ class DecompositionRecord:
         return self.lhs == self.rhs
 
 
-def _site_blocks(keys: np.ndarray, boundaries: list[int]):
-    """Unique (site, block) pairs of the path cut at the boundaries, as
-    (keys, block ids) ordered by key and then block."""
-    skeys, times = sort_by_site(keys)
-    blocks = np.searchsorted(np.asarray(boundaries[1:]), times, side="right")
-    new = block_sites(skeys, blocks)
-    return skeys[new], blocks[new]
+@dataclass
+class DecompositionBatch:
+    """One decomposition of every row of a block of n-step walks.
+
+    block_counts is (rows, blocks); overlap_counts holds one (rows, m)
+    array per tree depth (dyadic) or one array (binary), laid out as in
+    DecompositionRecord; lhs and rhs are (rows,).  record(i) is row i."""
+
+    kind: str
+    n: int
+    boundaries: list[int]
+    block_counts: np.ndarray
+    overlap_counts: list
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    def record(self, i: int) -> DecompositionRecord:
+        return DecompositionRecord(
+            kind=self.kind, n=self.n, boundaries=list(self.boundaries),
+            block_counts=self.block_counts[i].tolist(),
+            overlap_counts=[o[i].tolist() for o in self.overlap_counts],
+            lhs=int(self.lhs[i]), rhs=int(self.rhs[i]))
 
 
-def _dyadic_record(keys: np.ndarray, levels: int | None) -> DecompositionRecord:
-    n = keys.size
+def _step_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, fresh) of a (rows, n) array of keys: sort_by_site's times
+    as flat step numbers, step t of row r being r n + t, and its mask."""
+    times, fresh = sort_by_site(keys)
+    times += (np.arange(keys.shape[0]) * keys.shape[1])[:, None]
+    return times.reshape(-1), fresh
+
+
+def _site_blocks(steps: np.ndarray, fresh: np.ndarray, rows: int, n: int,
+                 boundaries: list[int]):
+    """Unique (site, block) pairs of every row cut at the boundaries: their
+    block ids r k + block for k blocks a row, ordered by row, key and
+    block, and the mask of the pairs whose next pair has the same site
+    in the same row.  Row r's block ends, shifted by r n, number step
+    r n + t that way."""
+    ends = (np.arange(rows)[:, None] * n + boundaries[1:]).reshape(-1)
+    ids = np.searchsorted(ends, steps, side="right")
+    new = block_sites(fresh, ids)
+    # np.compress: a boolean index takes about three times as long
+    return np.compress(new, ids), ~np.compress(new, fresh)[1:]
+
+
+def _dyadic_batch(steps: np.ndarray, fresh: np.ndarray, rows: int, n: int,
+                  levels: int | None) -> DecompositionBatch:
     e = n.bit_length() - 1
     if n <= 0 or (1 << e) != n:
         raise ValueError("dyadic decomposition needs a power-of-two length")
     depth = e if levels is None else int(levels)
     if not 0 <= depth <= e:
         raise ValueError("levels out of range")
-    # counts[j][i]: distinct sites of the i-th of the 2^j intervals at
-    # tree depth j; counts[0][0] is the range itself.
-    skeys, times = sort_by_site(keys)
+    # step t of row r is r << e | t, so its interval at tree depth j,
+    # shifted right by e - j, is r << j | block
+    ids = np.empty_like(steps)
+    # counts[j][r, i]: distinct sites of row r's i-th of the 2^j
+    # intervals at depth j; counts[0][:, 0] is the range itself
     counts = []
     for j in range(depth + 1):
-        blocks = times >> (e - j)
-        new = block_sites(skeys, blocks)
-        counts.append(np.bincount(blocks[new], minlength=1 << j))
-    overlaps = [(c[0::2] + c[1::2] - parent).tolist()
+        np.right_shift(steps, e - j, out=ids)
+        counts.append(np.bincount(np.compress(block_sites(fresh, ids), ids),
+                                  minlength=rows << j).reshape(rows, 1 << j))
+    overlaps = [c[:, 0::2] + c[:, 1::2] - parent
                 for parent, c in zip(counts, counts[1:])]
-    block_counts = counts[depth].tolist()
-    lhs = int(counts[0][0])
-    rhs = sum(block_counts) - sum(sum(row) for row in overlaps)
+    rhs = counts[depth].sum(axis=1)
+    for o in overlaps:
+        rhs -= o.sum(axis=1)
     width = n >> depth
-    boundaries = [i * width for i in range((1 << depth) + 1)]
-    return DecompositionRecord(kind="dyadic", n=n, boundaries=boundaries,
-                               block_counts=block_counts,
-                               overlap_counts=overlaps, lhs=lhs, rhs=rhs)
+    return DecompositionBatch(
+        kind="dyadic", n=n, boundaries=[i * width for i in range((1 << depth) + 1)],
+        block_counts=counts[depth], overlap_counts=overlaps,
+        lhs=counts[0][:, 0], rhs=rhs)
 
 
-def _binary_record(keys: np.ndarray) -> DecompositionRecord:
-    n = keys.size
+def _binary_batch(steps: np.ndarray, fresh: np.ndarray, rows: int,
+                  n: int) -> DecompositionBatch:
     if n <= 0:
         raise ValueError("need a nonempty path")
     powers = [1 << b for b in range(n.bit_length() - 1, -1, -1) if n & (1 << b)]
     boundaries = [0]
     for p in powers:
         boundaries.append(boundaries[-1] + p)
-    uk, ub = _site_blocks(keys, boundaries)
-    block_counts = np.bincount(ub, minlength=len(powers)).tolist()
-    # A pair whose next pair has the same key meets a later block, so
-    # block i overlaps its suffix in that many sites.
-    later = uk[1:] == uk[:-1]
-    overlaps = np.bincount(ub[:-1][later], minlength=len(powers))[:-1].tolist()
-    lhs = int(uk.size - np.count_nonzero(later))
-    rhs = sum(block_counts) - sum(overlaps)
-    return DecompositionRecord(kind="binary", n=n, boundaries=boundaries,
-                               block_counts=block_counts,
-                               overlap_counts=[overlaps], lhs=lhs, rhs=rhs)
+    k = len(powers)
+    ub, later = _site_blocks(steps, fresh, rows, n, boundaries)
+    block_counts = np.bincount(ub, minlength=rows * k).reshape(rows, k)
+    # A pair whose next pair has its site meets a later block, so block i
+    # overlaps its suffix in that many sites.
+    overlaps = np.bincount(np.compress(later, ub[:-1]),
+                           minlength=rows * k).reshape(rows, k)[:, :-1]
+    lhs = np.count_nonzero(fresh.reshape(rows, n), axis=1)
+    rhs = block_counts.sum(axis=1) - overlaps.sum(axis=1)
+    return DecompositionBatch(kind="binary", n=n, boundaries=boundaries,
+                              block_counts=block_counts,
+                              overlap_counts=[overlaps], lhs=lhs, rhs=rhs)
+
+
+def batch_decompositions(keys: np.ndarray, kinds=("dyadic",),
+                         levels: int | None = None) -> dict:
+    """Every decomposition of kinds (see decomposition_check) of every
+    row of a (rows, n) array of site keys (_fastpath.pack_positions), as
+    {kind: DecompositionBatch}.  One stable row-wise argsort and one
+    site mask serve every kind; each dyadic depth and the binary split
+    then take one bincount over row-numbered block ids."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 2:
+        raise ValueError("expected a (rows, n) array of keys")
+    for kind in kinds:
+        if kind not in ("dyadic", "binary"):
+            raise ValueError(f"unknown decomposition kind {kind!r}")
+    rows, n = keys.shape
+    steps, fresh = _step_order(keys)
+    return {kind: (_dyadic_batch(steps, fresh, rows, n, levels) if kind == "dyadic"
+                   else _binary_batch(steps, fresh, rows, n))
+            for kind in kinds}
 
 
 def decomposition_check(path, kind: str = "dyadic",
@@ -201,13 +263,9 @@ def decomposition_check(path, kind: str = "dyadic",
     overlaps.  kind="binary": split any n along its binary digits; the
     range equals block ranges minus each block's overlap with its whole
     suffix.  Both are set identities: lhs == rhs for every path, not
-    just on average."""
+    just on average.  The one-row case of batch_decompositions."""
     keys = _as_keys(path)
-    if kind == "dyadic":
-        return _dyadic_record(keys, levels)
-    if kind == "binary":
-        return _binary_record(keys)
-    raise ValueError(f"unknown decomposition kind {kind!r}")
+    return batch_decompositions(keys[None], (kind,), levels)[kind].record(0)
 
 
 @dataclass
@@ -254,18 +312,17 @@ def block_statistics(path, num_blocks: int,
     boundaries = [0]
     for i in range(k):
         boundaries.append(boundaries[-1] + base + (1 if i < extra else 0))
-    uk, ub = _site_blocks(keys, boundaries)
+    ub, later = _site_blocks(*_step_order(keys[None]), 1, n, boundaries)
     counts = np.bincount(ub, minlength=k).tolist()
-    later = uk[1:] == uk[:-1]
     adjacent = np.bincount(ub[1:][later & (ub[1:] == ub[:-1] + 1)],
                            minlength=k)[1:].tolist()
     pairwise = None
     if k <= pairwise_limit:
         # a site met by m blocks lies in C(m, 2) of the pairwise overlaps
         firsts = np.flatnonzero(np.concatenate(([True], ~later)))
-        m = np.diff(np.append(firsts, uk.size))
+        m = np.diff(np.append(firsts, ub.size))
         pairwise = int((m * (m - 1) // 2).sum())
-    total = int(uk.size - np.count_nonzero(later))
+    total = int(ub.size - np.count_nonzero(later))
     return BlockStats(num_blocks=k, boundaries=boundaries, block_counts=counts,
                       adjacent_overlaps=adjacent, total=total,
                       pairwise_overlap_sum=pairwise)

@@ -195,13 +195,15 @@ def _b_of_sites(sa: np.ndarray, sb: np.ndarray, stamp: SmoothingKernel) -> float
 
 @dataclass
 class QKernel:
-    """Self-convolution probability kernel of the smoothing stamp."""
+    """Self-convolution probability kernel of the smoothing stamp, which
+    it carries for the functionals at its scale."""
 
     t: float
     b_t: float
     eps: float
     offsets: np.ndarray
     values: np.ndarray
+    stamp: SmoothingKernel
 
 
 def q_kernel(t: float, b_t: float, eps: float) -> QKernel:
@@ -218,7 +220,7 @@ def q_kernel(t: float, b_t: float, eps: float) -> QKernel:
     # the window's corner (the stamp need not reach +-rad)
     corner = sites.min(axis=0) - int(math.floor(stamp.radius))
     return QKernel(t=t, b_t=b_t, eps=eps, offsets=np.argwhere(nz) + corner,
-                   values=acc[nz])
+                   values=acc[nz], stamp=stamp)
 
 
 def check_q_kernel(t: float, eps: float, b_t: float) -> None:
@@ -241,7 +243,7 @@ def q_identity_check(path_a, path_b, q: QKernel) -> dict:
     identity.  q is built once (q_kernel) for every pair at its scale."""
     sa = site_set(path_a, horizon=q.t)
     sb = site_set(path_b, horizon=q.t)
-    return _q_identity(sa, sb, q, _b_of_sites(sa, sb, smoothing_stamp(q.t / q.b_t, q.eps)))
+    return _q_identity(sa, sb, q, _b_of_sites(sa, sb, q.stamp))
 
 
 def _q_identity(sa: np.ndarray, sb: np.ndarray, q: QKernel, lhs: float) -> dict:
@@ -310,7 +312,7 @@ def pair_functionals(path_a, path_b, q: QKernel, level: int = 0,
     one pair of site sets and one level-0 B: "a" is a_functional of
     path_a, "b" b_functional at level, "q" the q_identity_check dict and
     "parseval" the parseval_check dict, or None without max_fft."""
-    stamp = smoothing_stamp(q.t / q.b_t, q.eps)
+    stamp = q.stamp
     sa = site_set(path_a, horizon=q.t)
     sb = site_set(path_b, horizon=q.t)
     b0 = _b_of_sites(sa, sb, stamp)

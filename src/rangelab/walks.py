@@ -35,6 +35,8 @@ __all__ = [
     "walk_period",
     "check_walk_length",
     "sample_path",
+    "sample_paths",
+    "step_index_rows",
     "sample_poissonized",
     "stream",
     "rekey",
@@ -402,11 +404,29 @@ class WalkPath:
 
 
 def _positions_from_indices(dist: StepDistribution, idx: np.ndarray) -> np.ndarray:
-    steps = dist.support[idx]
-    pos = np.cumsum(steps.astype(np.int64), axis=0)
-    if pos.size and np.abs(pos).max() > COORD_LIMIT:
+    """int32 positions of the walks whose step indices are idx, summed
+    along its last axis: (n, 2) for (n,) indices, (rows, n, 2) for
+    (rows, n).  Summed in place in int32 when no n-step walk can leave
+    the int32 box, else in int64 and checked."""
+    steps = np.take(dist.support, idx, axis=0)  # a tenth of support[idx]'s time
+    if idx.shape[-1] * dist.max_step <= COORD_LIMIT:
+        return np.cumsum(steps, axis=-2, dtype=np.int32, out=steps)
+    pos = np.cumsum(steps, axis=-2, dtype=np.int64)
+    if np.abs(pos).max() > COORD_LIMIT:
         raise ResourceLimit("walk left the int32 coordinate box")
     return pos.astype(np.int32)
+
+
+def step_index_rows(dist: StepDistribution, rng: np.random.Generator,
+                    master_seed: int, replicas, purpose: int,
+                    out: np.ndarray) -> None:
+    """Write into out[i] the len(out[i]) step indices of replica
+    replicas[i]'s (master_seed, replica, purpose) stream.  rng, a
+    generator made by stream(), is rekeyed from row to row."""
+    n = out.shape[1]
+    for row, replica in zip(out, replicas):
+        rekey(rng, master_seed, replica, purpose)
+        row[:] = dist.sample_step_indices(n, rng)
 
 
 def check_walk_length(dist: StepDistribution, n: int) -> None:
@@ -417,17 +437,30 @@ def check_walk_length(dist: StepDistribution, n: int) -> None:
             f"int32 coordinate box")
 
 
-def sample_path(dist: StepDistribution, n: int, master_seed: int,
-                replica: int = 0, purpose: int = PURPOSE_STEPS) -> WalkPath:
-    """Sample an n-step walk from the origin.  The origin itself is not
-    stored; positions[0] is the location after the first step."""
+def sample_paths(dist: StepDistribution, n: int, master_seed: int, replicas,
+                 purpose: int = PURPOSE_STEPS) -> np.ndarray:
+    """(len(replicas), n, 2) int32 positions: row i is the n-step walk of
+    replica replicas[i], in any order, repeats and gaps allowed.  Every
+    row comes from one generator rekeyed from row to row, and equals
+    what a generator built for that replica alone gives."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n * dist.max_step > COORD_LIMIT:
         raise OverflowError(f"n * max_step = {n * dist.max_step} exceeds the int32 box")
-    rng = stream(master_seed, replica, purpose)
-    idx = dist.sample_step_indices(n, rng)
-    pos = _positions_from_indices(dist, idx)
+    replicas = list(replicas)
+    idx = np.empty((len(replicas), n), dtype=np.int32)
+    if replicas:
+        step_index_rows(dist, stream(master_seed, replicas[0], purpose),
+                        master_seed, replicas, purpose, idx)
+    return _positions_from_indices(dist, idx)
+
+
+def sample_path(dist: StepDistribution, n: int, master_seed: int,
+                replica: int = 0, purpose: int = PURPOSE_STEPS) -> WalkPath:
+    """Sample an n-step walk from the origin.  The origin itself is not
+    stored; positions[0] is the location after the first step.  The
+    one-row case of sample_paths."""
+    pos = sample_paths(dist, n, master_seed, (replica,), purpose)[0]
     return WalkPath(dist_name=dist.name, n=n, master_seed=master_seed,
                     replica=replica, positions=pos)
 

@@ -554,6 +554,28 @@ def test_lil_run_and_report(tmp_path):
     assert plot[1] == "series,x,y,ci_lo,ci_hi"
 
 
+def test_lil_report_hashes_the_config_once(tmp_path, monkeypatch):
+    """The lil report reads the config hash as often for 12 trajectory
+    files as for 2: once for its own files, not once per file."""
+    from rangelab import experiments
+
+    reads = []
+    prop = ExperimentConfig.config_hash
+    monkeypatch.setattr(ExperimentConfig, "config_hash",
+                        property(lambda cfg: reads.append(1) or prop.fget(cfg)))
+    counts = []
+    for replicas in (2, 12):
+        cfg = ExperimentConfig.from_dict({
+            "kind": "lil", "distribution": "srw", "master_seed": 4,
+            "replicas": replicas, "params": {"n_max": 64}},
+            out=str(tmp_path / f"r{replicas}"))
+        run_experiment(cfg)
+        reads.clear()
+        experiments._report_lil(cfg, Path(cfg.out))
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
+
+
 def test_smoothed_run_and_report(tmp_path):
     cfg = {
         "kind": "smoothed",
@@ -657,3 +679,29 @@ def test_shard_bytes_are_pinned(tmp_path, kind):
         run_report(out)
         summary = (out / "summary.csv").read_bytes()
         assert hashlib.sha256(summary).hexdigest() == PINNED_SUMMARIES[kind]
+
+
+@pytest.mark.parametrize("budget", [1, 256 * 3, 1 << 40])
+@pytest.mark.parametrize("dist, checks", [
+    ("srw", ["binary", "dyadic", "q-kernel"]),
+    ("king", ["dyadic"]),
+    ("lazy-srw", ["binary", "q-kernel"]),
+])
+def test_identity_records_independent_of_block_size(monkeypatch, budget, dist, checks):
+    """Records taken one walk at a time, three at a time (the last block
+    short) or a whole shard at once are the records of the default
+    blocks, to the last byte of their JSON."""
+    from rangelab import experiments
+
+    cfg = ExperimentConfig.from_dict({
+        "kind": "identities", "distribution": dist, "master_seed": 12,
+        "replicas": 40, "params": {"n": 256, "t": 64.0, "checks": checks}})
+
+    def records():
+        return [json.dumps(r, sort_keys=True)
+                for r in experiments._identity_records(cfg, cfg.dist(), 3, 17)]
+
+    want = records()
+    monkeypatch.setattr(experiments, "_RECORD_STEPS", budget)
+    assert records() == want
+    assert [json.loads(r)["replica"] for r in want] == list(range(3, 17))

@@ -215,6 +215,10 @@ def test_logsumexp_matches_scipy(case):
         elif case == "wide":
             a *= 300.0
         assert float.hex(float(_logsumexp(a))) == float.hex(float(logsumexp(a)))
+        # each row of a block is its own logsumexp
+        rows = np.stack([a, a[::-1] * 0.5, np.full(size, -np.inf)])
+        assert [float.hex(float(v)) for v in _logsumexp(rows)] == [
+            float.hex(float(logsumexp(row))) for row in rows]
     for a in ([-np.inf, -np.inf], [-np.inf, 2.0], [5.0, 5.0, 5.0]):
         a = np.array(a)
         assert float.hex(float(_logsumexp(a))) == float.hex(float(logsumexp(a)))
@@ -275,6 +279,62 @@ def test_exp_moment_one_walk_per_replica(lazy, monkeypatch, mode):
     got = [(p["log_mean"], p["value"]) for p in out["points"]]
     assert [tuple(map(float.hex, pair)) for pair in got] == [
         tuple(map(float.hex, pair)) for pair in expected]
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 401 + 1, None])
+def test_bootstrap_matches_per_resample_loop(lazy, monkeypatch, budget):
+    """log_mean, ci_lo and ci_hi hold bit for bit to a loop that draws
+    each resample and takes its scipy logsumexp alone, whether the
+    resamples are drawn and evaluated one, three or all at a time."""
+    from scipy.special import logsumexp
+
+    ladder, replicas, theta, seed, boot = (64, 128), 401, 0.9, 21, 37
+    table = build_return_table(lazy, 128)
+    if budget is not None:
+        monkeypatch.setattr(deviations, "_BOOT_TERMS", budget)
+    out = exp_moment_probe(lazy, ladder, theta=theta, replicas=replicas,
+                           master_seed=seed, table=table, bootstrap=boot)
+    boot_rng = np.random.default_rng(np.random.Philox(key=[seed, 0xB007]))
+    for point, n in zip(out["points"], ladder):
+        values = sample_range_values(lazy, n, replicas, seed)
+        w = theta * math.log(n) ** 2 / n * (values.astype(np.float64) - float(table.er[n]))
+        log_mean = float(logsumexp(w) - math.log(replicas))
+        bs = [logsumexp(w[boot_rng.integers(0, replicas, size=replicas)])
+              - math.log(replicas) for _ in range(boot)]
+        lo, hi = np.quantile(bs, [0.025, 0.975])
+        assert [float.hex(point[k]) for k in ("log_mean", "ci_lo", "ci_hi")] == [
+            float.hex(v) for v in (log_mean, math.exp(float(lo)), math.exp(float(hi)))]
+
+
+@pytest.mark.parametrize("budget", [100, 64 * 3, None])
+def test_intersection_sizes_pinned(monkeypatch, budget):
+    """The p-intersection statistic keeps the values its per-replica
+    sampler gave, whatever number of walks is sampled at once."""
+    from rangelab.walks import builtin_distribution
+
+    if budget is not None:
+        monkeypatch.setattr(deviations, "_PATH_STEPS", budget)
+    lazy, king = builtin_distribution("lazy-srw"), builtin_distribution("king")
+    assert deviations._intersection_sizes(lazy, 64, 10, 3).tolist() == [
+        0.0, 4.0, 9.0, 1.0, 2.0, 0.0, 13.0, 10.0, 3.0, 3.0]
+    assert deviations._intersection_sizes(king, 100, 6, 8).tolist() == [
+        12.0, 0.0, 5.0, 3.0, 4.0, 13.0]
+
+
+@pytest.mark.parametrize("budget", [100, 256 * 5, None])
+def test_running_max_exceedance_pinned(lazy, king, monkeypatch, budget):
+    """Exceedance counts on a fine grid of lambda keep the values of the
+    per-replica sampler, whatever number of walks is sampled at once."""
+    if budget is not None:
+        monkeypatch.setattr(deviations, "_PATH_STEPS", budget)
+    lambdas = [x / 4 for x in range(-8, 25)]
+    out = running_max_exceedance(lazy, 256, 12, 4, lambdas)
+    assert out["base_scale"] == 4.480809019306081
+    assert [round(f * 12) for f in out["frequencies"]] == (
+        [12] * 9 + [10, 9, 8, 8, 8, 8, 6, 6, 5, 4, 3, 2, 1] + [0] * 11)
+    out = running_max_exceedance(king, 200, 7, 2, lambdas)
+    assert [round(f * 7) for f in out["frequencies"]] == (
+        [7] * 10 + [6, 5, 4, 2, 2, 1, 1, 1] + [0] * 15)
 
 
 def test_exp_moment_p_intersection_smoke(lazy):

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from rangelab import _fastpath
 from rangelab._fastpath import batch_range_counts, pack_positions, prefix_range_counts
 from rangelab.rangestats import (
+    batch_decompositions,
     block_statistics,
     decomposition_check,
     p_fold_intersection,
@@ -240,30 +241,45 @@ def test_block_statistics_bracket(idx, blocks):
     assert stats.lower_bound <= stats.total <= stats.upper_bound
 
 
+def _dyadic_by_sets(pos, levels):
+    """(boundaries, leaf counts, overlaps per depth, range) of the dyadic
+    split of one path at a depth, recounted with Python sets."""
+    n = pos.shape[0]
+    boundaries = list(range(0, n + 1, n >> levels))
+    overlaps = []
+    for j in range(1, levels + 1):
+        sets = _block_sets(pos, list(range(0, n + 1, n >> j)))
+        overlaps.append([len(sets[i] & sets[i + 1]) for i in range(0, len(sets), 2)])
+    return (boundaries, [len(b) for b in _block_sets(pos, boundaries)], overlaps,
+            len(_block_sets(pos, [0, n])[0]))
+
+
+def _binary_by_sets(pos):
+    """(boundaries, block counts, suffix overlaps, range) of the binary
+    split of one path, recounted with Python sets."""
+    n = pos.shape[0]
+    powers = [1 << b for b in reversed(range(n.bit_length())) if n >> b & 1]
+    boundaries = [sum(powers[:i]) for i in range(len(powers) + 1)]
+    blocks = _block_sets(pos, boundaries)
+    suffix = [len(b & set().union(*blocks[i + 1:])) for i, b in enumerate(blocks[:-1])]
+    return boundaries, [len(b) for b in blocks], suffix, len(set().union(*blocks))
+
+
 @given(pow2_walks)
 def test_dyadic_record_matches_python_sets(walk):
     """Every field at every tree depth, recounted with Python sets; lhs
     == rhs alone would hold by telescoping for any overlap values."""
     name, idx = walk
     pos = _positions_from_steps(idx, _SUPPORTS[name])
-    n = pos.shape[0]
-    e = n.bit_length() - 1
-    everything = _block_sets(pos, [0, n])[0]
+    e = pos.shape[0].bit_length() - 1
     for levels in range(e + 1):
         rec = decomposition_check(pos, kind="dyadic", levels=levels)
-        width = n >> levels
-        boundaries = list(range(0, n + 1, width))
-        leaves = _block_sets(pos, boundaries)
-        overlaps = []
-        for j in range(1, levels + 1):
-            sets = _block_sets(pos, list(range(0, n + 1, n >> j)))
-            overlaps.append([len(sets[i] & sets[i + 1])
-                             for i in range(0, len(sets), 2)])
+        boundaries, counts, overlaps, total = _dyadic_by_sets(pos, levels)
         assert rec.boundaries == boundaries
-        assert rec.block_counts == [len(b) for b in leaves]
+        assert rec.block_counts == counts
         assert rec.overlap_counts == overlaps
-        assert rec.lhs == len(everything)
-        assert rec.rhs == sum(rec.block_counts) - sum(map(sum, overlaps))
+        assert rec.lhs == total
+        assert rec.rhs == sum(counts) - sum(map(sum, overlaps))
 
 
 @given(walks.filter(lambda w: len(w[1]) > 0))
@@ -271,16 +287,84 @@ def test_binary_record_matches_python_sets(walk):
     name, idx = walk
     pos = _positions_from_steps(idx, _SUPPORTS[name])
     rec = decomposition_check(pos, kind="binary")
-    blocks = _block_sets(pos, rec.boundaries)
-    suffix_overlaps = [len(b & set().union(*blocks[i + 1:]))
-                       for i, b in enumerate(blocks[:-1])]
-    n = pos.shape[0]
-    powers = [1 << b for b in reversed(range(n.bit_length())) if n >> b & 1]
-    assert rec.boundaries == [sum(powers[:i]) for i in range(len(powers) + 1)]
-    assert rec.block_counts == [len(b) for b in blocks]
-    assert rec.overlap_counts == [suffix_overlaps]
-    assert rec.lhs == len(set().union(*blocks))
-    assert rec.rhs == sum(rec.block_counts) - sum(suffix_overlaps)
+    boundaries, counts, suffix, total = _binary_by_sets(pos)
+    assert rec.boundaries == boundaries
+    assert rec.block_counts == counts
+    assert rec.overlap_counts == [suffix]
+    assert rec.lhs == total
+    assert rec.rhs == sum(counts) - sum(suffix)
+
+
+# (walk name, 1..5 rows of one common length, 2^0..2^7 steps or any of
+# 1..150, of support indices)
+def _row_batches(lengths):
+    return st.sampled_from(sorted(_SUPPORTS)).flatmap(
+        lambda name: st.tuples(st.just(name), lengths.flatmap(
+            lambda n: st.lists(st.lists(st.integers(0, len(_SUPPORTS[name]) - 1),
+                                        min_size=n, max_size=n),
+                               min_size=1, max_size=5))))
+
+
+# the largest site of row 0 is the smallest of row 1: only the row
+# boundary tells them apart in the sorted block
+_ROW_BOUNDARY = ("srw", [[0, 2], [2, 0]])
+
+
+@given(_row_batches(st.integers(0, 7).map(lambda k: 1 << k)))
+@example(_ROW_BOUNDARY)
+def test_batched_dyadic_counts_match_python_sets(batch):
+    """Every row of a batch, at every depth, has the per-block counts and
+    overlaps of a Python-set recount of that row alone, and the binary
+    split taken from the same sort is that of a binary-only call."""
+    name, rows = batch
+    pos = np.array([_positions_from_steps(r, _SUPPORTS[name]) for r in rows])
+    keys = pack_positions(pos)
+    e = pos.shape[1].bit_length() - 1
+    for levels in range(e + 1):
+        both = batch_decompositions(keys, ("binary", "dyadic"), levels)
+        d = both["dyadic"]
+        assert d.block_counts.shape == (len(rows), 1 << levels)
+        for i, p in enumerate(pos):
+            boundaries, counts, overlaps, total = _dyadic_by_sets(p, levels)
+            assert d.boundaries == boundaries
+            assert d.block_counts[i].tolist() == counts
+            assert [o[i].tolist() for o in d.overlap_counts] == overlaps
+            assert d.lhs[i] == total
+            assert d.rhs[i] == sum(counts) - sum(map(sum, overlaps))
+            assert d.record(i) == decomposition_check(p, levels=levels)
+        alone = batch_decompositions(keys, ("binary",))["binary"]
+        assert np.array_equal(both["binary"].block_counts, alone.block_counts)
+        assert np.array_equal(both["binary"].overlap_counts[0], alone.overlap_counts[0])
+
+
+@given(_row_batches(st.integers(1, 150)))
+@example(_ROW_BOUNDARY)
+def test_batched_binary_counts_match_python_sets(batch):
+    name, rows = batch
+    pos = np.array([_positions_from_steps(r, _SUPPORTS[name]) for r in rows])
+    b = batch_decompositions(pack_positions(pos), ("binary",))["binary"]
+    for i, p in enumerate(pos):
+        boundaries, counts, suffix, total = _binary_by_sets(p)
+        assert b.boundaries == boundaries
+        assert b.block_counts[i].tolist() == counts
+        assert b.overlap_counts[0][i].tolist() == suffix
+        assert b.lhs[i] == total
+        assert b.rhs[i] == sum(counts) - sum(suffix)
+        assert b.record(i) == decomposition_check(p, kind="binary")
+
+
+def test_batched_decompositions_refuse_bad_input():
+    keys = pack_positions(np.zeros((2, 6, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="power-of-two"):
+        batch_decompositions(keys, ("dyadic",))
+    with pytest.raises(ValueError, match="levels"):
+        batch_decompositions(keys[:, :4], ("dyadic",), levels=3)
+    with pytest.raises(ValueError, match="nonempty"):
+        batch_decompositions(keys[:, :0], ("binary",))
+    with pytest.raises(ValueError, match="kind"):
+        batch_decompositions(keys, ("ternary",))
+    with pytest.raises(ValueError, match="rows"):
+        batch_decompositions(keys[0], ("binary",))
 
 
 @given(walks, st.integers(1, 12), st.integers(0, 12))

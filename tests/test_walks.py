@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rangelab._fastpath import pack_positions, unpack_keys
-from rangelab.errors import InvalidConfig
+from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.walks import (
     PURPOSE_PARTNER,
     PURPOSE_STEPS,
     StepDistribution,
     PURPOSE_CLOCK,
+    _positions_from_indices,
     builtin_distribution,
     distribution_from_config,
     rekey,
     sample_path,
+    sample_paths,
     sample_poissonized,
     stream,
     validate_distribution,
@@ -187,6 +189,51 @@ def test_rekey_reproduces_stream():
         assert rng.integers(0, 2**32, dtype=np.uint32) == want.integers(0, 2**32, dtype=np.uint32)
         assert rng.bit_generator.state["state"]["counter"].tolist() == \
             want.bit_generator.state["state"]["counter"].tolist()
+
+
+_HEX = distribution_from_config({"name": "hex", "steps": [
+    [1, 0, 1, 6], [-1, 0, 1, 6], [0, 1, 1, 6], [0, -1, 1, 6],
+    [1, 1, 1, 6], [-1, -1, 1, 6]]})
+
+
+@pytest.mark.parametrize("purpose", [PURPOSE_STEPS, PURPOSE_PARTNER])
+@pytest.mark.parametrize("name", ["srw", "lazy-srw", "king", "hex"])
+def test_sample_paths_rows_match_fresh_streams(name, purpose):
+    """Each row of the batch sampler is the walk that a generator built
+    for its replica alone gives, bit for bit: for a contiguous list, for
+    the pairs 2j, 2j + 1 of records j with gaps between them, and for a
+    list out of order with a repeat.  sample_path is its one-row case.
+    The laws take the shift decode (srw, king), the alias decode
+    (lazy-srw) and the float decode of equal weights (hex, weights 1/6)."""
+    dist = _HEX if name == "hex" else builtin_distribution(name)
+    n, seed = 301, 2**63 + 9
+    for replicas in (range(4, 11), [r for j in (0, 5, 6, 40) for r in (2 * j, 2 * j + 1)],
+                     [7, 3, 7, 2**40]):
+        pos = sample_paths(dist, n, seed, replicas, purpose)
+        assert pos.shape == (len(replicas), n, 2) and pos.dtype == np.int32
+        for row, replica in zip(pos, replicas):
+            idx = dist.sample_step_indices(n, stream(seed, replica, purpose))
+            want = np.cumsum(dist.support[idx].astype(np.int64), axis=0)
+            assert np.array_equal(row, want)
+            one = sample_path(dist, n, seed, replica, purpose).positions
+            assert one.dtype == np.int32 and np.array_equal(one, row)
+    assert sample_paths(dist, n, seed, []).shape == (0, n, 2)
+    with pytest.raises(OverflowError):
+        sample_paths(dist, 2**40, seed, [0, 1])
+
+
+def test_positions_check_the_box_when_a_walk_could_leave_it():
+    """Walks whose n * max_step exceeds the int32 box are summed in int64
+    and refused only if they do leave it."""
+    big = StepDistribution.from_steps("big", [(2**30, 0, 1, 4), (-2**30, 0, 1, 4),
+                                              (0, 1, 1, 4), (0, -1, 1, 4)])
+    right = int(np.flatnonzero(big.support[:, 0] == 2**30)[0])
+    left = int(np.flatnonzero(big.support[:, 0] == -2**30)[0])
+    pos = _positions_from_indices(big, np.array([right, left, right]))
+    assert pos.dtype == np.int32
+    assert pos.tolist() == [[2**30, 0], [0, 0], [2**30, 0]]
+    with pytest.raises(ResourceLimit):
+        _positions_from_indices(big, np.array([[left, left, left]]))
 
 
 @given(st.lists(st.tuples(st.integers(-10**6, 10**6),
