@@ -21,7 +21,6 @@ from .exact import (
     build_return_table,
     enumeration_oracle,
     expected_range_asymptotic,
-    h_difference,
     local_clt_check,
     return_prob_exact,
     return_probs_dp,
@@ -57,7 +56,6 @@ __all__ = [
     "distribution_from_config",
     "enumeration_oracle",
     "expected_range_asymptotic",
-    "h_difference",
     "load_config",
     "local_clt_check",
     "return_prob_exact",

@@ -31,7 +31,6 @@ from .walks import (
     PURPOSE_PARTNER,
     PURPOSE_STEPS,
     StepDistribution,
-    distribution_from_config,
     sample_paths,
     step_index_rows,
     stream,
@@ -44,11 +43,9 @@ __all__ = [
     "sample_range_ladder",
     "sample_range_values",
     "tail_rows_from_values",
-    "mc_tail",
     "exp_moment_probe",
     "lil_checkpoints",
     "lil_rows",
-    "lil_trajectory",
     "running_max_exceedance",
     "centering_defect_supremum",
     "constants_report",
@@ -210,13 +207,6 @@ class RangeSample:
                 "hard_bound_ok": bool((-c <= er).all())}
 
 
-def draw_range_sample(dist: StepDistribution, n: int, replicas: int,
-                      master_seed: int) -> RangeSample:
-    values = sample_range_values(dist, n, replicas, master_seed)
-    return RangeSample(dist_name=dist.name, n=n, replicas=replicas,
-                       master_seed=master_seed, values=values)
-
-
 def _rate_row(n: int, b: float, theta: float, variant: str, threshold: float,
               exceed: int, replicas: int) -> dict:
     p_lo, p_hi = wilson_interval(exceed, replicas)
@@ -276,24 +266,6 @@ def tail_rows_from_values(probe: DeviationProbe, dist: StepDistribution,
             row["constraint_ratio"] = flags[n]["ratio"]
         rows.extend(new_rows)
     return rows
-
-
-def mc_tail(probe: DeviationProbe, dist: StepDistribution | None = None,
-            table: ReturnProbTable | None = None) -> list:
-    """Frequency estimates of the tail rate on the probe's side.
-
-    Upper: (1/b) log P(R_bar >= thr) at thr = theta * 2 pi sqrt(det Gamma)
-    * n log(b) / (log n)^2, plus the exact-H variant
-    thr = theta * (n/H(n)^2)(H(n) - H(n/b)).  Lower: (1/b) log
-    P(-R_bar >= thr) at thr = theta * n * b / (log n)^2."""
-    if dist is None:
-        dist = distribution_from_config(probe.dist_name)
-    if table is None:
-        table = build_return_table(dist, max(probe.n_ladder))
-    values = sample_range_ladder(dist, probe.n_ladder, probe.replicas,
-                                 probe.master_seed)
-    return tail_rows_from_values(probe, dist, table,
-                                 dict(zip(probe.n_ladder, values.T)))
 
 
 def _intersection_sizes(dist: StepDistribution, n: int, replicas: int,
@@ -463,27 +435,6 @@ def lil_rows(checkpoints, ranges, table: ReturnProbTable) -> list:
             row["running_max_lower"] = run_low
         rows.append(row)
     return rows
-
-
-def lil_trajectory(dist: StepDistribution, n_max: int, master_seed: int,
-                   replica: int = 0, checkpoints=None,
-                   table: ReturnProbTable | None = None) -> dict:
-    """Running normalized maxima of one trajectory along dyadic times
-    (see lil_rows).  Checkpoints where the upper statistic is undefined
-    are listed as skipped.  Desk scale cannot approach the limit
-    constants; the output says so."""
-    checkpoints = lil_checkpoints(n_max, checkpoints)
-    if table is None:
-        table = build_return_table(dist, n_max)
-    ranges = sample_range_ladder(dist, checkpoints, 1, master_seed,
-                                 first_replica=replica)[0]
-    rows = lil_rows(checkpoints, ranges, table)
-    det = float(dist.det_covariance_exact())
-    return {"dist_name": dist.name, "n_max": n_max, "replica": replica,
-            "master_seed": master_seed, "rows": rows,
-            "skipped": [row["m"] for row in rows if row["upper_stat"] is None],
-            "upper_reference": 2.0 * math.pi * math.sqrt(det),
-            "note": "desk-scale trajectory; not conclusive for the limits"}
 
 
 def running_max_exceedance(dist: StepDistribution, n: int, replicas: int,

@@ -49,7 +49,6 @@ __all__ = [
     "build_return_table",
     "check_table_size",
     "check_enumeration",
-    "h_difference",
     "enumeration_oracle",
     "expected_range_asymptotic",
     "local_clt_check",
@@ -527,15 +526,6 @@ def build_return_table(dist: StepDistribution, n: int,
         if cdir is not None:
             tab.save_npz(cdir / f"table_{digest}_{n}.npz")
     return tab
-
-
-def h_difference(dist: StepDistribution, m: int, n: int,
-                 table: ReturnProbTable | None = None) -> float:
-    """H(n) - H(m), the expected visits to the start during steps
-    (m, n].  Additive by construction: differences telescope."""
-    if table is None or table.n < max(m, n):
-        table = build_return_table(dist, max(m, n))
-    return float(table.h[n] - table.h[m])
 
 
 def expected_range_asymptotic(dist: StepDistribution, n: int,

@@ -14,8 +14,9 @@ centerings call for them) into summary.csv / plot.csv artifacts.
 
 from __future__ import annotations
 
-import json
+import functools
 import hashlib
+import json
 import os
 import sys
 from collections.abc import Callable
@@ -279,7 +280,7 @@ class ExperimentConfig:
             "params": self.params,
         }
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True,
                           separators=(",", ":")).encode()
@@ -806,13 +807,10 @@ def _check_probe(cfg: ExperimentConfig, dist: StepDistribution) -> None:
 
 def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
     dist = cfg.dist()
-    config_hash = cfg.config_hash  # a property that hashes on every read
     collected: dict = {n: {} for n in cfg.params["n_ladder"]}
     for rec in _iter_records(cfg, run_dir):
         collected[rec["n"]][rec["replica"]] = rec["range"]
     have = min(len(per) for per in collected.values())
-    if have == 0:
-        raise InvalidConfig("no shard records found; nothing to report")
     values_by_n = {n: np.array([per[j] for j in sorted(per)][:have],
                                dtype=np.int64)
                    for n, per in collected.items()}
@@ -825,7 +823,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
                "exceedances", "replicas", "p_hat", "rate", "rate_lo",
                "rate_hi", "zero_exceedances", "constraint_ok",
                "constraint_ratio"]
-    _write_csv(run_dir / "summary.csv", config_hash,
+    _write_csv(run_dir / "summary.csv", cfg.config_hash,
                "deviations-summary-v1", columns, rows)
 
     plot_rows = []
@@ -835,7 +833,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
             "x": row["n"], "y": row["rate"],
             "ci_lo": row["rate_lo"], "ci_hi": row["rate_hi"],
         })
-    _write_csv(run_dir / "plot.csv", config_hash, "plot-v1",
+    _write_csv(run_dir / "plot.csv", cfg.config_hash, "plot-v1",
                ["series", "x", "y", "ci_lo", "ci_hi"], plot_rows)
 
     moment_rows = []
@@ -851,7 +849,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
             "count_plus_2sd": tails["count_plus"],
             "count_minus_2sd": tails["count_minus"],
         })
-    _write_csv(run_dir / "moments.csv", config_hash,
+    _write_csv(run_dir / "moments.csv", cfg.config_hash,
                "deviations-moments-v1",
                ["n", "replicas", "mean", "er_exact", "gap_in_se", "sd",
                 "skewness", "count_plus_2sd", "count_minus_2sd"], moment_rows)
@@ -860,7 +858,6 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
 
 def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
     dist = cfg.dist()
-    config_hash = cfg.config_hash  # a property that hashes on every read
     n_max = cfg.params["n_max"]
     table = build_return_table(dist, n_max)
 
@@ -874,7 +871,7 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
         j = rec["replica"]
         rows = lil_rows(rec["checkpoints"], rec["ranges"], table)
         name = f"trajectories/replica_{j:05d}.csv"
-        _write_csv(run_dir / name, config_hash, "lil-trajectory-v1",
+        _write_csv(run_dir / name, cfg.config_hash, "lil-trajectory-v1",
                    columns, rows)
         written.append(name)
         for row in rows:
@@ -893,12 +890,12 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
         {"name": "theta_inverse_weinstein",
          "value": consts.theta_inverse["weinstein"]},
     ]
-    _write_csv(run_dir / "references.csv", config_hash, "lil-references-v1",
+    _write_csv(run_dir / "references.csv", cfg.config_hash, "lil-references-v1",
                ["name", "value"], ref_rows)
     for row in ref_rows:
         plot_rows.append({"series": f"ref-{row['name']}", "x": n_max,
                           "y": row["value"], "ci_lo": None, "ci_hi": None})
-    _write_csv(run_dir / "plot.csv", config_hash, "plot-v1",
+    _write_csv(run_dir / "plot.csv", cfg.config_hash, "plot-v1",
                ["series", "x", "y", "ci_lo", "ci_hi"], plot_rows)
     return written + ["references.csv", "plot.csv"]
 
@@ -932,8 +929,6 @@ def _report_smoothed(cfg: ExperimentConfig, run_dir: Path) -> list:
         if "parseval_residual" in rec:
             pv_res.append(rec["parseval_residual"])
             ffts.append(rec["parseval_fft"])
-    if not a_vals:
-        raise InvalidConfig("no shard records found; nothing to report")
     row = {
         "pairs": len(a_vals),
         "mean_a": float(np.mean(a_vals)),
@@ -987,9 +982,12 @@ def run_report(run_dir) -> dict:
     """Aggregate a run directory into summary/plot CSVs.
 
     Missing shards downgrade to a partial report with a warning on
-    stderr; an unrecognizable directory raises InvalidConfig."""
+    stderr; an unrecognizable directory, or a sharded run none of whose
+    planned shards is present, raises InvalidConfig."""
     run_dir = Path(run_dir)
     cfg, missing = _load_run(run_dir)
+    if _kind(cfg.kind).records is not None and len(missing) == len(plan_shards(cfg)):
+        raise InvalidConfig("no shard records found; nothing to report")
     if missing:
         print(f"warning: {len(missing)} shard(s) missing or stale "
               f"({missing[:8]}{'...' if len(missing) > 8 else ''}); "

@@ -3,14 +3,14 @@
 The range of a walk after n steps is the number of distinct sites among
 steps 1..n (the starting site only counts if revisited).  Everything in
 this module is exact integer combinatorics on sampled paths: prefix
-range counts, multi-walk intersections, self-intersections, and two
-set-identity decompositions (dyadic tree and binary-digit splitting)
-that must reproduce the range without any error at all.
+range counts, multi-walk intersections, and two set-identity
+decompositions (dyadic tree and binary-digit splitting) that must
+reproduce the range without any error at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,10 @@ __all__ = [
     "DecompositionRecord",
     "DecompositionBatch",
     "IntersectionStats",
-    "BlockStats",
     "range_count",
     "p_fold_intersection",
-    "self_intersection_count",
     "decomposition_check",
     "batch_decompositions",
-    "block_statistics",
 ]
 
 
@@ -97,16 +94,6 @@ def p_fold_intersection(paths, starts=None) -> IntersectionStats:
         common = np.intersect1d(common, s, assume_unique=True)
     return IntersectionStats(num_walks=len(paths), lengths=tuple(lengths),
                              count=int(common.size))
-
-
-def self_intersection_count(path) -> int:
-    """Number of pairs i < j (both >= 1) with the walk at the same site."""
-    keys = _as_keys(path)
-    if keys.size == 0:
-        return 0
-    _, counts = np.unique(keys, return_counts=True)
-    c = counts.astype(np.int64)
-    return int((c * (c - 1) // 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -266,63 +253,3 @@ def decomposition_check(path, kind: str = "dyadic",
     just on average.  The one-row case of batch_decompositions."""
     keys = _as_keys(path)
     return batch_decompositions(keys[None], (kind,), levels)[kind].record(0)
-
-
-@dataclass
-class BlockStats:
-    num_blocks: int
-    boundaries: list[int]
-    block_counts: list[int]
-    adjacent_overlaps: list[int]
-    total: int
-    pairwise_overlap_sum: int | None = None
-    bounds_ok: bool = field(init=False)
-
-    def __post_init__(self):
-        ok = self.total <= self.upper_bound
-        if self.lower_bound is not None:
-            ok = ok and self.total >= self.lower_bound
-        self.bounds_ok = ok
-
-    @property
-    def upper_bound(self) -> int:
-        return sum(self.block_counts)
-
-    @property
-    def lower_bound(self) -> int | None:
-        if self.pairwise_overlap_sum is None:
-            return None
-        return self.upper_bound - self.pairwise_overlap_sum
-
-
-def block_statistics(path, num_blocks: int,
-                     pairwise_limit: int = 64) -> BlockStats:
-    """Per-block ranges and overlaps for a path cut into num_blocks
-    nearly equal pieces (the first n mod K blocks get the extra step).
-
-    Bonferroni sandwich: sum of block ranges minus all pairwise overlaps
-    <= range <= sum of block ranges.  The pairwise sum is only computed
-    up to pairwise_limit blocks."""
-    keys = _as_keys(path)
-    n = keys.size
-    k = int(num_blocks)
-    if k < 1 or k > max(n, 1):
-        raise ValueError("num_blocks out of range")
-    base, extra = divmod(n, k)
-    boundaries = [0]
-    for i in range(k):
-        boundaries.append(boundaries[-1] + base + (1 if i < extra else 0))
-    ub, later = _site_blocks(*_step_order(keys[None]), 1, n, boundaries)
-    counts = np.bincount(ub, minlength=k).tolist()
-    adjacent = np.bincount(ub[1:][later & (ub[1:] == ub[:-1] + 1)],
-                           minlength=k)[1:].tolist()
-    pairwise = None
-    if k <= pairwise_limit:
-        # a site met by m blocks lies in C(m, 2) of the pairwise overlaps
-        firsts = np.flatnonzero(np.concatenate(([True], ~later)))
-        m = np.diff(np.append(firsts, ub.size))
-        pairwise = int((m * (m - 1) // 2).sum())
-    total = int(ub.size - np.count_nonzero(later))
-    return BlockStats(num_blocks=k, boundaries=boundaries, block_counts=counts,
-                      adjacent_overlaps=adjacent, total=total,
-                      pairwise_overlap_sum=pairwise)

@@ -3,9 +3,9 @@
 The mollifier is h(u) = (4/pi)(1 - |u|^2)^3 on the unit disk, unit mass.
 Scaled to lattice resolution, h_eps(x / sqrt(s)) spreads each visited
 site over a disk of radius eps * sqrt(s); summing the squared smoothed
-field (a_functional) or the product of two walks' fields (b_functional)
-gives quadratic statistics whose second-moment structure is what the
-tail analysis of the centered range feeds on.
+field ("a" of pair_functionals) or the product of two walks' fields
+(b_functional) gives quadratic statistics whose second-moment structure
+is what the tail analysis of the centered range feeds on.
 
 Two independent ways of computing the same objects are kept around:
 direct field stamping versus Fourier evaluation (parseval_check), and
@@ -28,8 +28,6 @@ from .walks import PoissonizedPath, StepDistribution, WalkPath
 __all__ = [
     "SmoothingKernel",
     "QKernel",
-    "lambda_eps",
-    "a_functional",
     "b_functional",
     "q_kernel",
     "q_identity_check",
@@ -94,12 +92,6 @@ def check_stamp_window(dist: StepDistribution, t: float, eps: float,
             f"the {_MAX_WINDOW_CELLS}-cell field window")
 
 
-def lambda_eps(t: float, eps: float) -> float:
-    """Total smoothed mass one site contributes at time scale t; tends
-    to t as eps^2 t grows."""
-    return smoothing_stamp(t, eps).total
-
-
 def site_set(obj, horizon: float | None = None) -> np.ndarray:
     """Distinct sites of a walk as an (m, 2) int64 array.
 
@@ -154,14 +146,9 @@ def _stamped_fields(stamp: SmoothingKernel, *site_sets, weights=None) -> list:
     return fields
 
 
-def a_functional(path, t: float, eps: float, b_t: float = 1.0) -> float:
-    """Squared smoothed occupation mass at scale s = t / b_t,
-    normalized by lambda_eps(s)^2."""
-    return _a_of_sites(site_set(path, horizon=t), smoothing_stamp(t / b_t, eps))
-
-
 def _a_of_sites(sites: np.ndarray, stamp: SmoothingKernel) -> float:
-    """a_functional of a site set."""
+    """Squared smoothed occupation mass of a site set, normalized by the
+    square of the stamp's total mass."""
     if sites.shape[0] == 0:
         return 0.0
     field, = _stamped_fields(stamp, sites)
@@ -309,9 +296,10 @@ def _parseval(sa: np.ndarray, sb: np.ndarray, stamp: SmoothingKernel,
 def pair_functionals(path_a, path_b, q: QKernel, level: int = 0,
                      max_fft: int | None = None) -> dict:
     """Every statistic of one pair at q's scale (q.t, q.eps, q.b_t), from
-    one pair of site sets and one level-0 B: "a" is a_functional of
-    path_a, "b" b_functional at level, "q" the q_identity_check dict and
-    "parseval" the parseval_check dict, or None without max_fft."""
+    one pair of site sets and one level-0 B: "a" is path_a's squared
+    smoothed field (_a_of_sites), "b" b_functional at level, "q" the
+    q_identity_check dict and "parseval" the parseval_check dict, or
+    None without max_fft."""
     stamp = q.stamp
     sa = site_set(path_a, horizon=q.t)
     sb = site_set(path_b, horizon=q.t)

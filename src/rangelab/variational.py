@@ -37,7 +37,6 @@ __all__ = [
     "KappaResult",
     "kappa22_solve",
     "gaussian_half_quotient",
-    "weinstein_quotient",
     "gn_audit",
 ]
 
@@ -120,22 +119,6 @@ def _radial_integrals(r: np.ndarray, f: np.ndarray, h: float) -> tuple:
     df = _derivative_5pt(f, h)
     ig = float((ring * df * df).sum())
     return i2, i4, ig
-
-
-def weinstein_quotient(r: np.ndarray, f: np.ndarray) -> float:
-    """Scale-invariant quotient ||f||_4^4 / (||grad f||_2^2 ||f||_2^2)
-    of a radial profile on a uniform grid.
-
-    Invariant under f -> a f exactly, and under the dilation
-    f -> a f(a .) when the grid is rescaled along (r -> r/a), because
-    every quadrature term picks up matching powers of a."""
-    r = np.asarray(r, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    h = float(r[1] - r[0])
-    if not np.allclose(np.diff(r), h, rtol=1e-12, atol=0.0):
-        raise ValueError("grid must be uniform")
-    i2, i4, ig = _radial_integrals(r, f, h)
-    return i4 / (ig * i2)
 
 
 def _tridiagonal_solver(diag: np.ndarray, off: np.ndarray):

@@ -1,6 +1,7 @@
 """Experiment runner and command-line interface: config hashing,
 shard determinism, resume, reports, and exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -560,9 +561,9 @@ def test_lil_report_hashes_the_config_once(tmp_path, monkeypatch):
     from rangelab import experiments
 
     reads = []
-    prop = ExperimentConfig.config_hash
-    monkeypatch.setattr(ExperimentConfig, "config_hash",
-                        property(lambda cfg: reads.append(1) or prop.fget(cfg)))
+    canonical = ExperimentConfig.canonical
+    monkeypatch.setattr(ExperimentConfig, "canonical",
+                        lambda cfg: reads.append(1) or canonical(cfg))
     counts = []
     for replicas in (2, 12):
         cfg = ExperimentConfig.from_dict({
@@ -570,10 +571,19 @@ def test_lil_report_hashes_the_config_once(tmp_path, monkeypatch):
             "replicas": replicas, "params": {"n_max": 64}},
             out=str(tmp_path / f"r{replicas}"))
         run_experiment(cfg)
+        fresh = dataclasses.replace(cfg)  # a config whose hash was never read
         reads.clear()
-        experiments._report_lil(cfg, Path(cfg.out))
+        experiments._report_lil(fresh, Path(cfg.out))
         counts.append(len(reads))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == 1
+
+
+def test_config_hash_is_hashed_once():
+    cfg = ExperimentConfig.from_dict(DEV_CFG)
+    value = cfg.config_hash
+    blob = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":"))
+    assert vars(cfg)["config_hash"] == value
+    assert value == hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_smoothed_run_and_report(tmp_path):
@@ -679,6 +689,23 @@ def test_shard_bytes_are_pinned(tmp_path, kind):
         run_report(out)
         summary = (out / "summary.csv").read_bytes()
         assert hashlib.sha256(summary).hexdigest() == PINNED_SUMMARIES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SHARDS))
+def test_report_refuses_a_run_with_no_shards(tmp_path, capsys, kind):
+    """A sharded run whose planned shards are all gone has no record to
+    report: exit 2, not an empty summary that reads as a clean run."""
+    out = tmp_path / "run"
+    p = _write_cfg(tmp_path, PINNED_SHARDS[kind][0])
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    for shard in out.glob("shard_*.jsonl"):
+        shard.unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "nothing to report" in err
+    assert "Traceback" not in err
+    assert sorted(f.name for f in out.iterdir()) == ["config.json", "manifest.json"]
 
 
 @pytest.mark.parametrize("budget", [1, 256 * 3, 1 << 40])

@@ -10,12 +10,12 @@ from hypothesis import given, strategies as st
 from rangelab import deviations
 from rangelab.deviations import (
     DeviationProbe,
+    RangeSample,
     centering_defect_supremum,
     constants_report,
-    draw_range_sample,
     exp_moment_probe,
-    lil_trajectory,
-    mc_tail,
+    lil_checkpoints,
+    lil_rows,
     running_max_exceedance,
     sample_range_ladder,
     sample_range_values,
@@ -93,27 +93,38 @@ def test_sample_range_ladder_matches_single_n(name, request, monkeypatch):
 
 
 def test_range_sample_moments(lazy):
-    sample = draw_range_sample(lazy, 1024, 4000, master_seed=11)
+    values = sample_range_values(lazy, 1024, 4000, master_seed=11)
+    sample = RangeSample(dist_name="lazy-srw", n=1024, replicas=4000,
+                         master_seed=11, values=values)
     table = build_return_table(lazy, 1024)
     check = sample.mean_check(table)
     assert check["gap_in_se"] < 4.0
 
 
 def test_skewness_is_centering_invariant(lazy):
-    s = draw_range_sample(lazy, 256, 2000, master_seed=3)
+    values = sample_range_values(lazy, 256, 2000, master_seed=3)
+    s = RangeSample(dist_name="lazy-srw", n=256, replicas=2000, master_seed=3,
+                    values=values)
     shifted = s.values + 1000
-    from rangelab.deviations import RangeSample
-
     s2 = RangeSample(dist_name="lazy-srw", n=256, replicas=2000,
                      master_seed=3, values=shifted)
     assert s2.skewness == pytest.approx(s.skewness, abs=1e-12)
+
+
+def _tail_rows(probe: DeviationProbe, dist) -> list:
+    """Rate rows of a probe from its own replicas' ranges on its ladder."""
+    table = build_return_table(dist, max(probe.n_ladder))
+    values = sample_range_ladder(dist, probe.n_ladder, probe.replicas,
+                                 probe.master_seed)
+    return tail_rows_from_values(probe, dist, table,
+                                 dict(zip(probe.n_ladder, values.T)))
 
 
 def test_upper_tail_rows_structure(lazy):
     probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(128, 512),
                            b_schedule=(3.0, 3.0), thresholds=(0.1, 0.3, 0.6),
                            side="upper", replicas=2000, master_seed=17)
-    rows = mc_tail(probe)
+    rows = _tail_rows(probe, lazy)
     # scale and exact-h variants for every (n, theta)
     assert len(rows) == 2 * 3 * 2
     by_n = {}
@@ -133,7 +144,7 @@ def test_lower_tail_rows(lazy):
     probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(256,),
                            b_schedule=(2.5,), thresholds=(0.05, 0.2),
                            side="lower", replicas=1500, master_seed=29)
-    rows = mc_tail(probe)
+    rows = _tail_rows(probe, lazy)
     assert len(rows) == 2
     assert all(r["variant"] == "scale" for r in rows)
     ex = [r["exceedances"] for r in sorted(rows, key=lambda r: r["theta"])]
@@ -141,8 +152,8 @@ def test_lower_tail_rows(lazy):
 
 
 def test_side_mismatch_rejected():
-    """mc_tail follows the probe's side, so the side is checked once, by
-    the probe."""
+    """tail_rows_from_values follows the probe's side, so the side is
+    checked once, by the probe."""
     with pytest.raises(InvalidConfig):
         DeviationProbe(dist_name="srw", n_ladder=(64,), b_schedule=(2.0,),
                        thresholds=(0.1,), side="both", replicas=10,
@@ -155,22 +166,11 @@ def test_zero_exceedance_reporting(lazy):
     probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(128,),
                            b_schedule=(4.0,), thresholds=(50.0,),
                            side="upper", replicas=500, master_seed=1)
-    rows = mc_tail(probe)
+    rows = _tail_rows(probe, lazy)
     row = [r for r in rows if r["variant"] == "scale"][0]
     assert row["zero_exceedances"]
     assert row["rate"] is None
     assert row["rate_hi"] is not None and row["rate_hi"] < 0
-
-
-def test_tail_rows_from_values_matches_simulation(lazy):
-    probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(128, 256),
-                           b_schedule=(2.0, 2.0), thresholds=(0.2,),
-                           side="upper", replicas=800, master_seed=23)
-    table = build_return_table(lazy, 256)
-    direct = mc_tail(probe, dist=lazy, table=table)
-    values = {n: sample_range_values(lazy, n, 800, 23) for n in (128, 256)}
-    rebuilt = tail_rows_from_values(probe, lazy, table, values)
-    assert direct == rebuilt
 
 
 def test_exp_moment_theta_zero_is_one(lazy):
@@ -353,21 +353,17 @@ def test_lil_checkpoints_refuses_an_empty_list():
 
 def test_lil_trajectory_structure(srw):
     table = build_return_table(srw, 4096)
-    out = lil_trajectory(srw, 4096, master_seed=41, replica=2, table=table)
-    assert out["skipped"] == [4, 8]
-    ms = [row["m"] for row in out["rows"]]
+    checkpoints = lil_checkpoints(4096)
+    ranges = sample_range_ladder(srw, checkpoints, 1, master_seed=41,
+                                 first_replica=2)[0]
+    rows = lil_rows(checkpoints, ranges, table)
+    assert [row["m"] for row in rows if row["upper_stat"] is None] == [4, 8]
+    ms = [row["m"] for row in rows]
     assert ms == sorted(ms)
     assert ms[-1] == 4096
-    ups = [row["running_max_upper"] for row in out["rows"]
+    ups = [row["running_max_upper"] for row in rows
            if row["running_max_upper"] is not None]
     assert all(b >= a for a, b in zip(ups, ups[1:]))
-    assert out["upper_reference"] == pytest.approx(math.pi)
-    assert "not conclusive" in out["note"]
-
-
-def test_lil_checkpoint_validation(srw):
-    with pytest.raises(InvalidConfig):
-        lil_trajectory(srw, 64, master_seed=0, checkpoints=[32, 128])
 
 
 def test_lil_band_at_desk_scale(srw):
@@ -379,14 +375,14 @@ def test_lil_band_at_desk_scale(srw):
     maximum forever; the limit statement itself only constrains large
     m."""
     table = build_return_table(srw, 1 << 16)
+    checkpoints = lil_checkpoints(1 << 16)
+    ranges = sample_range_ladder(srw, checkpoints, 16, master_seed=2026)
     sup = -math.inf
-    for j in range(16):
-        out = lil_trajectory(srw, 1 << 16, master_seed=2026, replica=j,
-                             table=table)
-        window = [row["upper_stat"] for row in out["rows"]
+    for row_ranges in ranges:
+        window = [row["upper_stat"] for row in lil_rows(checkpoints, row_ranges, table)
                   if row["m"] >= 1024 and row["upper_stat"] is not None]
         sup = max(sup, max(window))
-    ref = out["upper_reference"]
+    ref = 2.0 * math.pi * math.sqrt(float(srw.det_covariance_exact()))
     assert ref / 10.0 < sup < 10.0 * ref
 
 

@@ -22,7 +22,6 @@ from rangelab.exact import (
     build_return_table,
     enumeration_oracle,
     expected_range_asymptotic,
-    h_difference,
     local_clt_check,
     return_prob_exact,
     return_probs_dp,
@@ -210,15 +209,6 @@ def test_table_shapes_and_monotonicity(lazy):
     assert table.f[0] == pytest.approx(1.0, abs=1e-15)
     assert np.all(np.diff(table.f) <= 1e-15)
     assert np.all(table.f >= -1e-15)
-
-
-def test_h_difference_telescopes(lazy):
-    table = build_return_table(lazy, 400)
-    ab = h_difference(lazy, 10, 100, table=table)
-    bc = h_difference(lazy, 100, 400, table=table)
-    ac = h_difference(lazy, 10, 400, table=table)
-    assert ab + bc == pytest.approx(ac, abs=1e-12)
-    assert h_difference(lazy, 50, 50, table=table) == 0.0
 
 
 def test_table_cache_roundtrip(tmp_path, lazy):

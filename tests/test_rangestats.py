@@ -8,11 +8,9 @@ from rangelab import _fastpath
 from rangelab._fastpath import batch_range_counts, pack_positions, prefix_range_counts
 from rangelab.rangestats import (
     batch_decompositions,
-    block_statistics,
     decomposition_check,
     p_fold_intersection,
     range_count,
-    self_intersection_count,
 )
 from rangelab.walks import builtin_distribution, sample_path
 
@@ -222,25 +220,6 @@ def test_p_fold_intersection_matches_sets(a, b, c):
     assert got.count == len(sets[0] & sets[1] & sets[2])
 
 
-@given(step_lists)
-def test_self_intersection_count_brute(idx):
-    pos = _positions_from_steps(idx, _SRW_SUPPORT)
-    n = pos.shape[0]
-    brute = sum(1 for i in range(n) for j in range(i + 1, n)
-                if (pos[i] == pos[j]).all())
-    assert self_intersection_count(pos) == brute
-
-
-@given(step_lists, st.integers(1, 8))
-def test_block_statistics_bracket(idx, blocks):
-    """Block-count sum bounds the range above; subtracting pairwise
-    overlaps bounds it below (inclusion-exclusion truncation)."""
-    blocks = min(blocks, len(idx))
-    pos = _positions_from_steps(idx, _SRW_SUPPORT)
-    stats = block_statistics(pos, num_blocks=blocks)
-    assert stats.lower_bound <= stats.total <= stats.upper_bound
-
-
 def _dyadic_by_sets(pos, levels):
     """(boundaries, leaf counts, overlaps per depth, range) of the dyadic
     split of one path at a depth, recounted with Python sets."""
@@ -365,20 +344,3 @@ def test_batched_decompositions_refuse_bad_input():
         batch_decompositions(keys, ("ternary",))
     with pytest.raises(ValueError, match="rows"):
         batch_decompositions(keys[0], ("binary",))
-
-
-@given(walks, st.integers(1, 12), st.integers(0, 12))
-@example(("srw", []), 1, 64)
-def test_block_statistics_match_python_sets(walk, blocks, limit):
-    name, idx = walk
-    pos = _positions_from_steps(idx, _SUPPORTS[name])
-    k = min(blocks, max(len(idx), 1))
-    stats = block_statistics(pos, num_blocks=k, pairwise_limit=limit)
-    sets = _block_sets(pos, stats.boundaries)
-    assert stats.block_counts == [len(b) for b in sets]
-    assert stats.adjacent_overlaps == [len(sets[i - 1] & sets[i])
-                                       for i in range(1, k)]
-    pairwise = sum(len(sets[i] & sets[j])
-                   for i in range(k) for j in range(i + 1, k))
-    assert stats.pairwise_overlap_sum == (pairwise if k <= limit else None)
-    assert stats.total == len(set().union(*sets))

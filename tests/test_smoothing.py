@@ -13,11 +13,10 @@ from rangelab.smoothing import (
     _MAX_Q_TERMS,
     _MAX_WINDOW_CELLS,
     _stamped_fields,
-    a_functional,
     b_functional,
     check_q_kernel,
     check_stamp_window,
-    lambda_eps,
+    pair_functionals,
     parseval_check,
     q_identity_check,
     q_kernel,
@@ -92,11 +91,6 @@ def test_stamp_values_positive_inside_ball():
     assert np.all(stamp.values > 0)
     rad2 = (stamp.offsets.astype(np.float64) ** 2).sum(axis=1)
     assert rad2.max() < 0.25 * 300.0
-
-
-def test_lambda_eps_matches_stamp_total():
-    t, b_t, eps = 256.0, 4.0, 0.5
-    assert lambda_eps(t / b_t, eps) == smoothing_stamp(t / b_t, eps).total
 
 
 def test_q_kernel_is_probability():
@@ -205,7 +199,7 @@ def test_b_functional_level_truncation():
 def test_a_functional_positive_and_symmetric_in_pair():
     pa = sample_poissonized(LAZY, 128.0, master_seed=2, replica=0)
     pb = sample_poissonized(LAZY, 128.0, master_seed=2, replica=1)
-    assert a_functional(pa, 128.0, 0.5, b_t=4.0) > 0
+    assert pair_functionals(pa, pb, q_kernel(128.0, 4.0, 0.5))["a"] > 0
     ab = b_functional(pa, pb, 128.0, 0.5, b_t=4.0)
     ba = b_functional(pb, pa, 128.0, 0.5, b_t=4.0)
     assert ab == pytest.approx(ba, rel=1e-12)
@@ -213,7 +207,7 @@ def test_a_functional_positive_and_symmetric_in_pair():
 
 def test_b_of_path_with_itself_is_a():
     pa = sample_poissonized(LAZY, 128.0, master_seed=3, replica=0)
-    a = a_functional(pa, 128.0, 0.5, b_t=4.0)
+    a = pair_functionals(pa, pa, q_kernel(128.0, 4.0, 0.5))["a"]
     b = b_functional(pa, pa, 128.0, 0.5, b_t=4.0)
     assert b == pytest.approx(a, rel=1e-12)
 

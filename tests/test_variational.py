@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 
 from rangelab.errors import InvalidConfig
 from rangelab.variational import (
+    _radial_integrals,
     _tridiagonal_solver,
     gaussian_half_quotient,
     gn_audit,
     kappa22_solve,
-    weinstein_quotient,
 )
 
 
@@ -119,6 +119,13 @@ def test_solver_path_is_pinned(nodes):
     assert res.m_hat == pytest.approx(m_hat, rel=1e-13, abs=0.0)
 
 
+def _weinstein_quotient(r: np.ndarray, f: np.ndarray) -> float:
+    """||f||_4^4 / (||grad f||_2^2 ||f||_2^2) of a radial profile on a
+    uniform grid, from the quadrature kappa22_solve takes m_hat from."""
+    i2, i4, ig = _radial_integrals(r, f, float(r[1] - r[0]))
+    return i4 / (ig * i2)
+
+
 @given(st.floats(0.25, 4.0))
 def test_weinstein_dilation_invariance(a):
     """J(f) = ||f||_4^4 / (||grad f||^2 ||f||^2) is invariant under
@@ -126,8 +133,8 @@ def test_weinstein_dilation_invariance(a):
     because the grid rescales with the profile."""
     r = np.linspace(0.0, 12.0, 601)
     f = np.exp(-(r ** 2) / 6.0) * (1.0 + 0.3 * r)
-    base = weinstein_quotient(r, f)
-    scaled = weinstein_quotient(r / a, a * f)
+    base = _weinstein_quotient(r, f)
+    scaled = _weinstein_quotient(r / a, a * f)
     assert scaled == pytest.approx(base, rel=1e-8)
 
 
@@ -135,8 +142,8 @@ def test_weinstein_dilation_invariance(a):
 def test_weinstein_scale_invariance(c):
     r = np.linspace(0.0, 10.0, 401)
     f = np.exp(-(r ** 2) / 4.0)
-    assert weinstein_quotient(r, c * f) == pytest.approx(
-        weinstein_quotient(r, f), rel=1e-10)
+    assert _weinstein_quotient(r, c * f) == pytest.approx(
+        _weinstein_quotient(r, f), rel=1e-10)
 
 
 def test_weinstein_gaussian_value():
@@ -144,7 +151,7 @@ def test_weinstein_gaussian_value():
     normalization), reached in the fine-grid limit."""
     r = np.linspace(0.0, 14.0, 4001)
     f = np.exp(-(r ** 2) / 4.0)
-    assert weinstein_quotient(r, f) == pytest.approx(1.0 / (2.0 * math.pi),
+    assert _weinstein_quotient(r, f) == pytest.approx(1.0 / (2.0 * math.pi),
                                                      rel=1e-6)
 
 
