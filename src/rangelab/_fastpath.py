@@ -16,7 +16,10 @@ import numpy.ma  # np.unique imports it on first call: load it here, not in a ru
 from .walks import COORD_LIMIT
 
 _PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
-_COUNT_STEPS = 1 << 18  # steps held at once by batch_range_counts
+# steps sampled and counted at once by sample_range_ladder and
+# batch_range_counts: the index and counting buffers, 32 bytes a step,
+# stay in a 4 MB L2 cache; smaller blocks cost more Python per step
+_BLOCK_STEPS = 1 << 16
 _BOX_CELLS_PER_STEP = 64  # bitmap bytes allowed per step counted
 _POWER_BLOCK = 64  # consecutive k per block in log_power_sums
 _POWER_COLUMNS = 1 << 14  # distinct la values held at once by log_power_sums
@@ -75,15 +78,19 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
     whose column i counts the first lengths[i] steps of every row;
     lengths may come in any order and repeat.
 
-    Rows are counted _COUNT_STEPS steps at a time on an occupancy bitmap
-    that gives every row its own stretch over its bounding box; the
-    prefixes are marked on it in increasing order and counted after
-    each.  A row whose box holds more than _BOX_CELLS_PER_STEP cells per
-    step (long-step laws) is counted by sorting its keys instead, which
-    bounds the bitmap at that many bytes per step.
+    Rows are counted in blocks of _BLOCK_STEPS steps (one row when a row
+    is longer), so one block bounds the memory counting takes.
+    sample_range_ladder samples blocks of the same size, and each of
+    them is counted here in one pass while it is still in cache.  A
+    block is counted on an occupancy bitmap that gives every row its own
+    stretch over its bounding box; the prefixes are marked on it in
+    increasing order and counted after each.  A row whose box holds more
+    than _BOX_CELLS_PER_STEP cells per step (long-step laws) is counted
+    by sorting its keys instead, which bounds the bitmap at that many
+    bytes per step.
 
     Rows that could leave the int32 box (n * max step > COORD_LIMIT, as
-    in walks.check_walk_length) raise OverflowError.  A chunk's steps
+    in walks.check_walk_length) raise OverflowError.  A block's steps
     are taken from one packed table, (dx << 32) + dy, and summed by one
     cumsum; 2^31 added to the first step keeps the y part in [0, 2^32),
     so x and y unpack exactly, y shifted by 2^31, which no count depends
@@ -101,8 +108,8 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
         if n * int(max(np.abs(sup_x).max(), np.abs(sup_y).max())) > COORD_LIMIT:
             raise OverflowError(f"{n}-step walks can leave the int32 box")
         table = (sup_x << 32) + sup_y
-        chunk = min(rows, max(1, _COUNT_STEPS // n))
-        # packed positions, then their y; their x; bitmap cells
+        chunk = min(rows, max(1, _BLOCK_STEPS // n))
+        # one block's packed positions, then their y; their x; bitmap cells
         bufs = np.empty((3, chunk, n), dtype=np.int64)
         for r0 in range(0, rows, chunk):
             idx = idx2d[r0:r0 + chunk].astype(np.int64, casting="same_kind", copy=False)
@@ -123,8 +130,10 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
 def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray,
                   flat: np.ndarray) -> np.ndarray:
     """counts[r, i] = distinct sites among row r's first stops[i]
-    positions (x[r], y[r]), for sorted distinct stops.  flat is int64
-    scratch of at least x.size cells."""
+    positions (x[r], y[r]), for sorted distinct stops.  Called on one
+    block of rows: x, y and flat (int64 scratch of at least x.size
+    cells) hold one block, and the bitmap at most _BOX_CELLS_PER_STEP
+    bytes per step, so one block bounds the memory counting takes."""
     rows, n = x.shape
     x0 = x.min(axis=1)
     y0 = y.min(axis=1)

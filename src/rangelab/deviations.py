@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
+from . import _fastpath
 from ._fastpath import pack_positions, prefix_range_counts, batch_range_counts
 from .errors import InvalidConfig
 from .exact import ReturnProbTable, build_return_table
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 _EXP_MODES = ("abs-range", "signed-range", "p-intersection")
-_SAMPLE_STEPS = 1 << 20  # steps held at once by sample_range_ladder
 # steps held at once as positions by _intersection_sizes and
 # running_max_exceedance
 _PATH_STEPS = 1 << 16
@@ -129,14 +129,16 @@ def sample_range_ladder(dist: StepDistribution, n_ladder, replicas: int,
     Each replica draws max(n_ladder) steps once from its own
     counter-based stream, and every entry counts a prefix of that walk,
     which is the walk a single-n draw of the same replica gives.  So the
-    result is independent of batching; batches of _SAMPLE_STEPS steps
-    only bound peak memory.  One generator is rekeyed from replica to
-    replica, and one index buffer holds every batch."""
+    result is independent of batching.  Replicas go in blocks of
+    _fastpath._BLOCK_STEPS steps (one row when a row is longer): one
+    generator, rekeyed from replica to replica, fills one reused index
+    buffer, and batch_range_counts counts it whole while it is still in
+    cache.  One block bounds the memory of both sampling and counting."""
     lengths = [int(n) for n in n_ladder]
     n = max(lengths)
     sup_x = dist.support[:, 0].astype(np.int64)
     sup_y = dist.support[:, 1].astype(np.int64)
-    batch = max(1, _SAMPLE_STEPS // max(n, 1))
+    batch = max(1, _fastpath._BLOCK_STEPS // max(n, 1))
     out = np.empty((replicas, len(lengths)), dtype=np.int64)
     buf = np.empty((min(batch, replicas), n), dtype=np.int64)
     rng = stream(master_seed, first_replica, PURPOSE_STEPS)

@@ -221,13 +221,13 @@ class StepDistribution:
             w = rng.bit_generator.random_raw(n)
             w >>= self._shift
             return w.view(np.int64)
-        u = rng.random(n)
-        v = u * len(self.probs)
+        v = rng.random(n)
+        v *= len(self.probs)
         j = v.astype(np.int64)
         if self._accept_all:
             return j
-        frac = v - j
-        return np.where(frac < self._accept[j], j, self._alias[j])
+        v -= j  # the fraction, in place: a fresh array costs page faults
+        return np.where(v < self._accept[j], j, self._alias[j])
 
 
 BUILTIN_NAMES = ("srw", "lazy-srw", "king")

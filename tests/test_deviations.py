@@ -2,12 +2,13 @@
 trajectories, and the constants report."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rangelab import deviations
+from rangelab import _fastpath, deviations
 from rangelab.deviations import (
     DeviationProbe,
     RangeSample,
@@ -79,7 +80,9 @@ def test_sample_range_values_deterministic(lazy):
 def test_sample_range_ladder_matches_single_n(name, request, monkeypatch):
     """Every ladder entry, in the given order and repeats included, is the
     range a single-n draw of the same replicas gives, however the
-    replicas are batched."""
+    replicas are blocked: rows longer than a block, one row a block, and
+    blocks of 2 and of 4 rows (the last holding 2).  srw and king decode
+    raw words, lazy-srw the alias table."""
     dist = request.getfixturevalue(name)
     ladder = (300, 40, 300, 2, 1000)
     got = sample_range_ladder(dist, ladder, 30, master_seed=4, first_replica=17)
@@ -87,9 +90,23 @@ def test_sample_range_ladder_matches_single_n(name, request, monkeypatch):
     for i, n in enumerate(ladder):
         want = sample_range_values(dist, n, 30, master_seed=4, first_replica=17)
         assert np.array_equal(got[:, i], want)
-    monkeypatch.setattr(deviations, "_SAMPLE_STEPS", 2500)  # 2 rows a batch
-    assert np.array_equal(
-        sample_range_ladder(dist, ladder, 30, master_seed=4, first_replica=17), got)
+    for block in (400, 1000, 2500, 4000):
+        monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", block)
+        assert np.array_equal(
+            sample_range_ladder(dist, ladder, 30, master_seed=4, first_replica=17), got)
+
+
+def test_sample_range_ladder_memory_is_one_block(srw):
+    """Sampling and counting hold one block of steps at a time, not the
+    whole batch: 256 walks of 10^4 steps peak under 4 MB of numpy and
+    Python allocations (whole-batch buffers took 14.4 MB)."""
+    tracemalloc.start()
+    try:
+        sample_range_ladder(srw, [100, 1000, 10000], 256, master_seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_range_sample_moments(lazy):

@@ -153,15 +153,16 @@ def test_short_steps_stay_on_the_bitmap(monkeypatch):
 
 @pytest.mark.parametrize("budget", [1, 3 * 997, 4 * 997 + 996])
 def test_batch_range_counts_chunks(monkeypatch, budget):
-    """Rows counted in chunks of 1, 3 (the last holding 1) and 4 (the
-    last holding 3) rows give the counts of the whole batch in one."""
+    """Rows counted in blocks shorter than a row (one row a block), and
+    of 3 (the last holding 1) and 4 (the last holding 3) rows, give the
+    counts of the whole batch in one block."""
     rng = np.random.default_rng(3)
     lengths = [997, 1, 400, 0, 997, 60]
     for name, support in sorted(_BATCH_SUPPORTS.items()):
         idx = rng.integers(0, len(support), size=(7, 997))
         want = batch_range_counts(idx, support[:, 0], support[:, 1], lengths)
         with monkeypatch.context() as m:
-            m.setattr(_fastpath, "_COUNT_STEPS", budget)
+            m.setattr(_fastpath, "_BLOCK_STEPS", budget)
             got = batch_range_counts(idx, support[:, 0], support[:, 1], lengths)
         assert np.array_equal(got, want)
 
