@@ -4,8 +4,9 @@ The site counters and the block kernel are property-tested against
 Python-set recounts; the enumeration kernel is independent of the renewal
 recursion, so its agreement with the exact table is a real cross-check.
 
-Positions are packed into int64 keys as (x << 32) ^ (y & 0xFFFFFFFF),
-which is injective for int32 coordinates.
+Sites have one key format, pack_positions: (x, y) is the int64 key
+(x << 32) + y + 2^31.  Its low 32 bits hold y + 2^31, so it is injective
+for int32 coordinates, and it is linear in the position.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy.ma  # np.unique imports it on first call: load it here, not in a ru
 from .walks import COORD_LIMIT
 
 _PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
-# steps sampled and counted at once by sample_range_ladder and
-# batch_range_counts: the index and counting buffers, 32 bytes a step,
-# stay in a 4 MB L2 cache; smaller blocks cost more Python per step
+# walk steps held at once by every block loop over replicas
+# (replica_blocks): the ladder's index and counting buffers, 32 bytes a
+# step, stay in a 4 MB L2 cache; smaller blocks cost more Python per step
 _BLOCK_STEPS = 1 << 16
 _BOX_CELLS_PER_STEP = 64  # bitmap bytes allowed per step counted
 _POWER_BLOCK = 64  # consecutive k per block in log_power_sums
@@ -37,20 +38,30 @@ __all__ = [
 ]
 
 
+def replica_blocks(start: int, stop: int, n: int):
+    """Consecutive ranges that split the replicas start..stop - 1 into
+    blocks of _BLOCK_STEPS steps of n-step walks (one replica when a
+    walk is longer); the first block is the largest.  The budget is
+    read at call time."""
+    block = max(1, _BLOCK_STEPS // max(n, 1))
+    for lo in range(start, stop, block):
+        yield range(lo, min(lo + block, stop))
+
+
 def pack_positions(pos: np.ndarray) -> np.ndarray:
     """(..., 2) integer positions -> int64 keys of shape (...)."""
     keys = pos[..., 0].astype(np.int64)
     keys <<= 32
-    # the cast to uint32 keeps y mod 2^32, which is y & 0xFFFFFFFF
-    keys ^= pos[..., 1].astype(np.uint32)
+    keys += pos[..., 1]
+    keys += 1 << 31
     return keys
 
 
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
     """Invert pack_positions back to (n, 2) int64 coordinates."""
-    x = keys >> 32
-    y = (keys & np.int64(0xFFFFFFFF)).astype(np.uint32).astype(np.int32)
-    return np.stack([x, y.astype(np.int64)], axis=1)
+    y = keys & 0xFFFFFFFF
+    y -= 1 << 31
+    return np.stack([keys >> 32, y], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +89,8 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
     whose column i counts the first lengths[i] steps of every row;
     lengths may come in any order and repeat.
 
-    Rows are counted in blocks of _BLOCK_STEPS steps (one row when a row
-    is longer), so one block bounds the memory counting takes.
+    Rows are counted in blocks of _BLOCK_STEPS steps (replica_blocks),
+    so one block bounds the memory counting takes.
     sample_range_ladder samples blocks of the same size, and each of
     them is counted here in one pass while it is still in cache.  A
     block is counted on an occupancy bitmap that gives every row its own
@@ -92,9 +103,7 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
     Rows that could leave the int32 box (n * max step > COORD_LIMIT, as
     in walks.check_walk_length) raise OverflowError.  A block's steps
     are taken from one packed table, (dx << 32) + dy, and summed by one
-    cumsum; 2^31 added to the first step keeps the y part in [0, 2^32),
-    so x and y unpack exactly, y shifted by 2^31, which no count depends
-    on."""
+    cumsum from 2^31: the cumsum is pack_positions of the walk."""
     rows, n = idx2d.shape
     ends = np.array([n] if lengths is None else lengths, dtype=np.int64)
     if ends.size == 0 or ends.min() < 0 or ends.max() > n:
@@ -108,32 +117,33 @@ def batch_range_counts(idx2d: np.ndarray, sup_x: np.ndarray, sup_y: np.ndarray,
         if n * int(max(np.abs(sup_x).max(), np.abs(sup_y).max())) > COORD_LIMIT:
             raise OverflowError(f"{n}-step walks can leave the int32 box")
         table = (sup_x << 32) + sup_y
-        chunk = min(rows, max(1, _BLOCK_STEPS // n))
-        # one block's packed positions, then their y; their x; bitmap cells
-        bufs = np.empty((3, chunk, n), dtype=np.int64)
-        for r0 in range(0, rows, chunk):
-            idx = idx2d[r0:r0 + chunk].astype(np.int64, casting="same_kind", copy=False)
+        for js in replica_blocks(0, rows, n):
+            if not js.start:  # one block's keys, their x and their y
+                bufs = np.empty((3, len(js), n), dtype=np.int64)
+            idx = idx2d[js.start:js.stop].astype(np.int64, casting="same_kind",
+                                                 copy=False)
             # one pass: a negative index reads as a huge unsigned one
             if idx.view(np.uint64).max() >= k:
                 raise IndexError(f"step indices must lie in 0..{k - 1}")
-            p, x, flat = bufs[:, :len(idx)]
-            np.take(table, idx, out=p, mode="clip")
-            p[:, 0] += 1 << 31
-            np.cumsum(p, axis=1, out=p)
-            np.right_shift(p, 32, out=x)
-            np.bitwise_and(p, 0xFFFFFFFF, out=p)
-            counts[r0:r0 + chunk] = _chunk_counts(x, p, stops, flat)
+            keys, x, y = bufs[:, :len(js)]
+            np.take(table, idx, out=keys, mode="clip")
+            keys[:, 0] += 1 << 31
+            np.cumsum(keys, axis=1, out=keys)
+            np.right_shift(keys, 32, out=x)
+            np.bitwise_and(keys, 0xFFFFFFFF, out=y)
+            counts[js.start:js.stop] = _chunk_counts(keys, x, y, stops)
     counts = counts[:, np.searchsorted(stops, ends)]
     return counts[:, 0] if lengths is None else counts
 
 
-def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray,
-                  flat: np.ndarray) -> np.ndarray:
-    """counts[r, i] = distinct sites among row r's first stops[i]
-    positions (x[r], y[r]), for sorted distinct stops.  Called on one
-    block of rows: x, y and flat (int64 scratch of at least x.size
-    cells) hold one block, and the bitmap at most _BOX_CELLS_PER_STEP
-    bytes per step, so one block bounds the memory counting takes."""
+def _chunk_counts(keys: np.ndarray, x: np.ndarray, y: np.ndarray,
+                  stops: np.ndarray) -> np.ndarray:
+    """counts[r, i] = distinct sites among row r's first stops[i] keys,
+    for sorted distinct stops, given the keys' halves x = keys >> 32 and
+    y = keys & 0xFFFFFFFF.  Called on one block of rows, whose keys,
+    once the wide rows are counted, are overwritten as the scratch of
+    the bitmap cells; the bitmap takes at most _BOX_CELLS_PER_STEP bytes
+    per step, so one block bounds the memory counting takes."""
     rows, n = x.shape
     x0 = x.min(axis=1)
     y0 = y.min(axis=1)
@@ -143,8 +153,8 @@ def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray,
     wide = area > _BOX_CELLS_PER_STEP * n
     if wide.any():
         keep = ~wide
-        counts[wide] = _sorted_counts(x[wide], y[wide], stops)
-        counts[keep] = _chunk_counts(x[keep], y[keep], stops, flat)
+        counts[wide] = _sorted_counts(keys[wide], stops)
+        counts[keep] = _chunk_counts(keys[keep], x[keep], y[keep], stops)
         return counts
     # row r owns occ[start[r]:end[r]], with (x, y) at (x - x0) * width + y - y0
     end = np.cumsum(area)
@@ -155,7 +165,7 @@ def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray,
     lo = 0
     for i, m in enumerate(stops.tolist()):
         # each prefix's new cells, contiguous: a strided index scatters slower
-        cells = flat.reshape(-1)[:rows * (m - lo)].reshape(rows, m - lo)
+        cells = keys.reshape(-1)[:rows * (m - lo)].reshape(rows, m - lo)
         np.multiply(x[:, lo:m], width[:, None], out=cells)
         cells += y[:, lo:m]
         cells += offset
@@ -165,9 +175,8 @@ def _chunk_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray,
     return counts
 
 
-def _sorted_counts(x: np.ndarray, y: np.ndarray, stops: np.ndarray) -> np.ndarray:
+def _sorted_counts(keys: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The same counts as _chunk_counts, from one sort per prefix."""
-    keys = (x << 32) ^ (y & np.int64(0xFFFFFFFF))
     counts = np.zeros((keys.shape[0], stops.size), dtype=np.int64)
     for i, m in enumerate(stops.tolist()):
         if m:

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
-from . import _fastpath
-from ._fastpath import pack_positions, prefix_range_counts, batch_range_counts
+from ._fastpath import batch_range_counts, pack_positions, prefix_range_counts, replica_blocks
 from .errors import InvalidConfig
 from .exact import ReturnProbTable, build_return_table
 from .rangestats import p_fold_intersection
@@ -54,9 +53,7 @@ __all__ = [
 ]
 
 _EXP_MODES = ("abs-range", "signed-range", "p-intersection")
-# steps held at once as positions by _intersection_sizes and
-# running_max_exceedance
-_PATH_STEPS = 1 << 16
+_SD_MULTIPLE = 2.0  # RangeSample.asymmetry counts values beyond this many SDs
 _BOOT_TERMS = 1 << 18  # resampled weights held at once by exp_moment_probe
 
 
@@ -129,26 +126,25 @@ def sample_range_ladder(dist: StepDistribution, n_ladder, replicas: int,
     Each replica draws max(n_ladder) steps once from its own
     counter-based stream, and every entry counts a prefix of that walk,
     which is the walk a single-n draw of the same replica gives.  So the
-    result is independent of batching.  Replicas go in blocks of
-    _fastpath._BLOCK_STEPS steps (one row when a row is longer): one
-    generator, rekeyed from replica to replica, fills one reused index
-    buffer, and batch_range_counts counts it whole while it is still in
-    cache.  One block bounds the memory of both sampling and counting."""
+    result is independent of batching.  Replicas go in the blocks of
+    replica_blocks: one generator, rekeyed from replica to replica,
+    fills one reused index buffer, and batch_range_counts counts it
+    whole while it is still in cache.  One block bounds the memory of
+    both sampling and counting."""
     lengths = [int(n) for n in n_ladder]
     n = max(lengths)
     sup_x = dist.support[:, 0].astype(np.int64)
     sup_y = dist.support[:, 1].astype(np.int64)
-    batch = max(1, _fastpath._BLOCK_STEPS // max(n, 1))
     out = np.empty((replicas, len(lengths)), dtype=np.int64)
-    buf = np.empty((min(batch, replicas), n), dtype=np.int64)
     rng = stream(master_seed, first_replica, PURPOSE_STEPS)
-    for start in range(0, replicas, batch):
-        stop = min(start + batch, replicas)
-        idx = buf[:stop - start]
+    for js in replica_blocks(0, replicas, n):
+        if not js.start:
+            buf = np.empty((len(js), n), dtype=np.int64)
+        idx = buf[:len(js)]
         step_index_rows(dist, rng, master_seed,
-                        range(first_replica + start, first_replica + stop),
+                        range(first_replica + js.start, first_replica + js.stop),
                         PURPOSE_STEPS, idx)
-        out[start:stop] = batch_range_counts(idx, sup_x, sup_y, lengths)
+        out[js.start:js.stop] = batch_range_counts(idx, sup_x, sup_y, lengths)
     return out
 
 
@@ -193,14 +189,14 @@ class RangeSample:
                 "se": self.se, "gap": gap,
                 "gap_in_se": gap / self.se if self.se > 0 else math.inf}
 
-    def asymmetry(self, table: ReturnProbTable, sd_multiple: float = 2.0) -> dict:
-        """Counts of centered values beyond +-a, a = sd_multiple * SD.
+    def asymmetry(self, table: ReturnProbTable) -> dict:
+        """Counts of centered values beyond +-a, a = _SD_MULTIPLE * SD.
 
         The hard bound -R_bar <= E R_n (ranges are at least 1) is
         reported alongside."""
         er = float(table.er[self.n])
         c = self.values.astype(np.float64) - er
-        a = sd_multiple * self.sd
+        a = _SD_MULTIPLE * self.sd
         plus = int((c > a).sum())
         minus = int((-c > a).sum())
         return {"n": self.n, "a": a, "skewness": self.skewness,
@@ -274,11 +270,9 @@ def _intersection_sizes(dist: StepDistribution, n: int, replicas: int,
                         master_seed: int) -> np.ndarray:
     """|range of walk A intersect range of walk B| for each replica's
     pair of independent n-step walks, A from its step stream and B from
-    its partner stream, sampled _PATH_STEPS steps at a time."""
+    its partner stream, sampled in the blocks of replica_blocks."""
     vals = np.empty(replicas, dtype=np.float64)
-    block = max(1, _PATH_STEPS // max(n, 1))
-    for start in range(0, replicas, block):
-        js = range(start, min(start + block, replicas))
+    for js in replica_blocks(0, replicas, n):
         a, b = (sample_paths(dist, n, master_seed, js, purpose)
                 for purpose in (PURPOSE_STEPS, PURPOSE_PARTNER))
         for j, pa, pb in zip(js, a, b):
@@ -451,11 +445,9 @@ def running_max_exceedance(dist: StepDistribution, n: int, replicas: int,
         raise InvalidConfig("n too small for the triple logarithm")
     er = table.er[1:n + 1]
     maxima = np.empty(replicas)
-    block = max(1, _PATH_STEPS // n)
-    for start in range(0, replicas, block):
-        keys = pack_positions(sample_paths(
-            dist, n, master_seed, range(start, min(start + block, replicas))))
-        for j, row in enumerate(keys, start):
+    for js in replica_blocks(0, replicas, n):
+        keys = pack_positions(sample_paths(dist, n, master_seed, js))
+        for j, row in zip(js, keys):
             prefix = prefix_range_counts(row).astype(np.float64)
             maxima[j] = float((prefix - er).max())
     base = n * lll / math.log(n) ** 2

@@ -61,6 +61,7 @@ _TCUT = 60.0  # drop series terms below e^{-60}
 TABLE_ALGORITHM = "region-harvest-1"
 _REGIME_A_TOP = 256
 _MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids
+_RESIDUAL_SAMPLE = 64  # horizons checked by identity_residuals
 _MAX_ENUM_PATHS = 2.0e8  # budget for full path enumeration
 
 # In-process caches, least recently used first; a table through 2^20
@@ -249,8 +250,7 @@ def return_prob_spectral(dist: StepDistribution, k: int) -> float:
 # the two direct routes
 
 
-def return_prob_exact(dist: StepDistribution, k: int,
-                      max_cells: int = _MAX_GRID_CELLS) -> float:
+def return_prob_exact(dist: StepDistribution, k: int) -> float:
     """u_k by exact quadrature: phi^k is a trig polynomial of coordinate
     degree k * max_step, so a uniform grid with more nodes than the
     degree integrates it without error (beyond roundoff)."""
@@ -259,7 +259,7 @@ def return_prob_exact(dist: StepDistribution, k: int,
     if k == 0:
         return 1.0
     m = 2 * k * dist.max_step + 2
-    if m * m > max_cells:
+    if m * m > _MAX_GRID_CELLS:
         raise ResourceLimit(
             f"exact quadrature grid for k={k} needs {m}^2 cells; "
             f"use return_prob_spectral or build_return_table instead")
@@ -272,8 +272,7 @@ def return_prob_exact(dist: StepDistribution, k: int,
     return total / (m * m)
 
 
-def return_probs_dp(dist: StepDistribution, kmax: int,
-                    max_cells: int = _MAX_GRID_CELLS) -> np.ndarray:
+def return_probs_dp(dist: StepDistribution, kmax: int) -> np.ndarray:
     """u_0..u_kmax by direct convolution of the step law on the lattice.
 
     Independent of the Fourier route; quadratic in kmax, meant as an
@@ -281,7 +280,7 @@ def return_probs_dp(dist: StepDistribution, kmax: int,
     s = dist.max_step
     half = kmax * s
     size = 2 * half + 1
-    if size * size > max_cells:
+    if size * size > _MAX_GRID_CELLS:
         raise ResourceLimit(f"DP grid {size}^2 exceeds the cell budget")
     cur = np.zeros((size, size))
     cur[half, half] = 1.0
@@ -382,10 +381,12 @@ class ReturnProbTable:
     f: np.ndarray
     er: np.ndarray
 
-    def identity_residuals(self, sample: int = 64) -> dict[str, float]:
-        """Worst-case residuals of the defining identities, for audits."""
+    def identity_residuals(self) -> dict[str, float]:
+        """Worst-case residuals of the defining identities, for audits,
+        at _RESIDUAL_SAMPLE horizons spread over 1..n."""
         n = self.n
-        ks = np.unique(np.clip(np.linspace(1, n, min(sample, n)).astype(int), 1, n))
+        ks = np.linspace(1, n, min(_RESIDUAL_SAMPLE, n)).astype(int)
+        ks = np.unique(np.clip(ks, 1, n))
         res_first = 0.0
         res_last = 0.0
         # numpy's pairwise sums: a BLAS dot would round by thread count

@@ -44,7 +44,7 @@ from .exact import (
     enumeration_oracle,
     expected_range_asymptotic,
 )
-from ._fastpath import pack_positions
+from ._fastpath import pack_positions, replica_blocks
 from .rangestats import batch_decompositions
 from .smoothing import (
     check_q_kernel,
@@ -78,7 +78,6 @@ __all__ = [
 # it every output byte) is independent of how many workers execute them.
 SHARD_SIZE = 2048
 _CSV_BLOCK_ROWS = 8192  # CSV rows formatted and held at a time
-_RECORD_STEPS = 1 << 14  # walk steps sampled at once by _identity_records
 
 OUT_ROOT_ENV = "RANGELAB_OUT_ROOT"
 
@@ -457,16 +456,14 @@ def _q_pair_fields(dist: StepDistribution, n: int, seed: int, js: range,
 
 def _identity_records(cfg: ExperimentConfig, dist: StepDistribution,
                       start: int, stop: int) -> list:
-    """Records taken _RECORD_STEPS walk steps at a time; a block's arrays
+    """Records taken in the blocks of replica_blocks; a block's arrays
     are freed before the next is sampled, which bounds peak memory."""
     p = cfg.params
     n, seed = p["n"], cfg.master_seed
     q = q_kernel(p["t"], p["b_t"], p["eps"]) if "q-kernel" in p["checks"] else None
     splits = [c for c in p["checks"] if c != "q-kernel"]
-    block = max(1, _RECORD_STEPS // n)
     records = []
-    for lo in range(start, stop, block):
-        js = range(lo, min(lo + block, stop))
+    for js in replica_blocks(start, stop, n):
         recs = [{"replica": j} for j in js]
         if splits:
             for rec, f in zip(recs, _split_fields(dist, n, seed, js, splits)):

@@ -67,28 +67,19 @@ class IntersectionStats:
     count: int
 
 
-def p_fold_intersection(paths, starts=None) -> IntersectionStats:
-    """Number of sites visited by every one of the given walks.
-
-    starts optionally translates each walk (site sets become
-    start + range), which is how mutual intersections of walks launched
-    from different points are counted."""
+def p_fold_intersection(paths) -> IntersectionStats:
+    """Number of sites visited by every one of the given walks."""
     if len(paths) < 2:
         raise ValueError("need at least two walks")
-    if starts is None:
-        starts = [(0, 0)] * len(paths)
-    if len(starts) != len(paths):
-        raise ValueError("one start per walk")
     sets = []
     lengths = []
-    for path, (sx, sy) in zip(paths, starts):
+    for path in paths:
         pos = path.positions if isinstance(path, WalkPath) else np.asarray(path)
         lengths.append(len(pos))
         if len(pos) == 0:
             sets.append(np.empty(0, np.int64))
             continue
-        shifted = pos.astype(np.int64) + np.array([sx, sy], dtype=np.int64)
-        sets.append(np.unique(pack_positions(shifted)))
+        sets.append(np.unique(pack_positions(pos)))
     common = sets[0]
     for s in sets[1:]:
         common = np.intersect1d(common, s, assume_unique=True)

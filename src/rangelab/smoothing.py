@@ -296,18 +296,22 @@ def _parseval(sa: np.ndarray, sb: np.ndarray, stamp: SmoothingKernel,
 def pair_functionals(path_a, path_b, q: QKernel, level: int = 0,
                      max_fft: int | None = None) -> dict:
     """Every statistic of one pair at q's scale (q.t, q.eps, q.b_t), from
-    one pair of site sets and one level-0 B: "a" is path_a's squared
-    smoothed field (_a_of_sites), "b" b_functional at level, "q" the
+    one pair of site sets and one level-0 B, all on q.stamp: "a" is
+    path_a's squared smoothed field (_a_of_sites), "b" b_functional at
+    level (the level's site sets at horizon q.t / 2^level), "q" the
     q_identity_check dict and "parseval" the parseval_check dict, or
     None without max_fft."""
     stamp = q.stamp
     sa = site_set(path_a, horizon=q.t)
     sb = site_set(path_b, horizon=q.t)
-    b0 = _b_of_sites(sa, sb, stamp)
+    b0 = b = _b_of_sites(sa, sb, stamp)
+    if level:
+        horizon = q.t / (1 << level)
+        b = _b_of_sites(site_set(path_a, horizon=horizon),
+                        site_set(path_b, horizon=horizon), stamp)
     return {
         "a": _a_of_sites(sa, stamp),
-        "b": b0 if level == 0 else b_functional(path_a, path_b, q.t, q.eps,
-                                                b_t=q.b_t, level=level),
+        "b": b,
         "q": _q_identity(sa, sb, q, b0),
         "parseval": None if max_fft is None else _parseval(sa, sb, stamp, max_fft, b0),
     }

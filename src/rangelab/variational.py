@@ -40,6 +40,14 @@ __all__ = [
     "gn_audit",
 ]
 
+KAPPA_TOL = 1e-10  # kappa22_solve's stopping tolerance on the objective
+_STALL_STEPS = 100  # accepted steps under KAPPA_TOL that stop the solve
+_MAX_ITER = 50000
+_STEP = 0.8  # first line-search step
+_SHIFT = 1.0  # the preconditioner is K + _SHIFT W
+_AUDIT_HALF_WIDTH = 10.0  # gn_audit's grid spans [-10, 10]^2
+_AUDIT_POINTS = 161  # with this many points per axis
+
 
 def gaussian_half_quotient() -> float:
     """Exact half-quotient of any centered Gaussian: 1/(4 pi).
@@ -150,10 +158,7 @@ def _tridiagonal_solver(diag: np.ndarray, off: np.ndarray):
     return solve
 
 
-def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
-                  max_iter: int = 50000, step: float = 0.8,
-                  shift: float = 1.0, tol: float = 1e-10,
-                  stall_steps: int = 100) -> KappaResult:
+def kappa22_solve(nodes: int = 512, r_max: float = 16.0) -> KappaResult:
     """Maximize G by preconditioned gradient ascent on the mass sphere.
 
     Unknowns live at r_i = i h for i < nodes with a Dirichlet zero at
@@ -162,8 +167,8 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
     is the preconditioned constrained-stationarity residual projected
     tangent to the sphere, which is guaranteed ascent; a backtracking
     line search handles the rest.  Converged means the objective moved
-    by less than tol over stall_steps consecutive accepted steps (or the
-    residual vanished outright)."""
+    by less than KAPPA_TOL over _STALL_STEPS consecutive accepted
+    steps (or the residual vanished outright)."""
     if nodes < 256 or nodes % 2 != 0:
         raise InvalidConfig("nodes must be even and at least 256")
     if r_max < 10.0:
@@ -179,8 +184,8 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
     diag[1:] = c[:-1] + c[1:]
     off = -c[:-1]
 
-    # the preconditioner K + shift W is fixed: factor it once
-    precondition = _tridiagonal_solver(diag + shift * w, off)
+    # the preconditioner K + _SHIFT W is fixed: factor it once
+    precondition = _tridiagonal_solver(diag + _SHIFT * w, off)
 
     def mass_norm(v):
         return math.sqrt(float((w * v * v).sum()))
@@ -200,12 +205,12 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
 
     g_best, _ = energy(f)
     f_best = f.copy()
-    tau = step
+    tau = _STEP
     restarts = 0
     converged = False
     it = 0
     stall = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         g_val, p2 = energy(f)
         grad = 2.0 * (w * f**3) / p2 - apply_k(f)
         lam = float((grad * f).sum())
@@ -237,9 +242,9 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
         if g_try > g_best:
             g_best = g_try
             f_best = f.copy()
-        if abs(improvement) < tol:
+        if abs(improvement) < KAPPA_TOL:
             stall += 1
-            if stall >= stall_steps:
+            if stall >= _STALL_STEPS:
                 converged = True
                 break
         else:
@@ -267,8 +272,7 @@ def kappa22_solve(nodes: int = 512, r_max: float = 16.0,
 
 
 def gn_audit(m_hat: float, num: int = 100, seed: int = 12345,
-             margin: float = 1e-6, grid_points: int = 161,
-             half_width: float = 10.0) -> dict:
+             margin: float = 1e-6) -> dict:
     """Check ||f||_4^4 <= (2 m_hat + margin) ||grad f||_2^2 ||f||_2^2
     on random bump-times-polynomial test functions.
 
@@ -276,7 +280,7 @@ def gn_audit(m_hat: float, num: int = 100, seed: int = 12345,
     has enormous slack against the bound; a single violation means the
     computed constant is wrong."""
     rng = np.random.default_rng(seed)
-    x = np.linspace(-half_width, half_width, grid_points)
+    x = np.linspace(-_AUDIT_HALF_WIDTH, _AUDIT_HALF_WIDTH, _AUDIT_POINTS)
     hx = x[1] - x[0]
     gx, gy = np.meshgrid(x, x, indexing="ij")
     r2 = gx * gx + gy * gy

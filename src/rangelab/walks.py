@@ -137,7 +137,6 @@ class StepDistribution:
     probs: np.ndarray = field(init=False)
     _accept: np.ndarray = field(init=False, repr=False)
     _alias: np.ndarray = field(init=False, repr=False)
-    _accept_all: bool = field(init=False, repr=False)
     _shift: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -148,10 +147,9 @@ class StepDistribution:
             raise InvalidConfig("one weight per support point is needed")
         self.probs = np.array([float(f) for f in self.fracs], dtype=np.float64)
         self._accept, self._alias = _build_alias(self.probs)
-        self._accept_all = bool((self._accept == 1.0).all())
         # 64 - b when the decode is floor(u k) with k = 2^b, b >= 1; else 0
         k = len(self.probs)
-        pow2 = self._accept_all and k > 1 and k & (k - 1) == 0
+        pow2 = k > 1 and k & (k - 1) == 0 and (self._accept == 1.0).all()
         self._shift = 65 - k.bit_length() if pow2 else 0
 
     @classmethod
@@ -224,8 +222,6 @@ class StepDistribution:
         v = rng.random(n)
         v *= len(self.probs)
         j = v.astype(np.int64)
-        if self._accept_all:
-            return j
         v -= j  # the fraction, in place: a fresh array costs page faults
         return np.where(v < self._accept[j], j, self._alias[j])
 

@@ -718,7 +718,7 @@ def test_identity_records_independent_of_block_size(monkeypatch, budget, dist, c
     """Records taken one walk at a time, three at a time (the last block
     short) or a whole shard at once are the records of the default
     blocks, to the last byte of their JSON."""
-    from rangelab import experiments
+    from rangelab import _fastpath, experiments
 
     cfg = ExperimentConfig.from_dict({
         "kind": "identities", "distribution": dist, "master_seed": 12,
@@ -729,6 +729,6 @@ def test_identity_records_independent_of_block_size(monkeypatch, budget, dist, c
                 for r in experiments._identity_records(cfg, cfg.dist(), 3, 17)]
 
     want = records()
-    monkeypatch.setattr(experiments, "_RECORD_STEPS", budget)
+    monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", budget)
     assert records() == want
     assert [json.loads(r)["replica"] for r in want] == list(range(3, 17))

@@ -330,7 +330,7 @@ def test_intersection_sizes_pinned(monkeypatch, budget):
     from rangelab.walks import builtin_distribution
 
     if budget is not None:
-        monkeypatch.setattr(deviations, "_PATH_STEPS", budget)
+        monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", budget)
     lazy, king = builtin_distribution("lazy-srw"), builtin_distribution("king")
     assert deviations._intersection_sizes(lazy, 64, 10, 3).tolist() == [
         0.0, 4.0, 9.0, 1.0, 2.0, 0.0, 13.0, 10.0, 3.0, 3.0]
@@ -343,7 +343,7 @@ def test_running_max_exceedance_pinned(lazy, king, monkeypatch, budget):
     """Exceedance counts on a fine grid of lambda keep the values of the
     per-replica sampler, whatever number of walks is sampled at once."""
     if budget is not None:
-        monkeypatch.setattr(deviations, "_PATH_STEPS", budget)
+        monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", budget)
     lambdas = [x / 4 for x in range(-8, 25)]
     out = running_max_exceedance(lazy, 256, 12, 4, lambdas)
     assert out["base_scale"] == 4.480809019306081

@@ -126,12 +126,23 @@ def test_batch_range_counts_rejects_bad_step_indices(bad):
         idx[row] = 0
 
 
-def test_batch_range_counts_refuses_to_leave_the_int32_box():
+def test_batch_range_counts_refuses_to_leave_the_int32_box(monkeypatch):
     """Positions reach both edges of the int32 box and are counted; one
-    unit more is refused, not wrapped."""
+    unit more is refused, not wrapped.  Such wide rows are counted by
+    sorting their keys, which are pack_positions of the walks."""
+    sorted_counts, sorted_keys = _fastpath._sorted_counts, []
+
+    def record(keys, stops):
+        sorted_keys.append(keys.copy())
+        return sorted_counts(keys, stops)
+
+    monkeypatch.setattr(_fastpath, "_sorted_counts", record)
     idx = np.array([[0, 0], [1, 1], [0, 1]])
     wide = np.array([2**30 - 1, 1 - 2**30])
     assert batch_range_counts(idx, wide, wide).tolist() == [2, 2, 2]
+    walks = np.cumsum(np.stack([wide, wide], axis=1)[idx], axis=1)
+    assert np.abs(walks).max() == 2**31 - 2
+    assert np.array_equal(sorted_keys[0], pack_positions(walks))
     assert batch_range_counts(idx, wide, -wide, [1, 2]).tolist() == [[1, 2]] * 3
     with pytest.raises(OverflowError):
         batch_range_counts(idx, wide + 1, wide - 1)

@@ -187,13 +187,17 @@ def test_parseval_window_guard():
 
 def test_b_functional_level_truncation():
     """Higher levels shrink the horizon to t/2^level; with nonnegative
-    fields the cross term can only lose mass."""
+    fields the cross term can only lose mass.  pair_functionals, which
+    stamps with its q kernel's stamp, gives b_functional's bits."""
     pa = sample_poissonized(LAZY, 256.0, master_seed=13, replica=0)
     pb = sample_poissonized(LAZY, 256.0, master_seed=13, replica=1)
     b0 = b_functional(pa, pb, 256.0, 0.5, b_t=4.0, level=0)
     b2 = b_functional(pa, pb, 256.0, 0.5, b_t=4.0, level=2)
     assert b0 > 0
     assert b2 <= b0 + 1e-12
+    q = q_kernel(256.0, 4.0, 0.5)
+    assert [pair_functionals(pa, pb, q, level=k)["b"] for k in (0, 1, 2)] == [
+        b0, b_functional(pa, pb, 256.0, 0.5, b_t=4.0, level=1), b2]
 
 
 def test_a_functional_positive_and_symmetric_in_pair():

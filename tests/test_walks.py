@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rangelab._fastpath import pack_positions, unpack_keys
 from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.walks import (
+    COORD_LIMIT,
     PURPOSE_PARTNER,
     PURPOSE_STEPS,
     StepDistribution,
@@ -139,27 +140,27 @@ def _equal_weight_law(name, steps):
 
 
 _DECODE_LAWS = {
-    # name: (law, equal weights, decoded by a shift: k = 2^b with b >= 1)
-    "one-step": (StepDistribution.from_steps("one-step", [(0, 0, 1, 1)]), True, False),
-    "srw": (builtin_distribution("srw"), True, True),
-    "lazy-srw": (builtin_distribution("lazy-srw"), False, False),
-    "king": (builtin_distribution("king"), True, True),
+    # name: (law, decoded by a shift: k = 2^b equal weights with b >= 1)
+    "one-step": (StepDistribution.from_steps("one-step", [(0, 0, 1, 1)]), False),
+    "srw": (builtin_distribution("srw"), True),
+    "lazy-srw": (builtin_distribution("lazy-srw"), False),
+    "king": (builtin_distribution("king"), True),
     "sixteen": (_equal_weight_law("sixteen", [(1, 0), (0, 1), (1, 1), (1, -1), (2, 0),
-                                              (0, 2), (2, 1), (1, 2)]), True, True),
-    "six": (_equal_weight_law("six", [(1, 0), (2, 0), (0, 1)]), True, False),
+                                              (0, 2), (2, 1), (1, 2)]), True),
+    "six": (_equal_weight_law("six", [(1, 0), (2, 0), (0, 1)]), False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_DECODE_LAWS))
 def test_step_indices_match_alias_decode(name):
-    """Equal-weight laws skip the alias decode, which would keep
-    floor(u k) for every u, and with k = 2^b (srw, king, the 16-step law)
-    read the top b bits of each raw word (a one-step law, b = 0, keeps
-    the float decode); all laws return what the decode does and leave
-    the stream where rng.random leaves it."""
-    dist, equal, shifted = _DECODE_LAWS[name]
+    """Laws with k = 2^b equal weights (srw, king, the 16-step law) read
+    the top b bits of each raw word, the floor(u k) that the alias
+    decode keeps for every u; every other law (a one-step law, b = 0,
+    and the 6-step equal-weight law too) takes the alias decode.  All
+    laws return what the decode does and leave the stream where
+    rng.random leaves it."""
+    dist, shifted = _DECODE_LAWS[name]
     k = len(dist.probs)
-    assert dist._accept_all == equal
     assert dist._shift == (65 - k.bit_length() if shifted else 0)
     rng, ref = stream(7, 3), stream(7, 3)
     idx = dist.sample_step_indices(100_001, rng)
@@ -236,9 +237,11 @@ def test_positions_check_the_box_when_a_walk_could_leave_it():
         _positions_from_indices(big, np.array([[left, left, left]]))
 
 
-@given(st.lists(st.tuples(st.integers(-10**6, 10**6),
-                          st.integers(-10**6, 10**6)),
+@given(st.lists(st.tuples(st.integers(-COORD_LIMIT, COORD_LIMIT),
+                          st.integers(-COORD_LIMIT, COORD_LIMIT)),
                 min_size=1, max_size=64))
+@example([(COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT), (0, -1), (-1, 0),
+          (COORD_LIMIT, COORD_LIMIT), (-COORD_LIMIT, -COORD_LIMIT)])
 def test_pack_unpack_roundtrip(points):
     pos = np.array(points, dtype=np.int64)
     keys = pack_positions(pos)
