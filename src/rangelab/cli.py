@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kap.add_argument("--audit-num", type=int, default=100,
                        help="random trial functions for the inequality audit")
     p_kap.add_argument("--out", default=None, help="run directory")
-    p_kap.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
 
     p_enum = sub.add_parser("enumerate-oracle",
                             help="exact E[range] by full enumeration")
@@ -141,7 +140,7 @@ def _cmd_kappa(args) -> int:
         "params": {"nodes": nodes, "r_max": args.r_max,
                    "audit_num": args.audit_num},
     }
-    cfg = ExperimentConfig.from_dict(raw, workers=args.workers, out=args.out)
+    cfg = ExperimentConfig.from_dict(raw, out=args.out)
     run_experiment(cfg)
     out = run_dir_for(cfg)
     constants = json.loads((out / "constants.json").read_text())

@@ -27,6 +27,7 @@ from ._fastpath import batch_range_counts, pack_positions, prefix_range_counts, 
 from .errors import InvalidConfig
 from .exact import ReturnProbTable, build_return_table
 from .rangestats import p_fold_intersection
+from .variational import kappa4_normalizations
 from .walks import (
     PURPOSE_PARTNER,
     PURPOSE_STEPS,
@@ -538,6 +539,6 @@ def constants_report(dist: StepDistribution, m_hat: float,
         dist_name=dist.name,
         det_gamma=det,
         upper_lil_constant=2.0 * math.pi * math.sqrt(det),
-        kappa4_candidates={"half_quotient": m_hat, "weinstein": 2.0 * m_hat},
+        kappa4_candidates=kappa4_normalizations(m_hat),
         kappa4_uncertainty=m_hat_uncertainty,
     )

@@ -31,9 +31,7 @@ ER.  The test suite holds the two routes against each other.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -57,36 +55,10 @@ __all__ = [
 ]
 
 _TCUT = 60.0  # drop series terms below e^{-60}
-# Stamped into disk-cache files; change it whenever a table's bits change.
-TABLE_ALGORITHM = "region-harvest-1"
 _REGIME_A_TOP = 256
 _MAX_GRID_CELLS = 1 << 26  # budget for dense lattice grids
 _RESIDUAL_SAMPLE = 64  # horizons checked by identity_residuals
 _MAX_ENUM_PATHS = 2.0e8  # budget for full path enumeration
-
-# In-process caches, least recently used first; a table through 2^20
-# holds 40 MB, so a handful is kept.
-_TABLE_CACHE_ENTRIES = 4
-_CONTEXT_CACHE_ENTRIES = 16
-_table_cache: dict[tuple[str, int], "ReturnProbTable"] = {}
-_context_cache: dict[str, "_SpectralContext"] = {}
-
-
-def _cache_get(cache: dict, key):
-    """cache[key] or None; a hit becomes the most recently used entry."""
-    value = cache.pop(key, None)
-    if value is not None:
-        cache[key] = value
-    return value
-
-
-def _cache_put(cache: dict, key, value, entries: int) -> None:
-    """Store value as the most recently used entry and evict the least
-    recently used ones past the given number of entries."""
-    cache.pop(key, None)
-    cache[key] = value
-    while len(cache) > entries:
-        del cache[next(iter(cache))]
 
 
 def _even_at_least(x: float) -> int:
@@ -171,15 +143,6 @@ class _SpectralContext:
         self.col_floor = np.minimum(col_min, col_min[mirror]) - slack
 
 
-def _spectral_context(dist: StepDistribution) -> _SpectralContext:
-    key = dist.digest()
-    ctx = _cache_get(_context_cache, key)
-    if ctx is None:
-        ctx = _SpectralContext(dist)
-        _cache_put(_context_cache, key, ctx, _CONTEXT_CACHE_ENTRIES)
-    return ctx
-
-
 def _harvest_band(ctx: _SpectralContext, m: int, g_cut: float):
     """Collect (log|phi|, sign) on the m x m grid, angles 2 pi i / m for
     i in [-m/4, 3m/4), at points with 1 - |phi| <= g_cut; everything
@@ -242,7 +205,7 @@ def return_prob_spectral(dist: StepDistribution, k: int) -> float:
     when the walk's period does not divide k, as in the table."""
     if k == 0:
         return 1.0
-    ctx = _spectral_context(dist)
+    ctx = _SpectralContext(dist)
     return float(_band_u(ctx, k, k, walk_period(dist))[0])
 
 
@@ -372,8 +335,6 @@ class ReturnProbTable:
     er[k]  expected number of distinct sites visited in k steps
     """
 
-    dist_name: str
-    dist_digest: str
     n: int
     u: np.ndarray
     h: np.ndarray
@@ -402,25 +363,6 @@ class ReturnProbTable:
             "f_vs_r": res_fr,
         }
 
-    def save_npz(self, path) -> None:
-        tmp = str(path) + ".tmp.npz"
-        np.savez_compressed(tmp, u=self.u, h=self.h, r=self.r, f=self.f,
-                            er=self.er,
-                            meta=np.array([self.dist_name, self.dist_digest,
-                                           str(self.n), TABLE_ALGORITHM]))
-        os.replace(tmp, str(path))
-
-    @classmethod
-    def load_npz(cls, path) -> "ReturnProbTable | None":
-        """The stored table, or None for a file without this code's
-        TABLE_ALGORITHM stamp: its bits come from another algorithm."""
-        z = np.load(path, allow_pickle=False)
-        name, digest, n, *stamp = z["meta"].tolist()
-        if stamp != [TABLE_ALGORITHM]:
-            return None
-        return cls(dist_name=name, dist_digest=digest, n=int(n),
-                   u=z["u"], h=z["h"], r=z["r"], f=z["f"], er=z["er"])
-
 
 def check_table_size(dist: StepDistribution, n: int) -> None:
     """Refuse a table whose largest aliased grid, of side about
@@ -432,47 +374,13 @@ def check_table_size(dist: StepDistribution, n: int) -> None:
             f"over the budget of {_MAX_GRID_CELLS} cells")
 
 
-def _cache_dir() -> Path | None:
-    root = os.environ.get("RANGELAB_CACHE_DIR")
-    if root is None:
-        return None
-    p = Path(root)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def build_return_table(dist: StepDistribution, n: int,
-                       use_cache: bool = True) -> ReturnProbTable:
-    """Build (or fetch) the full table through n steps.
+def build_return_table(dist: StepDistribution, n: int) -> ReturnProbTable:
+    """Build the full table through n steps.
 
     Small k use one exact grid; larger k use geometrically growing
-    aliased grids.  Set RANGELAB_CACHE_DIR to also persist tables on
-    disk, keyed by (distribution digest, n); a file whose stored digest,
-    n, algorithm stamp or column lengths differ from the request is
-    rebuilt and overwritten."""
+    aliased grids."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    digest = dist.digest()
-    if use_cache:
-        # Only exact hits: a slice of a larger table differs from a fresh
-        # build in the last bits, which would make outputs depend on what
-        # the process built before.
-        tab = _cache_get(_table_cache, (digest, n))
-        if tab is not None:
-            return tab
-        cdir = _cache_dir()
-        if cdir is not None:
-            fp = cdir / f"table_{digest}_{n}.npz"
-            if fp.exists():
-                tab = ReturnProbTable.load_npz(fp)
-                # a file that holds another table, or one written by another
-                # algorithm, is rebuilt and overwritten
-                if tab is not None and tab.dist_digest == digest and tab.n == n and all(
-                        col.shape == (n + 1,)
-                        for col in (tab.u, tab.h, tab.r, tab.f, tab.er)):
-                    _cache_put(_table_cache, (digest, n), tab, _TABLE_CACHE_ENTRIES)
-                    return tab
-
     report = validate_distribution(dist)
     if not report.ok:
         raise InvalidConfig("; ".join(report.errors))
@@ -480,7 +388,7 @@ def build_return_table(dist: StepDistribution, n: int,
     # u vanishes off the multiples of the period d: those entries are
     # exact zeros, and the series below runs over the multiples only.
     d = report.period
-    ctx = _spectral_context(dist)
+    ctx = _SpectralContext(dist)
     s = dist.max_step
     u = np.zeros(n + 1)
     u[0] = 1.0
@@ -519,14 +427,7 @@ def build_return_table(dist: StepDistribution, n: int,
     f = _prefix_sum(v)
     er = np.concatenate(([0.0], _prefix_sum(f)[:-1]))
 
-    tab = ReturnProbTable(dist_name=dist.name, dist_digest=digest, n=n,
-                          u=u, h=h, r=r, f=f, er=er)
-    if use_cache:
-        _cache_put(_table_cache, (digest, n), tab, _TABLE_CACHE_ENTRIES)
-        cdir = _cache_dir()
-        if cdir is not None:
-            tab.save_npz(cdir / f"table_{digest}_{n}.npz")
-    return tab
+    return ReturnProbTable(n=n, u=u, h=h, r=r, f=f, er=er)
 
 
 def expected_range_asymptotic(dist: StepDistribution, n: int,

@@ -38,6 +38,7 @@ __all__ = [
     "kappa22_solve",
     "gaussian_half_quotient",
     "gn_audit",
+    "kappa4_normalizations",
 ]
 
 KAPPA_TOL = 1e-10  # kappa22_solve's stopping tolerance on the objective
@@ -55,6 +56,12 @@ def gaussian_half_quotient() -> float:
     Scale invariance kills the width parameter; the value sits strictly
     below m_hat since the Gaussian is not the optimizer."""
     return 1.0 / (4.0 * math.pi)
+
+
+def kappa4_normalizations(m_hat: float) -> dict:
+    """The two kappa4 candidates for a solved m_hat: the half-quotient
+    m_hat itself and the Weinstein quotient 2 m_hat."""
+    return {"half_quotient": m_hat, "weinstein": 2.0 * m_hat}
 
 
 @dataclass
@@ -85,7 +92,7 @@ class KappaResult:
 
     @property
     def kappa4_candidates(self) -> dict:
-        return {"half_quotient": self.m_hat, "weinstein": 2.0 * self.m_hat}
+        return kappa4_normalizations(self.m_hat)
 
     @property
     def kappa22_candidates(self) -> dict:

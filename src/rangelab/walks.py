@@ -12,7 +12,6 @@ scheduling or worker count.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -188,9 +187,6 @@ class StepDistribution:
         parts = [f"{x},{y}:{f.numerator}/{f.denominator}"
                  for (x, y), f in zip(self.support.tolist(), self.fracs)]
         return self.name + "|" + ";".join(parts)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_id().encode()).hexdigest()[:16]
 
     def covariance_exact(self) -> list[list[Fraction]]:
         xx = sum(f * int(x) * int(x) for (x, y), f in zip(self.support.tolist(), self.fracs))

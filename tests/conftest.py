@@ -1,5 +1,3 @@
-import os
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,18 +10,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("rangelab")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_cache(tmp_path_factory):
-    """Keep table caches inside the test session, shared across tests."""
-    old = os.environ.get("RANGELAB_CACHE_DIR")
-    os.environ["RANGELAB_CACHE_DIR"] = str(tmp_path_factory.mktemp("table-cache"))
-    yield
-    if old is None:
-        os.environ.pop("RANGELAB_CACHE_DIR", None)
-    else:
-        os.environ["RANGELAB_CACHE_DIR"] = old
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 """Experiment runner and command-line interface: config hashing,
 shard determinism, resume, reports, and exit codes."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,7 +270,6 @@ def test_exact_outputs_independent_of_blas_threads(tmp_path):
             env = {**os.environ, "PYTHONPATH": src,
                    "OPENBLAS_NUM_THREADS": threads,
                    "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-            env.pop("RANGELAB_CACHE_DIR", None)
             subprocess.run([sys.executable, "-m", "rangelab.cli", "run",
                             "--config", str(p), "--out", str(out), "--report"],
                            check=True, capture_output=True, env=env)
@@ -531,6 +532,44 @@ def test_out_root_env(tmp_path, monkeypatch):
     run_experiment(cfg)
     produced = list((tmp_path / "root").glob("exact-*/table.csv"))
     assert len(produced) == 1
+
+
+def test_cache_variable_changes_nothing(tmp_path, monkeypatch):
+    """Return tables are built in the process that needs them, never
+    read from or written to disk: RANGELAB_CACHE_DIR naming a regular
+    file, which once ended `run --report` in a traceback, changes no
+    report byte."""
+    payload = {**DEV_CFG, "params": {**DEV_CFG["params"], "n_ladder": [64, 200]}}
+    p = _write_cfg(tmp_path, payload)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("RANGELAB_CACHE_DIR", str(blocker))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "set"),
+                 "--report"]) == 0
+    monkeypatch.delenv("RANGELAB_CACHE_DIR")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "unset"),
+                 "--report"]) == 0
+    assert blocker.read_bytes() == b""
+    set_tree, unset_tree = _tree_bytes(tmp_path / "set"), _tree_bytes(tmp_path / "unset")
+    assert {"summary.csv", "moments.csv", "plot.csv"} <= set(set_tree)
+    assert set_tree == unset_tree
+
+
+def test_readme_lists_every_environment_variable():
+    """README's "Environment variables" table names exactly the
+    RANGELAB_* names that appear in string literals under src/."""
+    root = Path(__file__).resolve().parents[1]
+    name = re.compile(r"RANGELAB_[A-Z0-9_]+")
+    in_src = set()
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                in_src.update(name.findall(node.value))
+    readme = (root / "README.md").read_text()
+    section = readme.split("### Environment variables", 1)[1].split("\n#", 1)[0]
+    in_table = set(re.findall(r"^\| `(RANGELAB_[A-Z0-9_]+)` \|", section, re.M))
+    assert "RANGELAB_OUT_ROOT" in in_table
+    assert in_src == in_table
 
 
 def test_lil_run_and_report(tmp_path):

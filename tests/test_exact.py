@@ -18,7 +18,6 @@ from rangelab import _fastpath, exact, experiments
 from rangelab._fastpath import enum_walk_moments, log_power_sums
 from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.exact import (
-    ReturnProbTable,
     build_return_table,
     enumeration_oracle,
     expected_range_asymptotic,
@@ -65,7 +64,7 @@ def test_small_k_quadrature_matches_exact_grid(law):
     exact grid once, weighted by its count: u stays within 1e-15 of the
     cell-by-cell quadrature."""
     dist = distribution_from_config(law)
-    table = build_return_table(dist, 256, use_cache=False)
+    table = build_return_table(dist, 256)
     for k in list(range(1, 13)) + [63, 64, 127, 128, 201, 255, 256]:
         assert abs(table.u[k] - return_prob_exact(dist, k)) <= 1e-15, k
 
@@ -209,48 +208,6 @@ def test_table_shapes_and_monotonicity(lazy):
     assert table.f[0] == pytest.approx(1.0, abs=1e-15)
     assert np.all(np.diff(table.f) <= 1e-15)
     assert np.all(table.f >= -1e-15)
-
-
-def test_table_cache_roundtrip(tmp_path, lazy):
-    table = build_return_table(lazy, 64)
-    path = tmp_path / "t.npz"
-    table.save_npz(path)
-    from rangelab.exact import ReturnProbTable
-
-    loaded = ReturnProbTable.load_npz(path)
-    assert loaded.n == table.n
-    assert loaded.dist_digest == table.dist_digest
-    np.testing.assert_array_equal(loaded.u, table.u)
-    np.testing.assert_array_equal(loaded.er, table.er)
-
-
-def test_table_cache_serves_only_exact_sizes(srw):
-    """A smaller table is built afresh, not sliced from a larger cached
-    one: the slice differs from a fresh build in the last bits."""
-    build_return_table(srw, 64)
-    cached = build_return_table(srw, 8)
-    fresh = build_return_table(srw, 8, use_cache=False)
-    assert cached.n == 8
-    for name in ("u", "h", "r", "f", "er"):
-        assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
-
-
-def test_disk_cache_rebuilds_a_foreign_table(tmp_path, monkeypatch, srw, lazy):
-    """A cache file holding another table (a larger n, or another law,
-    under the srw n = 8 name) is rebuilt and overwritten, not served."""
-    monkeypatch.setenv("RANGELAB_CACHE_DIR", str(tmp_path))
-    fresh = build_return_table(srw, 8, use_cache=False)
-    fp = tmp_path / f"table_{srw.digest()}_8.npz"
-    for foreign in (build_return_table(srw, 64, use_cache=False),
-                    build_return_table(lazy, 8, use_cache=False)):
-        foreign.save_npz(fp)
-        monkeypatch.setattr(exact, "_table_cache", {})
-        got = build_return_table(srw, 8)
-        stored = ReturnProbTable.load_npz(fp)
-        for table in (got, stored):
-            assert (table.n, table.dist_digest) == (8, srw.digest())
-            for name in ("u", "h", "r", "f", "er"):
-                assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def test_local_clt_normalization(lazy):
@@ -449,7 +406,7 @@ def test_region_harvest_matches_brute_force(name):
     """At every band of a 4096 table the region harvest is, bit for bit,
     the g <= g_cut filter of the whole fine grid over i in [-m/4, 3m/4)."""
     dist = _law(name)
-    ctx = exact._spectral_context(dist)
+    ctx = exact._SpectralContext(dist)
     k0 = min(exact._REGIME_A_TOP, max(16, 2048 // (2 * ctx.s) - 1))
     lo = k0 + 1
     while lo <= 4096:
@@ -472,39 +429,6 @@ def test_region_harvest_matches_brute_force(name):
         lo = hi + 1
 
 
-def test_caches_keep_the_most_recent_entries(monkeypatch, lazy):
-    """Both in-process caches hold a fixed number of entries, evict the
-    least recently used first, and serve exact (digest, n) hits."""
-    monkeypatch.setattr(exact, "_table_cache", {})
-    monkeypatch.setattr(exact, "_context_cache", {})
-    limit = exact._TABLE_CACHE_ENTRIES
-    sizes = list(range(2, limit + 5))
-    built = {n: build_return_table(lazy, n) for n in sizes}
-    assert len(exact._table_cache) == limit
-    for n in sizes[-limit:]:
-        assert build_return_table(lazy, n) is built[n]
-    # a hit on the oldest entry saves it from the next eviction
-    build_return_table(lazy, sizes[-limit])
-    build_return_table(lazy, 1)
-    assert build_return_table(lazy, sizes[-limit]) is built[sizes[-limit]]
-    assert (lazy.digest(), sizes[-limit + 1]) not in exact._table_cache
-    fresh = build_return_table(lazy, sizes[0])
-    assert fresh is not built[sizes[0]] and fresh.n == sizes[0]
-    assert fresh.er.tobytes() == built[sizes[0]].er.tobytes()
-    assert len(exact._table_cache) == limit
-
-    limit = exact._CONTEXT_CACHE_ENTRIES
-    laws = [distribution_from_config(
-        {"steps": [[1, 0, a, 2 * a + 2], [-1, 0, a, 2 * a + 2],
-                   [0, 1, 1, 2 * a + 2], [0, -1, 1, 2 * a + 2]]})
-        for a in range(1, limit + 4)]
-    contexts = [exact._spectral_context(dist) for dist in laws]
-    assert len(exact._context_cache) == limit
-    assert exact._spectral_context(laws[-1]) is contexts[-1]
-    assert exact._spectral_context(laws[0]) is not contexts[0]
-    assert len(exact._context_cache) == limit
-
-
 def test_periodic_table_has_exact_zeros(srw):
     """srw has period 2: u and r vanish at odd k, exactly."""
     table = build_return_table(srw, 1 << 12)
@@ -525,10 +449,10 @@ def test_long_odd_return_is_not_taken_for_period_two():
     dist = distribution_from_config({"name": "long-odd", "steps": steps})
     dp = return_probs_dp(dist, 40)
     assert dp[25] > 0 and not dp[1:25:2].any()
-    table = build_return_table(dist, 40, use_cache=False)
+    table = build_return_table(dist, 40)
     np.testing.assert_allclose(table.u, dp, rtol=0, atol=1e-16)
     assert table.u[39] == pytest.approx(dp[39], rel=1e-6)
-    big = build_return_table(dist, 200, use_cache=False)
+    big = build_return_table(dist, 200)
     for k in (101, 151, 199):
         assert big.u[k] == pytest.approx(return_prob_exact(dist, k), rel=1e-9)
 
@@ -554,24 +478,6 @@ def test_top_band_bits_pinned(srw, king):
     pin that band's harvest and power sums."""
     assert build_return_table(srw, 1 << 16).u[-1].hex() == "0x1.45f263e341d58p-17"
     assert build_return_table(king, 1 << 16).u[-1].hex() == "0x1.b2989d53db4e4p-19"
-
-
-def test_disk_cache_rebuilds_an_unstamped_table(tmp_path, monkeypatch, srw):
-    """A cache file without the algorithm stamp (the layout written
-    before the stamp existed), or with another stamp, is rebuilt."""
-    monkeypatch.setenv("RANGELAB_CACHE_DIR", str(tmp_path))
-    fresh = build_return_table(srw, 8, use_cache=False)
-    fp = tmp_path / f"table_{srw.digest()}_8.npz"
-    stale = {name: getattr(fresh, name) + 1e-3 for name in ("u", "h", "r", "f", "er")}
-    for meta in (["srw", srw.digest(), "8"], ["srw", srw.digest(), "8", "old"]):
-        np.savez_compressed(fp, meta=np.array(meta), **stale)
-        monkeypatch.setattr(exact, "_table_cache", {})
-        got = build_return_table(srw, 8)
-        stored = ReturnProbTable.load_npz(fp)
-        assert np.load(fp)["meta"].tolist()[3:] == [exact.TABLE_ALGORITHM]
-        for table in (got, stored):
-            for name in ("u", "h", "r", "f", "er"):
-                assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def test_table_csv_matches_row_writer(tmp_path):
