@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # argparse's first parser build imports it: load it here, not in a run
 import sys
 from pathlib import Path
 
@@ -167,7 +168,10 @@ def _cmd_enumerate_oracle(args) -> int:
                      f"{float(result['equal_time_pairs'][m])!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+            raise InvalidConfig(f"cannot write --out {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
-from ._fastpath import batch_range_counts, pack_positions, prefix_range_counts, replica_blocks
+from ._fastpath import (batch_range_counts, distinct, pack_positions, prefix_range_counts,
+                        replica_blocks)
 from .errors import InvalidConfig
 from .exact import ReturnProbTable, build_return_table
 from .rangestats import p_fold_intersection
@@ -472,7 +473,7 @@ def centering_defect_supremum(dist: StepDistribution, grid_top: int = 1 << 18,
         table = build_return_table(dist, 2 * grid_top)
     if table.n < 2 * grid_top:
         raise InvalidConfig("table too short for the requested grid")
-    grid = np.unique(np.geomspace(16, grid_top, grid_points).astype(np.int64))
+    grid = distinct(np.geomspace(16, grid_top, grid_points).astype(np.int64))
     h = table.h
     phi = lambda j: j / h[j]
     a = grid[:, None].astype(np.float64)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fastpath import enum_walk_moments, log_power_sums
+from ._fastpath import distinct, enum_walk_moments, log_power_sums
 from .errors import InvalidConfig, ResourceLimit
 from .walks import (StepDistribution, check_walk_length, validate_distribution,
                     walk_period)
@@ -76,7 +76,8 @@ def _phi_grid(dist: StepDistribution, lx: np.ndarray, ly: np.ndarray) -> np.ndar
     a = lx[:, None]
     b = ly[None, :]
     for (dx, dy), p in zip(dist.support.tolist(), dist.probs.tolist()):
-        out += p * np.cos(dx * a + dy * b)
+        # an axis step's angle varies along one axis: broadcast it
+        out += p * np.cos((dx * a if dx else 0.0) + (dy * b if dy else 0.0))
     return out
 
 def _g_sign_grid(dist, lx, ly):
@@ -347,7 +348,7 @@ class ReturnProbTable:
         at _RESIDUAL_SAMPLE horizons spread over 1..n."""
         n = self.n
         ks = np.linspace(1, n, min(_RESIDUAL_SAMPLE, n)).astype(int)
-        ks = np.unique(np.clip(ks, 1, n))
+        ks = distinct(np.clip(ks, 1, n))
         res_first = 0.0
         res_last = 0.0
         # numpy's pairwise sums: a BLAS dot would round by thread count

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -335,8 +334,8 @@ def load_config(path, seed_override: int | None = None, workers: int = 1,
         raise InvalidConfig(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidConfig(f"config {p} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw, seed_override=seed_override,
                                       workers=workers, out=out)
 
@@ -444,8 +443,11 @@ def _split_fields(dist: StepDistribution, n: int, seed: int, js: range,
 def _q_pair_fields(dist: StepDistribution, n: int, seed: int, js: range,
                    q, tol: float) -> list:
     """The q-kernel fields of records js, from one sampler call for their
-    pairs of fresh walks, replicas 2j and 2j + 1."""
-    pairs = sample_paths(dist, n, seed, [r for j in js for r in (2 * j, 2 * j + 1)])
+    pairs of fresh walks, replicas 2j and 2j + 1.  The check reads the
+    first q.t steps, so the walks stop there: a walk's prefix is the
+    shorter walk."""
+    pairs = sample_paths(dist, min(n, int(q.t)), seed,
+                         [r for j in js for r in (2 * j, 2 * j + 1)])
     fields = []
     for a, b in zip(pairs[0::2], pairs[1::2]):
         f = _q_fields(q_identity_check(a, b, q))
@@ -686,7 +688,10 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
         raise InvalidConfig(
             f"{out} holds a run of another config, not of "
             f"{cfg.config_hash[:12]}; choose another run directory")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InvalidConfig(f"cannot make the run directory {out}: {exc}") from exc
     _atomic_write(out / "config.json",
                   json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
 
@@ -706,6 +711,9 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
                 continue
             pending.append((cfg.to_dict(), str(out), i, start, stop))
         if cfg.workers > 1 and len(pending) > 1:
+            # imported here: a one-worker run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 for _ in pool.map(_run_shard, pending, chunksize=1):
                     pass

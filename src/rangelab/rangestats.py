@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fastpath import block_sites, pack_positions, prefix_range_counts, sort_by_site
+from ._fastpath import block_sites, distinct, pack_positions, prefix_range_counts, sort_by_site
 from .walks import WalkPath
 
 __all__ = [
@@ -57,7 +57,7 @@ def range_count(path, with_prefix: bool = False) -> RangeStats:
     if with_prefix:
         pre = prefix_range_counts(keys)
         return RangeStats(n=n, count=int(pre[-1]), prefix=pre)
-    return RangeStats(n=n, count=int(np.unique(keys).size))
+    return RangeStats(n=n, count=int(distinct(keys).size))
 
 
 @dataclass
@@ -79,7 +79,7 @@ def p_fold_intersection(paths) -> IntersectionStats:
         if len(pos) == 0:
             sets.append(np.empty(0, np.int64))
             continue
-        sets.append(np.unique(pack_positions(pos)))
+        sets.append(distinct(pack_positions(pos)))
     common = sets[0]
     for s in sets[1:]:
         common = np.intersect1d(common, s, assume_unique=True)

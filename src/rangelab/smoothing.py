@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fastpath import pack_positions, shift_overlaps, unpack_keys
+from ._fastpath import distinct, pack_positions, shift_overlaps, unpack_keys
 from .errors import ResourceLimit
 from .walks import PoissonizedPath, StepDistribution, WalkPath
 
@@ -114,7 +114,7 @@ def site_set(obj, horizon: float | None = None) -> np.ndarray:
             pos = pos[: int(horizon)]
     if pos.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64)
-    keys = np.unique(pack_positions(pos))
+    keys = distinct(pack_positions(pos))
     return unpack_keys(keys)
 
 

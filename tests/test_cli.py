@@ -682,6 +682,79 @@ def test_lil_report_and_kappa_load_no_scipy(tmp_path):
     assert (tmp_path / "kap" / "constants.json").is_file()
 
 
+def test_one_worker_cli_loads_no_pool_and_no_masked_arrays(tmp_path):
+    """A --workers 1 process loads only what it uses: `validate` and
+    `run --report` of every kind import neither the process pool
+    (concurrent.futures, multiprocessing) nor numpy.ma, which a plain
+    np.unique call would."""
+    src = str(Path(rangelab.__file__).resolve().parents[1])
+    raws = [raw for raw, _, _ in PINNED_SHARDS.values()] + [
+        {"kind": "exact", "distribution": "srw", "replicas": 1,
+         "params": {"n": 64, "enumerate": True, "enumerate_n": 5}},
+        {"kind": "kappa", "distribution": "srw", "replicas": 1,
+         "params": {"nodes": [256], "audit_num": 4}},
+    ]
+    calls = []
+    for raw in raws:
+        p = _write_cfg(tmp_path, raw, f"{raw['kind']}.json")
+        calls += [["validate", "--config", str(p)],
+                  ["run", "--config", str(p), "--out", str(tmp_path / raw["kind"]),
+                   "--workers", "1", "--report"]]
+    code = ("import sys; from rangelab.cli import main; "
+            f"assert all(main(argv) == 0 for argv in {calls!r}); "
+            "print(sorted(m for m in ('numpy.ma', 'concurrent.futures', "
+            "'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert {p.name for p in tmp_path.iterdir() if p.is_dir()} == {
+        "identities", "smoothed", "deviations", "lil", "exact", "kappa"}
+
+
+@pytest.mark.parametrize("case", ["run-out-file", "kappa-out-file", "out-root-file",
+                                  "oracle-out-missing-dir", "oracle-out-under-file",
+                                  "oracle-out-dir", "validate-not-utf8",
+                                  "report-config-not-utf8"])
+def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch, case):
+    """A path the user names that cannot be made or read ends in exit 2
+    and a message, not a traceback: an --out or RANGELAB_OUT_ROOT that
+    is a regular file, an enumerate-oracle --out in a missing directory,
+    under a regular file or naming a directory, and a config or a run's
+    config.json that is not UTF-8.  Nothing is written."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    cfg = _write_cfg(tmp_path, {"kind": "exact", "distribution": "srw",
+                                "replicas": 1, "params": {"n": 8}})
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{}")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.json").write_bytes(b"\xff{}")
+    if case == "out-root-file":
+        monkeypatch.setenv("RANGELAB_OUT_ROOT", str(blocker))
+    argv = {
+        "run-out-file": ["run", "--config", str(cfg), "--out", str(blocker)],
+        "kappa-out-file": ["kappa", "--nodes", "256", "--out", str(blocker)],
+        "out-root-file": ["run", "--config", str(cfg)],
+        "oracle-out-missing-dir": ["enumerate-oracle", "--n", "3", "--out",
+                                   str(tmp_path / "missing" / "x.csv")],
+        "oracle-out-under-file": ["enumerate-oracle", "--n", "3", "--out",
+                                  str(blocker / "x.csv")],
+        "oracle-out-dir": ["enumerate-oracle", "--n", "3", "--out", str(run_dir)],
+        "validate-not-utf8": ["validate", "--config", str(latin)],
+        "report-config-not-utf8": ["report", "--out", str(run_dir)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "x"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "file", "latin.json", "run"]
+    assert [p.name for p in run_dir.iterdir()] == ["config.json"]
+
+
 # One tiny config per sharded kind, with its config hash and the sha256
 # of its only shard file, as first written.  A refactor of the engine or
 # the samplers must leave every sampled byte where it was.

@@ -329,6 +329,27 @@ SKEW_STEPS = [[1, 0, 1, 8], [-1, 0, 1, 8], [0, 1, 1, 8], [0, -1, 1, 8],
               [1, 1, 1, 8], [-1, -1, 1, 8], [2, -1, 1, 8], [-2, 1, 1, 8]]
 
 
+@pytest.mark.parametrize("law", [
+    "srw", "lazy-srw", "king",
+    {"steps": [[x, y, 1, 10] for x, y, _, _ in SKEW_STEPS] + [[0, 0, 2, 10]]},
+])
+def test_phi_grid_matches_direct_evaluation(law):
+    """phi on the grid, where an axis step's cosine is taken along its
+    one axis and broadcast, equals p cos(dx a + dy b) summed step by
+    step on the full 2-D grid, to the last bit: on the table's small-k
+    grid at k0 = 256 and on a chunk of its rows, for laws with axis,
+    diagonal, skew and zero steps."""
+    dist = distribution_from_config(law)
+    m0 = 2 * 256 * dist.max_step + 2
+    lam = 2 * math.pi * np.arange(m0) / m0
+    for lx in (lam, lam[100:137]):
+        want = np.zeros((lx.size, lam.size))
+        for (dx, dy), p in zip(dist.support.tolist(), dist.probs.tolist()):
+            want += p * np.cos(dx * lx[:, None] + dy * lam[None, :])
+        got = exact._phi_grid(dist, lx, lam)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_g_grid_matches_direct_trig():
     """The angle-sum evaluation of g = 1 - |phi| agrees with sines and
     cosines taken on the grid, for a law with no reflection symmetry."""
