@@ -5,11 +5,10 @@ deviations live on the scale n log(b) / (log n)^2 while downward ones
 need the much larger n b / (log n)^2, so the lower tail is the heavy
 one.  Nothing at desk scale resolves the limiting rate constants; what
 these probes deliver is the machinery run honestly (exact centering,
-purpose-separated random streams, nested-event monotonicity by
-construction) plus Monte Carlo summaries that the acceptance checks
-pin down: mean against exact expectation, left skew of the centered
-range with more mass beyond -2 sd than beyond +2 sd, boundedness of
-exponential-moment curves.
+purpose-separated random streams) plus Monte Carlo summaries that the
+acceptance checks pin down: mean against exact expectation, left skew
+of the centered range with more mass beyond -2 sd than beyond +2 sd,
+boundedness of exponential-moment curves.
 
 Everything here is deterministic in (master_seed, replica); see
 rangelab.walks.stream for the stream layout.
@@ -23,38 +22,27 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
 
-from ._fastpath import (batch_range_counts, distinct, pack_positions, prefix_range_counts,
-                        replica_blocks)
+from ._fastpath import batch_range_counts, distinct, replica_blocks
 from .errors import InvalidConfig
 from .exact import ReturnProbTable, build_return_table
-from .rangestats import p_fold_intersection
 from .variational import kappa4_normalizations
-from .walks import (
-    PURPOSE_PARTNER,
-    PURPOSE_STEPS,
-    StepDistribution,
-    sample_paths,
-    step_index_rows,
-    stream,
-)
+from .walks import PURPOSE_STEPS, StepDistribution, step_index_rows, stream
 
 __all__ = [
     "DeviationProbe",
     "RangeSample",
     "ConstantsReport",
     "sample_range_ladder",
-    "sample_range_values",
     "tail_rows_from_values",
     "exp_moment_probe",
     "lil_checkpoints",
     "lil_rows",
-    "running_max_exceedance",
     "centering_defect_supremum",
     "constants_report",
     "wilson_interval",
 ]
 
-_EXP_MODES = ("abs-range", "signed-range", "p-intersection")
+_EXP_MODES = ("abs-range", "signed-range")
 _SD_MULTIPLE = 2.0  # RangeSample.asymmetry counts values beyond this many SDs
 _BOOT_TERMS = 1 << 18  # resampled weights held at once by exp_moment_probe
 
@@ -64,13 +52,11 @@ class DeviationProbe:
     """One tail-probe definition: which walk, which sizes, which
     thresholds, which side."""
 
-    dist_name: str
     n_ladder: tuple
     b_schedule: tuple
     thresholds: tuple
     side: str
     replicas: int
-    master_seed: int
 
     def __post_init__(self):
         if self.side not in ("upper", "lower"):
@@ -144,29 +130,16 @@ def sample_range_ladder(dist: StepDistribution, n_ladder, replicas: int,
             buf = np.empty((len(js), n), dtype=np.int64)
         idx = buf[:len(js)]
         step_index_rows(dist, rng, master_seed,
-                        range(first_replica + js.start, first_replica + js.stop),
-                        PURPOSE_STEPS, idx)
+                        range(first_replica + js.start, first_replica + js.stop), idx)
         out[js.start:js.stop] = batch_range_counts(idx, sup_x, sup_y, lengths)
     return out
-
-
-def sample_range_values(dist: StepDistribution, n: int, replicas: int,
-                        master_seed: int, first_replica: int = 0) -> np.ndarray:
-    """Range counts for `replicas` independent walks of n steps, the
-    replicas first_replica, first_replica + 1, ... in order: the
-    one-entry case of sample_range_ladder."""
-    return sample_range_ladder(dist, (n,), replicas, master_seed,
-                               first_replica)[:, 0]
 
 
 @dataclass
 class RangeSample:
     """Monte Carlo sample of R_n with its first moments."""
 
-    dist_name: str
     n: int
-    replicas: int
-    master_seed: int
     values: np.ndarray = field(repr=False)
     mean: float = field(init=False)
     sd: float = field(init=False)
@@ -203,7 +176,7 @@ class RangeSample:
         minus = int((-c > a).sum())
         return {"n": self.n, "a": a, "skewness": self.skewness,
                 "count_plus": plus, "count_minus": minus,
-                "replicas": self.replicas,
+                "replicas": int(self.values.size),
                 "hard_bound_ok": bool((-c <= er).all())}
 
 
@@ -268,28 +241,10 @@ def tail_rows_from_values(probe: DeviationProbe, dist: StepDistribution,
     return rows
 
 
-def _intersection_sizes(dist: StepDistribution, n: int, replicas: int,
-                        master_seed: int) -> np.ndarray:
-    """|range of walk A intersect range of walk B| for each replica's
-    pair of independent n-step walks, A from its step stream and B from
-    its partner stream, sampled in the blocks of replica_blocks."""
-    vals = np.empty(replicas, dtype=np.float64)
-    for js in replica_blocks(0, replicas, n):
-        a, b = (sample_paths(dist, n, master_seed, js, purpose)
-                for purpose in (PURPOSE_STEPS, PURPOSE_PARTNER))
-        for j, pa, pb in zip(js, a, b):
-            vals[j] = p_fold_intersection([pa, pb]).count
-    return vals
-
-
 def _exp_statistics(dist: StepDistribution, n_ladder: tuple, replicas: int,
-                    master_seed: int, mode: str,
-                    table: ReturnProbTable | None) -> list:
-    """The per-replica statistic of `mode` at every ladder entry.  The
-    range modes count every entry on one walk per replica."""
-    if mode == "p-intersection":
-        return [_intersection_sizes(dist, n, replicas, master_seed)
-                for n in n_ladder]
+                    master_seed: int, mode: str, table: ReturnProbTable) -> list:
+    """The per-replica statistic of `mode` at every ladder entry, every
+    entry counted on one walk per replica."""
     ranges = sample_range_ladder(dist, n_ladder, replicas, master_seed)
     stats = []
     for n, values in zip(n_ladder, ranges.T):
@@ -345,7 +300,7 @@ def exp_moment_probe(dist: StepDistribution, n_ladder, theta,
     thetas = [float(t) for t in theta] if per_n else [theta] * len(n_ladder)
     if len(thetas) != len(n_ladder):
         raise InvalidConfig("theta needs one value per ladder entry")
-    if table is None and mode != "p-intersection":
+    if table is None:
         table = build_return_table(dist, max(n_ladder))
     boot_rng = np.random.default_rng(
         np.random.Philox(key=[master_seed & 0xFFFFFFFFFFFFFFFF, 0xB007]))
@@ -433,30 +388,6 @@ def lil_rows(checkpoints, ranges, table: ReturnProbTable) -> list:
             row["running_max_lower"] = run_low
         rows.append(row)
     return rows
-
-
-def running_max_exceedance(dist: StepDistribution, n: int, replicas: int,
-                           master_seed: int, lambdas,
-                           table: ReturnProbTable | None = None) -> dict:
-    """Empirical frequency of max_{m<=n} R_bar_m >= lam * n lll(n)/(log n)^2
-    for each lam; decreasing in lam by event nesting."""
-    if table is None:
-        table = build_return_table(dist, n)
-    _, lll = _iterated_logs(n)
-    if lll is None:
-        raise InvalidConfig("n too small for the triple logarithm")
-    er = table.er[1:n + 1]
-    maxima = np.empty(replicas)
-    for js in replica_blocks(0, replicas, n):
-        keys = pack_positions(sample_paths(dist, n, master_seed, js))
-        for j, row in zip(js, keys):
-            prefix = prefix_range_counts(row).astype(np.float64)
-            maxima[j] = float((prefix - er).max())
-    base = n * lll / math.log(n) ** 2
-    lambdas = sorted(float(x) for x in lambdas)
-    freqs = [float((maxima >= lam * base).mean()) for lam in lambdas]
-    return {"n": n, "replicas": replicas, "base_scale": base,
-            "lambdas": lambdas, "frequencies": freqs}
 
 
 def centering_defect_supremum(dist: StepDistribution, grid_top: int = 1 << 18,

@@ -416,9 +416,9 @@ def _shard_is_complete(path: Path, header: dict) -> bool:
     if not path.is_file():
         return False
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             first = json.loads(fh.readline())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return False
     return first == header
 
@@ -763,13 +763,39 @@ def _iter_records(cfg: ExperimentConfig, run_dir: Path):
     """Yield the records of the verified planned shards, in shard order.
 
     Any other shard file in the directory (another config's, or one past
-    this plan) is never read."""
+    this plan) is never read.  A body line that is not a JSON object
+    raises InvalidConfig naming the shard and the line."""
     for i, ok in _verified_shards(cfg, run_dir).items():
         if ok:
-            with open(_shard_path(run_dir, i)) as fh:
+            path = _shard_path(run_dir, i)
+            with open(path, "rb") as fh:
                 fh.readline()
-                for line in fh:
-                    yield json.loads(line)
+                for lineno, line in enumerate(fh, start=2):
+                    try:
+                        rec = json.loads(line)
+                    except (UnicodeDecodeError, json.JSONDecodeError):
+                        rec = None
+                    if not isinstance(rec, dict):
+                        raise InvalidConfig(f"{path} line {lineno} is not "
+                                            f"a JSON object record")
+                    yield rec
+
+
+def _read_run_json(path: Path, keys: tuple) -> dict:
+    """The JSON object in a whole-run result file, which must hold every
+    key of keys; InvalidConfig names the file otherwise."""
+    try:
+        raw = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        raise InvalidConfig(f"{path} is missing; rerun the config") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidConfig(f"{path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{path} does not hold a JSON object")
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise InvalidConfig(f"{path} lacks {', '.join(missing)}")
+    return raw
 
 
 def _stored_hash(run_dir: Path) -> str | None:
@@ -796,12 +822,10 @@ def _load_run(run_dir: Path):
 
 def _probe(cfg: ExperimentConfig, replicas: int) -> DeviationProbe:
     p = cfg.params
-    return DeviationProbe(dist_name=cfg.distribution,
-                          n_ladder=tuple(p["n_ladder"]),
+    return DeviationProbe(n_ladder=tuple(p["n_ladder"]),
                           b_schedule=tuple(p["b_schedule"]),
                           thresholds=tuple(p["thresholds"]),
-                          side=p["side"], replicas=replicas,
-                          master_seed=cfg.master_seed)
+                          side=p["side"], replicas=replicas)
 
 
 def _check_probe(cfg: ExperimentConfig, dist: StepDistribution) -> None:
@@ -843,8 +867,7 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
 
     moment_rows = []
     for n in probe.n_ladder:
-        sample = RangeSample(dist_name=dist.name, n=n, replicas=have,
-                             master_seed=cfg.master_seed, values=values_by_n[n])
+        sample = RangeSample(n=n, values=values_by_n[n])
         check = sample.mean_check(table)
         tails = sample.asymmetry(table)
         moment_rows.append({
@@ -949,9 +972,10 @@ def _report_smoothed(cfg: ExperimentConfig, run_dir: Path) -> list:
 
 
 def _report_exact(cfg: ExperimentConfig, run_dir: Path) -> list:
-    results = json.loads((run_dir / "results.json").read_text())
+    results = _read_run_json(run_dir / "results.json",
+                             ("n", "identity_residuals"))
     rows = [{"key": "n", "value": results["n"]}]
-    for k, v in sorted(results.get("identity_residuals", {}).items()):
+    for k, v in sorted(results["identity_residuals"].items()):
         rows.append({"key": f"identity_residual_{k}", "value": v})
     for k, v in sorted(results.get("asymptotics", {}).items()):
         rows.append({"key": f"asymptotics_{k}", "value": v})
@@ -964,7 +988,9 @@ def _report_exact(cfg: ExperimentConfig, run_dir: Path) -> list:
 
 
 def _report_kappa(cfg: ExperimentConfig, run_dir: Path) -> list:
-    constants = json.loads((run_dir / "constants.json").read_text())
+    constants = _read_run_json(run_dir / "constants.json",
+                               ("m_hat", "m_hat_spread", "gaussian_half_quotient",
+                                "grids", "kappa4_candidates", "constants"))
     rows = [{"key": "m_hat", "value": constants["m_hat"]},
             {"key": "m_hat_spread", "value": constants["m_hat_spread"]},
             {"key": "gaussian_half_quotient",

@@ -2,10 +2,10 @@
 
 The range of a walk after n steps is the number of distinct sites among
 steps 1..n (the starting site only counts if revisited).  Everything in
-this module is exact integer combinatorics on sampled paths: prefix
-range counts, multi-walk intersections, and two set-identity
-decompositions (dyadic tree and binary-digit splitting) that must
-reproduce the range without any error at all.
+this module is exact integer combinatorics on sampled paths: range
+counts and two set-identity decompositions (dyadic tree and
+binary-digit splitting) that must reproduce the range without any error
+at all.
 """
 
 from __future__ import annotations
@@ -14,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fastpath import block_sites, distinct, pack_positions, prefix_range_counts, sort_by_site
+from ._fastpath import block_sites, distinct, pack_positions, sort_by_site
 from .walks import WalkPath
 
 __all__ = [
     "RangeStats",
     "DecompositionRecord",
     "DecompositionBatch",
-    "IntersectionStats",
     "range_count",
-    "p_fold_intersection",
     "decomposition_check",
     "batch_decompositions",
 ]
@@ -42,49 +40,12 @@ def _as_keys(path) -> np.ndarray:
 class RangeStats:
     n: int
     count: int
-    prefix: np.ndarray | None = None
 
 
-def range_count(path, with_prefix: bool = False) -> RangeStats:
-    """Number of distinct sites hit by steps 1..n.
-
-    With with_prefix=True also returns the full running count, whose
-    increments are always 0 or 1."""
+def range_count(path) -> RangeStats:
+    """Number of distinct sites hit by steps 1..n."""
     keys = _as_keys(path)
-    n = keys.size
-    if n == 0:
-        return RangeStats(n=0, count=0, prefix=np.empty(0, np.int64) if with_prefix else None)
-    if with_prefix:
-        pre = prefix_range_counts(keys)
-        return RangeStats(n=n, count=int(pre[-1]), prefix=pre)
-    return RangeStats(n=n, count=int(distinct(keys).size))
-
-
-@dataclass
-class IntersectionStats:
-    num_walks: int
-    lengths: tuple[int, ...]
-    count: int
-
-
-def p_fold_intersection(paths) -> IntersectionStats:
-    """Number of sites visited by every one of the given walks."""
-    if len(paths) < 2:
-        raise ValueError("need at least two walks")
-    sets = []
-    lengths = []
-    for path in paths:
-        pos = path.positions if isinstance(path, WalkPath) else np.asarray(path)
-        lengths.append(len(pos))
-        if len(pos) == 0:
-            sets.append(np.empty(0, np.int64))
-            continue
-        sets.append(distinct(pack_positions(pos)))
-    common = sets[0]
-    for s in sets[1:]:
-        common = np.intersect1d(common, s, assume_unique=True)
-    return IntersectionStats(num_walks=len(paths), lengths=tuple(lengths),
-                             count=int(common.size))
+    return RangeStats(n=keys.size, count=int(distinct(keys).size))
 
 
 # ---------------------------------------------------------------------------

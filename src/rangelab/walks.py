@@ -42,7 +42,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "PURPOSE_STEPS",
     "PURPOSE_CLOCK",
-    "PURPOSE_PARTNER",
 ]
 
 # Stream purposes.  Each purpose gets an independent Philox stream for a
@@ -50,7 +49,6 @@ __all__ = [
 # the step sequence.
 PURPOSE_STEPS = 1
 PURPOSE_CLOCK = 2
-PURPOSE_PARTNER = 3
 
 _MASK64 = (1 << 64) - 1
 
@@ -384,10 +382,7 @@ def validate_distribution(dist: StepDistribution) -> ValidationReport:
 class WalkPath:
     """A sampled walk: positions[i] is the location after i+1 steps."""
 
-    dist_name: str
     n: int
-    master_seed: int
-    replica: int
     positions: np.ndarray  # (n, 2) int32
 
     def __post_init__(self):
@@ -410,14 +405,13 @@ def _positions_from_indices(dist: StepDistribution, idx: np.ndarray) -> np.ndarr
 
 
 def step_index_rows(dist: StepDistribution, rng: np.random.Generator,
-                    master_seed: int, replicas, purpose: int,
-                    out: np.ndarray) -> None:
+                    master_seed: int, replicas, out: np.ndarray) -> None:
     """Write into out[i] the len(out[i]) step indices of replica
-    replicas[i]'s (master_seed, replica, purpose) stream.  rng, a
-    generator made by stream(), is rekeyed from row to row."""
+    replicas[i]'s step stream.  rng, a generator made by stream(), is
+    rekeyed from row to row."""
     n = out.shape[1]
     for row, replica in zip(out, replicas):
-        rekey(rng, master_seed, replica, purpose)
+        rekey(rng, master_seed, replica, PURPOSE_STEPS)
         row[:] = dist.sample_step_indices(n, rng)
 
 
@@ -429,8 +423,8 @@ def check_walk_length(dist: StepDistribution, n: int) -> None:
             f"int32 coordinate box")
 
 
-def sample_paths(dist: StepDistribution, n: int, master_seed: int, replicas,
-                 purpose: int = PURPOSE_STEPS) -> np.ndarray:
+def sample_paths(dist: StepDistribution, n: int, master_seed: int,
+                 replicas) -> np.ndarray:
     """(len(replicas), n, 2) int32 positions: row i is the n-step walk of
     replica replicas[i], in any order, repeats and gaps allowed.  Every
     row comes from one generator rekeyed from row to row, and equals
@@ -442,19 +436,18 @@ def sample_paths(dist: StepDistribution, n: int, master_seed: int, replicas,
     replicas = list(replicas)
     idx = np.empty((len(replicas), n), dtype=np.int32)
     if replicas:
-        step_index_rows(dist, stream(master_seed, replicas[0], purpose),
-                        master_seed, replicas, purpose, idx)
+        step_index_rows(dist, stream(master_seed, replicas[0]), master_seed,
+                        replicas, idx)
     return _positions_from_indices(dist, idx)
 
 
 def sample_path(dist: StepDistribution, n: int, master_seed: int,
-                replica: int = 0, purpose: int = PURPOSE_STEPS) -> WalkPath:
+                replica: int = 0) -> WalkPath:
     """Sample an n-step walk from the origin.  The origin itself is not
     stored; positions[0] is the location after the first step.  The
     one-row case of sample_paths."""
-    pos = sample_paths(dist, n, master_seed, (replica,), purpose)[0]
-    return WalkPath(dist_name=dist.name, n=n, master_seed=master_seed,
-                    replica=replica, positions=pos)
+    pos = sample_paths(dist, n, master_seed, (replica,))[0]
+    return WalkPath(n=n, positions=pos)
 
 
 @dataclass
@@ -500,6 +493,5 @@ def sample_poissonized(dist: StepDistribution, t: float, master_seed: int,
     rng = stream(master_seed, replica, PURPOSE_STEPS)
     idx = dist.sample_step_indices(n, rng)
     pos = _positions_from_indices(dist, idx)
-    walk = WalkPath(dist_name=dist.name, n=n, master_seed=master_seed,
-                    replica=replica, positions=pos)
+    walk = WalkPath(n=n, positions=pos)
     return PoissonizedPath(t=float(t), jump_times=jump_times, walk=walk)

@@ -572,6 +572,23 @@ def test_readme_lists_every_environment_variable():
     assert in_src == in_table
 
 
+def test_readme_quick_start_runs():
+    """README's Python quick start runs as written and prints what its
+    comments say: E R_3 = 2.75 from the table and from the oracle, and
+    an exact binary decomposition."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(),
+                        re.M | re.S)
+    assert len(blocks) == 1
+    out = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    lines = out.stdout.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == lines[1] == "2.75"
+    assert lines[3] == "True"
+
+
 def test_lil_run_and_report(tmp_path):
     cfg = {
         "kind": "lil",
@@ -818,6 +835,55 @@ def test_report_refuses_a_run_with_no_shards(tmp_path, capsys, kind):
     assert "nothing to report" in err
     assert "Traceback" not in err
     assert sorted(f.name for f in out.iterdir()) == ["config.json", "manifest.json"]
+
+
+# case -> (kind, file of a clean run, damage: "append" data to the file,
+# "delete" it or "replace" its bytes with data, data)
+CORRUPTIONS = {
+    "shard-line-not-json": ("deviations", "shard_00000.jsonl", "append", b"not json\n"),
+    "shard-line-not-object": ("deviations", "shard_00000.jsonl", "append", b"[1, 2]\n"),
+    "shard-line-not-utf8": ("lil", "shard_00000.jsonl", "append", b"\xff\n"),
+    "exact-results-missing": ("exact", "results.json", "delete", None),
+    "exact-results-not-utf8": ("exact", "results.json", "replace", b"\xff{}"),
+    "exact-results-not-json": ("exact", "results.json", "replace", b"{"),
+    "exact-results-not-object": ("exact", "results.json", "replace", b"[3]"),
+    "exact-results-lacks-key": ("exact", "results.json", "replace", b'{"n": 3}'),
+    "kappa-constants-missing": ("kappa", "constants.json", "delete", None),
+    "kappa-constants-lacks-key": ("kappa", "constants.json", "replace", b'{"m_hat": 0.1}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_report_names_a_corrupt_file(tmp_path, capsys, case):
+    """A run directory whose shard has a body line that is not a JSON
+    object, or whose whole-run result file is missing, is not UTF-8 JSON,
+    is not an object or lacks a key the report reads, makes `report`
+    exit 2 with a message that names the file (and the shard's line),
+    not a traceback and not a summary."""
+    kind, name, how, data = CORRUPTIONS[case]
+    raw = {"exact": {"kind": "exact", "distribution": "srw", "replicas": 1,
+                     "params": {"n": 8}},
+           "kappa": {"kind": "kappa", "distribution": "srw", "replicas": 1,
+                     "params": {"nodes": [256]}}}.get(kind) or PINNED_SHARDS[kind][0]
+    out = tmp_path / "run"
+    p = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    target = out / name
+    if how == "delete":
+        target.unlink()
+    elif how == "append":
+        with open(target, "ab") as fh:
+            fh.write(data)
+    else:
+        target.write_bytes(data)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(target) in err
+    if how == "append":
+        assert f"line {len(target.read_bytes().splitlines())} " in err
+    assert not (out / "summary.csv").exists() and not (out / "plot.csv").exists()
 
 
 @pytest.mark.parametrize("budget", [1, 256 * 3, 1 << 40])

@@ -17,9 +17,7 @@ from rangelab.deviations import (
     exp_moment_probe,
     lil_checkpoints,
     lil_rows,
-    running_max_exceedance,
     sample_range_ladder,
-    sample_range_values,
     tail_rows_from_values,
     wilson_interval,
 )
@@ -28,8 +26,8 @@ from rangelab.exact import build_return_table
 
 
 def test_probe_validation():
-    good = dict(dist_name="srw", n_ladder=(64, 256), b_schedule=(2.0, 3.0),
-                thresholds=(0.5,), side="upper", replicas=10, master_seed=0)
+    good = dict(n_ladder=(64, 256), b_schedule=(2.0, 3.0),
+                thresholds=(0.5,), side="upper", replicas=10)
     DeviationProbe(**good)
     with pytest.raises(InvalidConfig):
         DeviationProbe(**{**good, "side": "both"})
@@ -44,9 +42,9 @@ def test_probe_validation():
 
 
 def test_constraint_flags_direction():
-    probe = DeviationProbe(dist_name="srw", n_ladder=(256, 65536),
+    probe = DeviationProbe(n_ladder=(256, 65536),
                            b_schedule=(2.0, 2.0), thresholds=(1.0,),
-                           side="upper", replicas=1, master_seed=0)
+                           side="upper", replicas=1)
     flags = probe.constraint_flags()
     # log b fixed, sqrt(log n) grows: the ratio must fall with n.
     assert flags[0]["ratio"] > flags[1]["ratio"]
@@ -67,12 +65,12 @@ def test_wilson_interval_invariants(k, extra):
 
 
 def test_sample_range_values_deterministic(lazy):
-    a = sample_range_values(lazy, 300, 50, master_seed=5)
-    b = sample_range_values(lazy, 300, 50, master_seed=5)
+    a = sample_range_ladder(lazy, (300,), 50, master_seed=5)[:, 0]
+    b = sample_range_ladder(lazy, (300,), 50, master_seed=5)[:, 0]
     assert np.array_equal(a, b)
     assert a.min() >= 1
     assert a.max() <= 300
-    tail = sample_range_values(lazy, 300, 20, master_seed=5, first_replica=30)
+    tail = sample_range_ladder(lazy, (300,), 20, master_seed=5, first_replica=30)[:, 0]
     assert np.array_equal(tail, a[30:])
 
 
@@ -88,7 +86,7 @@ def test_sample_range_ladder_matches_single_n(name, request, monkeypatch):
     got = sample_range_ladder(dist, ladder, 30, master_seed=4, first_replica=17)
     assert got.shape == (30, len(ladder))
     for i, n in enumerate(ladder):
-        want = sample_range_values(dist, n, 30, master_seed=4, first_replica=17)
+        want = sample_range_ladder(dist, (n,), 30, master_seed=4, first_replica=17)[:, 0]
         assert np.array_equal(got[:, i], want)
     for block in (400, 1000, 2500, 4000):
         monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", block)
@@ -110,38 +108,36 @@ def test_sample_range_ladder_memory_is_one_block(srw):
 
 
 def test_range_sample_moments(lazy):
-    values = sample_range_values(lazy, 1024, 4000, master_seed=11)
-    sample = RangeSample(dist_name="lazy-srw", n=1024, replicas=4000,
-                         master_seed=11, values=values)
+    values = sample_range_ladder(lazy, (1024,), 4000, master_seed=11)[:, 0]
+    sample = RangeSample(n=1024, values=values)
     table = build_return_table(lazy, 1024)
     check = sample.mean_check(table)
     assert check["gap_in_se"] < 4.0
 
 
 def test_skewness_is_centering_invariant(lazy):
-    values = sample_range_values(lazy, 256, 2000, master_seed=3)
-    s = RangeSample(dist_name="lazy-srw", n=256, replicas=2000, master_seed=3,
-                    values=values)
+    values = sample_range_ladder(lazy, (256,), 2000, master_seed=3)[:, 0]
+    s = RangeSample(n=256, values=values)
     shifted = s.values + 1000
-    s2 = RangeSample(dist_name="lazy-srw", n=256, replicas=2000,
-                     master_seed=3, values=shifted)
+    s2 = RangeSample(n=256, values=shifted)
     assert s2.skewness == pytest.approx(s.skewness, abs=1e-12)
 
 
-def _tail_rows(probe: DeviationProbe, dist) -> list:
-    """Rate rows of a probe from its own replicas' ranges on its ladder."""
+def _tail_rows(probe: DeviationProbe, dist, master_seed: int) -> list:
+    """Rate rows of a probe from the ranges of its replicas of master_seed
+    on its ladder."""
     table = build_return_table(dist, max(probe.n_ladder))
     values = sample_range_ladder(dist, probe.n_ladder, probe.replicas,
-                                 probe.master_seed)
+                                 master_seed)
     return tail_rows_from_values(probe, dist, table,
                                  dict(zip(probe.n_ladder, values.T)))
 
 
 def test_upper_tail_rows_structure(lazy):
-    probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(128, 512),
+    probe = DeviationProbe(n_ladder=(128, 512),
                            b_schedule=(3.0, 3.0), thresholds=(0.1, 0.3, 0.6),
-                           side="upper", replicas=2000, master_seed=17)
-    rows = _tail_rows(probe, lazy)
+                           side="upper", replicas=2000)
+    rows = _tail_rows(probe, lazy, 17)
     # scale and exact-h variants for every (n, theta)
     assert len(rows) == 2 * 3 * 2
     by_n = {}
@@ -158,10 +154,10 @@ def test_upper_tail_rows_structure(lazy):
 
 
 def test_lower_tail_rows(lazy):
-    probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(256,),
+    probe = DeviationProbe(n_ladder=(256,),
                            b_schedule=(2.5,), thresholds=(0.05, 0.2),
-                           side="lower", replicas=1500, master_seed=29)
-    rows = _tail_rows(probe, lazy)
+                           side="lower", replicas=1500)
+    rows = _tail_rows(probe, lazy, 29)
     assert len(rows) == 2
     assert all(r["variant"] == "scale" for r in rows)
     ex = [r["exceedances"] for r in sorted(rows, key=lambda r: r["theta"])]
@@ -172,18 +168,17 @@ def test_side_mismatch_rejected():
     """tail_rows_from_values follows the probe's side, so the side is
     checked once, by the probe."""
     with pytest.raises(InvalidConfig):
-        DeviationProbe(dist_name="srw", n_ladder=(64,), b_schedule=(2.0,),
-                       thresholds=(0.1,), side="both", replicas=10,
-                       master_seed=0)
+        DeviationProbe(n_ladder=(64,), b_schedule=(2.0,),
+                       thresholds=(0.1,), side="both", replicas=10)
 
 
 def test_zero_exceedance_reporting(lazy):
     """An unreachable threshold gives p_hat 0: the point rate is None
     but the Wilson upper limit still yields a finite rate bound."""
-    probe = DeviationProbe(dist_name="lazy-srw", n_ladder=(128,),
+    probe = DeviationProbe(n_ladder=(128,),
                            b_schedule=(4.0,), thresholds=(50.0,),
-                           side="upper", replicas=500, master_seed=1)
-    rows = _tail_rows(probe, lazy)
+                           side="upper", replicas=500)
+    rows = _tail_rows(probe, lazy, 1)
     row = [r for r in rows if r["variant"] == "scale"][0]
     assert row["zero_exceedances"]
     assert row["rate"] is None
@@ -204,7 +199,7 @@ def test_exp_moment_matches_naive_mean(lazy):
     table = build_return_table(lazy, n)
     out = exp_moment_probe(lazy, (n,), theta=theta, replicas=replicas,
                            master_seed=seed, table=table, bootstrap=10)
-    values = sample_range_values(lazy, n, replicas, seed)
+    values = sample_range_ladder(lazy, (n,), replicas, seed)[:, 0]
     w = theta * math.log(n) ** 2 / n * (values - float(table.er[n]))
     naive = float(np.exp(w).mean())
     assert out["points"][0]["value"] == pytest.approx(naive, rel=1e-12)
@@ -279,7 +274,7 @@ def test_exp_moment_one_walk_per_replica(lazy, monkeypatch, mode):
     table = build_return_table(lazy, 512)
     expected = []
     for n in ladder:
-        centered = (sample_range_values(lazy, n, replicas, seed).astype(np.float64)
+        centered = (sample_range_ladder(lazy, (n,), replicas, seed)[:, 0].astype(np.float64)
                     - float(table.er[n]))
         stat = np.abs(centered) if mode == "abs-range" else centered
         w = theta * math.log(n) ** 2 / n * stat
@@ -313,7 +308,7 @@ def test_bootstrap_matches_per_resample_loop(lazy, monkeypatch, budget):
                            master_seed=seed, table=table, bootstrap=boot)
     boot_rng = np.random.default_rng(np.random.Philox(key=[seed, 0xB007]))
     for point, n in zip(out["points"], ladder):
-        values = sample_range_values(lazy, n, replicas, seed)
+        values = sample_range_ladder(lazy, (n,), replicas, seed)[:, 0]
         w = theta * math.log(n) ** 2 / n * (values.astype(np.float64) - float(table.er[n]))
         log_mean = float(logsumexp(w) - math.log(replicas))
         bs = [logsumexp(w[boot_rng.integers(0, replicas, size=replicas)])
@@ -321,43 +316,6 @@ def test_bootstrap_matches_per_resample_loop(lazy, monkeypatch, budget):
         lo, hi = np.quantile(bs, [0.025, 0.975])
         assert [float.hex(point[k]) for k in ("log_mean", "ci_lo", "ci_hi")] == [
             float.hex(v) for v in (log_mean, math.exp(float(lo)), math.exp(float(hi)))]
-
-
-@pytest.mark.parametrize("budget", [100, 64 * 3, None])
-def test_intersection_sizes_pinned(monkeypatch, budget):
-    """The p-intersection statistic keeps the values its per-replica
-    sampler gave, whatever number of walks is sampled at once."""
-    from rangelab.walks import builtin_distribution
-
-    if budget is not None:
-        monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", budget)
-    lazy, king = builtin_distribution("lazy-srw"), builtin_distribution("king")
-    assert deviations._intersection_sizes(lazy, 64, 10, 3).tolist() == [
-        0.0, 4.0, 9.0, 1.0, 2.0, 0.0, 13.0, 10.0, 3.0, 3.0]
-    assert deviations._intersection_sizes(king, 100, 6, 8).tolist() == [
-        12.0, 0.0, 5.0, 3.0, 4.0, 13.0]
-
-
-@pytest.mark.parametrize("budget", [100, 256 * 5, None])
-def test_running_max_exceedance_pinned(lazy, king, monkeypatch, budget):
-    """Exceedance counts on a fine grid of lambda keep the values of the
-    per-replica sampler, whatever number of walks is sampled at once."""
-    if budget is not None:
-        monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", budget)
-    lambdas = [x / 4 for x in range(-8, 25)]
-    out = running_max_exceedance(lazy, 256, 12, 4, lambdas)
-    assert out["base_scale"] == 4.480809019306081
-    assert [round(f * 12) for f in out["frequencies"]] == (
-        [12] * 9 + [10, 9, 8, 8, 8, 8, 6, 6, 5, 4, 3, 2, 1] + [0] * 11)
-    out = running_max_exceedance(king, 200, 7, 2, lambdas)
-    assert [round(f * 7) for f in out["frequencies"]] == (
-        [7] * 10 + [6, 5, 4, 2, 2, 1, 1, 1] + [0] * 15)
-
-
-def test_exp_moment_p_intersection_smoke(lazy):
-    out = exp_moment_probe(lazy, (64,), theta=0.2, mode="p-intersection",
-                           replicas=60, master_seed=4, bootstrap=5)
-    assert out["points"][0]["value"] > 0
 
 
 def test_lil_checkpoints_refuses_an_empty_list():
@@ -401,14 +359,6 @@ def test_lil_band_at_desk_scale(srw):
         sup = max(sup, max(window))
     ref = 2.0 * math.pi * math.sqrt(float(srw.det_covariance_exact()))
     assert ref / 10.0 < sup < 10.0 * ref
-
-
-def test_running_max_exceedance_nesting(lazy):
-    out = running_max_exceedance(lazy, 512, replicas=300, master_seed=6,
-                                 lambdas=(0.5, 1.0, 2.0, 4.0))
-    freqs = out["frequencies"]
-    assert all(a >= b for a, b in zip(freqs, freqs[1:]))
-    assert all(0.0 <= f <= 1.0 for f in freqs)
 
 
 def test_centering_defect_supremum(lazy):

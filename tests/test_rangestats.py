@@ -9,7 +9,6 @@ from rangelab._fastpath import batch_range_counts, pack_positions, prefix_range_
 from rangelab.rangestats import (
     batch_decompositions,
     decomposition_check,
-    p_fold_intersection,
     range_count,
 )
 from rangelab.walks import builtin_distribution, sample_path
@@ -220,16 +219,6 @@ def test_decomposition_on_sampled_walks():
         path = sample_path(srw, 1024, master_seed=77, replica=replica)
         assert decomposition_check(path, kind="dyadic").exact
         assert decomposition_check(path, kind="binary").exact
-
-
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=60),
-       st.lists(st.integers(0, 3), min_size=1, max_size=60),
-       st.lists(st.integers(0, 3), min_size=1, max_size=60))
-def test_p_fold_intersection_matches_sets(a, b, c):
-    paths = [_positions_from_steps(x, _SRW_SUPPORT) for x in (a, b, c)]
-    got = p_fold_intersection(paths)
-    sets = [{tuple(p) for p in path.tolist()} for path in paths]
-    assert got.count == len(sets[0] & sets[1] & sets[2])
 
 
 def _dyadic_by_sets(pos, levels):

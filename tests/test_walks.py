@@ -11,7 +11,6 @@ from rangelab._fastpath import pack_positions, unpack_keys
 from rangelab.errors import InvalidConfig, ResourceLimit
 from rangelab.walks import (
     COORD_LIMIT,
-    PURPOSE_PARTNER,
     PURPOSE_STEPS,
     StepDistribution,
     PURPOSE_CLOCK,
@@ -112,7 +111,7 @@ def test_sample_path_deterministic(srw):
 
 def test_purpose_streams_are_independent():
     a = stream(5, 0, PURPOSE_STEPS).random(8)
-    b = stream(5, 0, PURPOSE_PARTNER).random(8)
+    b = stream(5, 0, PURPOSE_CLOCK).random(8)
     assert not np.allclose(a, b)
 
 
@@ -176,7 +175,7 @@ def test_rekey_reproduces_stream():
     stream from its first word, whatever the previous key left in
     Philox's 4-word buffer (here 0 to 3 words used, and a 32-bit half)."""
     triples = [(0, 0, PURPOSE_STEPS), (9, 3, PURPOSE_STEPS), (9, 4, PURPOSE_CLOCK),
-               (2**64 - 1, 2**40 + 5, PURPOSE_PARTNER), (1, 10**6, PURPOSE_STEPS)]
+               (2**64 - 1, 2**40 + 5, PURPOSE_CLOCK), (1, 10**6, PURPOSE_STEPS)]
     rng = stream(5, 1)
     for used, (seed, replica, purpose) in enumerate(triples):
         rng.bit_generator.random_raw(used % 4)
@@ -197,7 +196,7 @@ _HEX = distribution_from_config({"name": "hex", "steps": [
     [1, 1, 1, 6], [-1, -1, 1, 6]]})
 
 
-@pytest.mark.parametrize("purpose", [PURPOSE_STEPS, PURPOSE_PARTNER])
+@pytest.mark.parametrize("purpose", [PURPOSE_STEPS, 3])
 @pytest.mark.parametrize("name", ["srw", "lazy-srw", "king", "hex"])
 def test_sample_paths_rows_match_fresh_streams(name, purpose):
     """Each row of the batch sampler is the walk that a generator built
@@ -205,19 +204,30 @@ def test_sample_paths_rows_match_fresh_streams(name, purpose):
     the pairs 2j, 2j + 1 of records j with gaps between them, and for a
     list out of order with a repeat.  sample_path is its one-row case.
     The laws take the shift decode (srw, king), the alias decode
-    (lazy-srw) and the float decode of equal weights (hex, weights 1/6)."""
+    (lazy-srw) and the float decode of equal weights (hex, weights 1/6).
+    The same rekeying, on a stream of another purpose (3, which no
+    sampler uses), gives that purpose's fresh rows, which differ from
+    the walk's."""
     dist = _HEX if name == "hex" else builtin_distribution(name)
     n, seed = 301, 2**63 + 9
     for replicas in (range(4, 11), [r for j in (0, 5, 6, 40) for r in (2 * j, 2 * j + 1)],
                      [7, 3, 7, 2**40]):
-        pos = sample_paths(dist, n, seed, replicas, purpose)
+        pos = sample_paths(dist, n, seed, replicas)
         assert pos.shape == (len(replicas), n, 2) and pos.dtype == np.int32
         for row, replica in zip(pos, replicas):
-            idx = dist.sample_step_indices(n, stream(seed, replica, purpose))
+            idx = dist.sample_step_indices(n, stream(seed, replica, PURPOSE_STEPS))
             want = np.cumsum(dist.support[idx].astype(np.int64), axis=0)
             assert np.array_equal(row, want)
-            one = sample_path(dist, n, seed, replica, purpose).positions
+            one = sample_path(dist, n, seed, replica).positions
             assert one.dtype == np.int32 and np.array_equal(one, row)
+        rng = stream(seed, replicas[0], purpose)
+        for row, replica in zip(pos, replicas):
+            rekey(rng, seed, replica, purpose)
+            got = dist.sample_step_indices(n, rng)
+            fresh = dist.sample_step_indices(n, stream(seed, replica, purpose))
+            assert np.array_equal(got, fresh)
+            walk = np.cumsum(dist.support[got].astype(np.int64), axis=0)
+            assert np.array_equal(walk, row) == (purpose == PURPOSE_STEPS)
     assert sample_paths(dist, n, seed, []).shape == (0, n, 2)
     with pytest.raises(OverflowError):
         sample_paths(dist, 2**40, seed, [0, 1])
