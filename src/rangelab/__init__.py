@@ -29,7 +29,6 @@ from .walks import (
     BUILTIN_NAMES,
     PoissonizedPath,
     StepDistribution,
-    ValidationReport,
     WalkPath,
     builtin_distribution,
     distribution_from_config,
@@ -49,7 +48,6 @@ __all__ = [
     "ResourceLimit",
     "ReturnProbTable",
     "StepDistribution",
-    "ValidationReport",
     "WalkPath",
     "build_return_table",
     "builtin_distribution",

@@ -103,12 +103,12 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     from .experiments import load_config, run_dir_for, run_experiment, run_report
 
-    cfg = load_config(args.config, seed_override=args.seed,
-                      workers=args.workers, out=args.out)
-    out = run_dir_for(cfg)
-    manifest = run_experiment(cfg, resume=args.resume)
+    cfg = load_config(args.config, seed_override=args.seed)
+    out = run_dir_for(cfg, args.out)
+    manifest = run_experiment(cfg, resume=args.resume, workers=args.workers,
+                              out=out)
     print(f"run complete: {out}")
-    print(f"config_hash={manifest.config_hash} shards={len(manifest.shards)}")
+    print(f"config_hash={manifest['config_hash']} shards={len(manifest['shards'])}")
     if args.report:
         rep = run_report(out)
         print("report files: " + ", ".join(rep["files"]))
@@ -141,9 +141,9 @@ def _cmd_kappa(args) -> int:
         "params": {"nodes": nodes, "r_max": args.r_max,
                    "audit_num": args.audit_num},
     }
-    cfg = ExperimentConfig.from_dict(raw, out=args.out)
-    run_experiment(cfg)
-    out = run_dir_for(cfg)
+    cfg = ExperimentConfig.from_dict(raw)
+    out = run_dir_for(cfg, args.out)
+    run_experiment(cfg, out=out)
     constants = json.loads((out / "constants.json").read_text())
     print(f"run complete: {out}")
     print(f"m_hat={constants['m_hat']!r} spread={constants['m_hat_spread']!r}")
@@ -157,9 +157,7 @@ def _cmd_enumerate_oracle(args) -> int:
     from .walks import distribution_from_config, validate_distribution
 
     dist = distribution_from_config(_parse_dist(args.dist))
-    report = validate_distribution(dist)
-    if not report.ok:
-        raise InvalidConfig("distribution rejected: " + "; ".join(report.errors))
+    validate_distribution(dist)
     result = enumeration_oracle(dist, args.n)
     lines = [f"# dist={result['dist']} n={result['n']} paths={result['paths']}",
              "m,er,equal_time_pairs"]

@@ -382,13 +382,9 @@ def build_return_table(dist: StepDistribution, n: int) -> ReturnProbTable:
     aliased grids."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    report = validate_distribution(dist)
-    if not report.ok:
-        raise InvalidConfig("; ".join(report.errors))
-
     # u vanishes off the multiples of the period d: those entries are
     # exact zeros, and the series below runs over the multiples only.
-    d = report.period
+    d = validate_distribution(dist)
     ctx = _SpectralContext(dist)
     s = dist.max_step
     u = np.zeros(n + 1)
@@ -499,13 +495,11 @@ def local_clt_check(dist: StepDistribution, n: int,
 
     Refuses walks that are not strongly aperiodic: without that, u_k
     oscillates (or vanishes) instead of following the local limit."""
-    report = validate_distribution(dist)
-    if not report.ok:
-        raise InvalidConfig("; ".join(report.errors))
-    if not report.strongly_aperiodic:
+    period = validate_distribution(dist)
+    if period != 1:
         raise InvalidConfig(
             f"local limit check needs a strongly aperiodic walk; "
-            f"{dist.name} has period {report.period}")
+            f"{dist.name} has period {period}")
     det = float(dist.det_covariance_exact())
     rows = []
     for d in sorted(set(ladder), reverse=True):

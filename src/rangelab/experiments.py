@@ -17,10 +17,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,7 +67,6 @@ __all__ = [
     "SHARD_SIZE",
     "KINDS",
     "ExperimentConfig",
-    "RunManifest",
     "load_config",
     "default_out_root",
     "run_experiment",
@@ -97,7 +97,12 @@ def _as_int(value, name: str, minimum: int | None = None) -> int:
 def _as_float(value, name: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidConfig(f"{name} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise InvalidConfig(f"{name} must be finite, got {v}")
     if minimum is not None and v < minimum:
         raise InvalidConfig(f"{name} must be >= {minimum}, got {v}")
     return v
@@ -249,17 +254,15 @@ def _kind(name) -> Kind:
 class ExperimentConfig:
     """One experiment: what to simulate, from which seed, how many times.
 
-    workers and out are runtime placement knobs, set by CLI flags only;
-    they are excluded from the canonical form, so the config hash (and
-    therefore every output byte) ignores them."""
+    Every field is hashed.  Where a run goes and how many processes run
+    it are arguments of run_experiment, so no output byte depends on
+    them."""
 
     kind: str
     distribution: object
     master_seed: int
     replicas: int
     params: dict
-    workers: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         _kind(self.kind)
@@ -291,8 +294,7 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_dict(cls, raw: dict, seed_override: int | None = None,
-                  workers: int = 1, out: str | None = None) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, seed_override: int | None = None) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise InvalidConfig("config must be a JSON object")
         allowed = {"kind", "distribution", "master_seed", "replicas", "params",
@@ -307,7 +309,6 @@ class ExperimentConfig:
         if seed_override is not None:
             seed = seed_override
         seed = _as_int(seed, "master_seed", 0)
-        _require(seed < 2**64, "master_seed must fit in 64 bits")
         replicas = _as_int(raw.get("replicas", 1), "replicas", 1)
         if kind.records is None and replicas != 1:
             raise InvalidConfig(f"kind {raw['kind']!r} is deterministic; "
@@ -315,20 +316,16 @@ class ExperimentConfig:
         params = _canonical_params(raw["kind"], raw.get("params"))
 
         dist = distribution_from_config(raw["distribution"])
-        report = validate_distribution(dist)
-        if not report.ok:
-            raise InvalidConfig("distribution rejected: " + "; ".join(report.errors))
+        validate_distribution(dist)
         cfg = cls(kind=raw["kind"], distribution=raw["distribution"],
-                  master_seed=seed, replicas=replicas, params=params,
-                  workers=max(1, int(workers)), out=out)
+                  master_seed=seed, replicas=replicas, params=params)
         # refuse now what run or report would refuse later
         check_table_size(dist, kind.table_n(params))
         kind.check(cfg, dist)
         return cfg
 
 
-def load_config(path, seed_override: int | None = None, workers: int = 1,
-                out: str | None = None) -> ExperimentConfig:
+def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise InvalidConfig(f"config file not found: {p}")
@@ -336,8 +333,7 @@ def load_config(path, seed_override: int | None = None, workers: int = 1,
         raw = json.loads(p.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"config {p} is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(raw, seed_override=seed_override,
-                                      workers=workers, out=out)
+    return ExperimentConfig.from_dict(raw, seed_override=seed_override)
 
 
 def default_out_root() -> Path:
@@ -345,29 +341,11 @@ def default_out_root() -> Path:
     return Path(root) if root else Path.cwd() / "runs"
 
 
-def run_dir_for(cfg: ExperimentConfig) -> Path:
-    if cfg.out:
-        return Path(cfg.out)
+def run_dir_for(cfg: ExperimentConfig, out=None) -> Path:
+    """out when given, else the config's directory under the out root."""
+    if out:
+        return Path(out)
     return default_out_root() / f"{cfg.kind}-{cfg.config_hash[:12]}"
-
-
-@dataclass
-class RunManifest:
-    """Completion record for a run directory.
-
-    The only file in a run that carries wall-clock times and the host
-    environment; everything else is a deterministic function of the
-    config."""
-
-    config_hash: str
-    version: str
-    kind: str
-    started_at: str
-    finished_at: str
-    status: str
-    shards: list = field(default_factory=list)
-    files: list = field(default_factory=list)
-    environment: dict = field(default_factory=dict)
 
 
 def _utcnow() -> str:
@@ -525,10 +503,9 @@ def _lil_records(cfg: ExperimentConfig, dist: StepDistribution,
 
 def _run_shard(task) -> str:
     """Compute and atomically write one shard.  Top-level so process
-    pools can pickle it; everything it needs rides in the task tuple."""
-    cfg_dict, out_dir, index, start, stop = task
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    out = Path(out_dir)
+    pools can pickle it; everything it needs rides in the task tuple,
+    the parsed config with its cached hash included."""
+    cfg, out, index, start, stop = task
     path = _shard_path(out, index)
     header = _shard_header(cfg, index, start, stop)
     records = _kind(cfg.kind).records(cfg, cfg.dist(), start, stop)
@@ -675,15 +652,19 @@ def _run_kappa(cfg: ExperimentConfig, out: Path) -> list:
     return ["constants.json", "profile.csv"]
 
 
-def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
-    """Execute a config into its run directory; returns the manifest.
+def run_experiment(cfg: ExperimentConfig, resume: bool = False, workers: int = 1,
+                   out=None) -> dict:
+    """Execute a config into run_dir_for(cfg, out) with up to workers
+    processes; returns the manifest that manifest.json holds, the only
+    file of a run with wall-clock times and the host environment.
 
     A run whose records show a violated identity (the kind's
     violation_keys) raises IdentityCheckFailure after all shards are on
     disk, so the evidence survives the failure."""
     started = _utcnow()
     kind = _kind(cfg.kind)
-    out = run_dir_for(cfg)
+    workers = max(1, int(workers))
+    out = run_dir_for(cfg, out)
     if (out / "config.json").is_file() and _stored_hash(out) != cfg.config_hash:
         raise InvalidConfig(
             f"{out} holds a run of another config, not of "
@@ -709,12 +690,13 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
                                "replica_start": start, "replica_stop": stop})
             if resume and _shard_is_complete(path, header):
                 continue
-            pending.append((cfg.to_dict(), str(out), i, start, stop))
-        if cfg.workers > 1 and len(pending) > 1:
+            pending.append((cfg, out, i, start, stop))
+        if workers > 1 and len(pending) > 1:
             # imported here: a one-worker run never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            # a fork pool starts every worker at once: start no idle one
+            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
                 for _ in pool.map(_run_shard, pending, chunksize=1):
                     pass
         else:
@@ -723,17 +705,17 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> RunManifest:
         files += [m["path"] for m in shard_meta]
 
     from . import __version__
-    manifest = RunManifest(config_hash=cfg.config_hash, version=__version__,
-                           kind=cfg.kind, started_at=started,
-                           finished_at=_utcnow(), status="complete",
-                           shards=shard_meta, files=files,
-                           environment={
-                               "nproc": os.cpu_count(),
-                               "python": ".".join(map(str, sys.version_info[:3])),
-                               "numpy": np.__version__,
-                               "workers": cfg.workers})
+    manifest = {"config_hash": cfg.config_hash, "version": __version__,
+                "kind": cfg.kind, "started_at": started,
+                "finished_at": _utcnow(), "status": "complete",
+                "shards": shard_meta, "files": files,
+                "environment": {
+                    "nproc": os.cpu_count(),
+                    "python": ".".join(map(str, sys.version_info[:3])),
+                    "numpy": np.__version__,
+                    "workers": workers}}
     _atomic_write(out / "manifest.json",
-                  json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
+                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     bad = _violations(cfg, out)
     if bad:
@@ -885,17 +867,17 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
 
 
 def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
+    records = list(_iter_records(cfg, run_dir))  # all read before any write
     dist = cfg.dist()
     n_max = cfg.params["n_max"]
     table = build_return_table(dist, n_max)
 
-    traj_dir = run_dir / "trajectories"
-    traj_dir.mkdir(exist_ok=True)
+    (run_dir / "trajectories").mkdir(exist_ok=True)
     written = []
     plot_rows = []
     columns = ["m", "r_bar", "upper_stat", "lower_stat",
                "running_max_upper", "running_max_lower"]
-    for rec in _iter_records(cfg, run_dir):
+    for rec in records:
         j = rec["replica"]
         rows = lil_rows(rec["checkpoints"], rec["ranges"], table)
         name = f"trajectories/replica_{j:05d}.csv"

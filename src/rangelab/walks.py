@@ -25,7 +25,6 @@ from .errors import InvalidConfig, ResourceLimit
 
 __all__ = [
     "StepDistribution",
-    "ValidationReport",
     "WalkPath",
     "PoissonizedPath",
     "builtin_distribution",
@@ -192,11 +191,6 @@ class StepDistribution:
         xy = sum(f * int(x) * int(y) for (x, y), f in zip(self.support.tolist(), self.fracs))
         return [[xx, xy], [xy, yy]]
 
-    def covariance(self) -> np.ndarray:
-        c = self.covariance_exact()
-        return np.array([[float(c[0][0]), float(c[0][1])],
-                         [float(c[1][0]), float(c[1][1])]])
-
     def det_covariance_exact(self) -> Fraction:
         c = self.covariance_exact()
         return c[0][0] * c[1][1] - c[0][1] * c[1][0]
@@ -259,40 +253,17 @@ def distribution_from_config(cfg) -> StepDistribution:
 # validation
 
 
-def _lattice_index(vectors: list[tuple[int, int]]) -> int:
-    """Index of the subgroup of Z^2 generated by the vectors (0 if rank<2)."""
-    rows = [(int(x), int(y)) for x, y in vectors if (x, y) != (0, 0)]
-    if not rows:
-        return 0
-    # Euclid on first components until at most one row keeps x != 0.
-    while True:
-        nz = [r for r in rows if r[0] != 0]
-        if len(nz) <= 1:
+def _lattice_index(vectors) -> int:
+    """Index of the subgroup of Z^2 generated by the vectors, 0 when they
+    span at most a line: the gcd of the 2 x 2 minors |x_i y_j - y_i x_j|.
+    Each minor is at most 2 COORD_LIMIT^2 < 2^63, so int64 holds it."""
+    v = np.asarray(vectors, dtype=np.int64)
+    g = 0
+    for x, y in v.tolist():
+        g = math.gcd(g, *np.abs(x * v[:, 1] - y * v[:, 0]).tolist())
+        if g == 1:
             break
-        nz.sort(key=lambda r: abs(r[0]))
-        ax, ay = nz[0]
-        new_rows = []
-        for r in rows:
-            if r == (ax, ay) or r[0] == 0:
-                new_rows.append(r)
-            else:
-                q = r[0] // ax
-                new_rows.append((r[0] - q * ax, r[1] - q * ay))
-        # keep exactly one copy of the pivot
-        if new_rows.count((ax, ay)) > 1:
-            new_rows.remove((ax, ay))
-        rows = new_rows
-    pivots = [r for r in rows if r[0] != 0]
-    if not pivots:
-        return 0
-    d1 = abs(pivots[0][0])
-    g2 = 0
-    for x, y in rows:
-        if x == 0:
-            g2 = math.gcd(g2, abs(y))
-    if g2 == 0:
-        return 0
-    return d1 * g2
+    return g
 
 
 def walk_period(dist: StepDistribution) -> int:
@@ -311,67 +282,31 @@ def walk_period(dist: StepDistribution) -> int:
     return 2 if odd else 1
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    errors: list[str]
-    symmetric: bool
-    prob_sum_exact: bool
-    covariance: np.ndarray
-    det_covariance: float
-    det_covariance_exact: Fraction | None
-    lattice_index: int
-    period: int
-    strongly_aperiodic: bool
-    max_step: int
-
-
-def validate_distribution(dist: StepDistribution) -> ValidationReport:
+def validate_distribution(dist: StepDistribution) -> int:
     """Check the standing assumptions: exact unit mass, symmetry, full
-    two-dimensional lattice support, nondegenerate covariance.  Also
-    reports the walk's period (see walk_period; 1 means strongly
-    aperiodic, which the sharp local limit estimates require)."""
+    two-dimensional lattice support (hence a nondegenerate covariance).
+    Raises InvalidConfig naming every failed one; returns the walk's
+    period (see walk_period; 1 means strongly aperiodic, which the sharp
+    local limit estimates require)."""
     errors: list[str] = []
 
     total = sum(dist.fracs, Fraction(0))
-    prob_sum_exact = total == 1
-    if not prob_sum_exact:
+    if total != 1:
         errors.append(f"probabilities sum to {total}, not 1")
 
     by_point = {tuple(v): f for v, f in zip(dist.support.tolist(), dist.fracs)}
-    symmetric = all(by_point.get((-x, -y)) == f for (x, y), f in by_point.items())
-    if not symmetric:
+    if any(by_point.get((-x, -y)) != f for (x, y), f in by_point.items()):
         errors.append("distribution is not symmetric under x -> -x")
 
-    cov_exact = dist.det_covariance_exact()
-    cov = dist.covariance()
-    detc = float(cov_exact)
-    if cov_exact == 0:
+    idx = _lattice_index(dist.support)
+    if idx == 0:
         errors.append("degenerate covariance (support does not span the plane)")
+    elif idx > 1:
+        errors.append("support generates a proper sublattice of Z^2")
 
-    nonzero = [tuple(v) for v in dist.support.tolist() if tuple(v) != (0, 0)]
-    idx = _lattice_index(nonzero)
-    if idx != 1:
-        errors.append(
-            "support generates a proper sublattice of Z^2"
-            if idx > 1 else "support does not generate a rank-2 lattice")
-
-    period = walk_period(dist) if not errors else 0
-    strongly_aperiodic = period == 1
-
-    return ValidationReport(
-        ok=not errors,
-        errors=errors,
-        symmetric=symmetric,
-        prob_sum_exact=prob_sum_exact,
-        covariance=cov,
-        det_covariance=detc,
-        det_covariance_exact=cov_exact,
-        lattice_index=idx,
-        period=period,
-        strongly_aperiodic=strongly_aperiodic,
-        max_step=dist.max_step,
-    )
+    if errors:
+        raise InvalidConfig("distribution rejected: " + "; ".join(errors))
+    return walk_period(dist)
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,14 @@ def _tree_bytes(root: Path, skip=("manifest.json",)):
 
 
 def test_config_hash_ignores_placement(tmp_path):
+    """A config holds only what it hashes: where a run goes and how many
+    workers run it are arguments of run_experiment."""
     p = _write_cfg(tmp_path, DEV_CFG)
-    a = load_config(p, workers=1, out=str(tmp_path / "a"))
-    b = load_config(p, workers=8, out=str(tmp_path / "b"))
+    a = load_config(p)
+    b = load_config(p)
     assert a.config_hash == b.config_hash
+    assert [f.name for f in dataclasses.fields(a)] == [
+        "kind", "distribution", "master_seed", "replicas", "params"]
     c = load_config(p, seed_override=100)
     assert c.config_hash != a.config_hash
     assert c.master_seed == 100
@@ -111,6 +115,26 @@ def test_cli_malformed_distribution_exit_code(tmp_path, capsys):
     p = _write_cfg(tmp_path, {**DEV_CFG, "distribution": {"steps": [[1, 0, 1]]}})
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+# Laws that parse but break a standing assumption, which `rangelab
+# validate` must reject with exit code 2.
+REJECTED_LAWS = {
+    "sublattice-index-2": [[2, 0, 1, 4], [-2, 0, 1, 4], [0, 1, 1, 4], [0, -1, 1, 4]],
+    "diagonal-index-2": [[1, 1, 1, 4], [-1, -1, 1, 4], [1, -1, 1, 4], [-1, 1, 1, 4]],
+    "rank-1": [[1, 1, 1, 2], [-1, -1, 1, 2]],
+    "mass-7/8": [[1, 0, 1, 4], [-1, 0, 1, 4], [0, 1, 3, 16], [0, -1, 3, 16]],
+    "drift": [[1, 0, 3, 8], [-1, 0, 1, 8], [0, 1, 1, 4], [0, -1, 1, 4]],
+}
+
+
+@pytest.mark.parametrize("law", sorted(REJECTED_LAWS))
+def test_cli_rejected_law_exit_code(tmp_path, capsys, law):
+    p = _write_cfg(tmp_path, {**DEV_CFG, "distribution": {"steps": REJECTED_LAWS[law]}})
+    assert main(["validate", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "distribution rejected" in err
+    assert "Traceback" not in err
 
 
 def test_cli_long_step_distribution_exit_code(tmp_path, capsys):
@@ -230,6 +254,68 @@ def test_cli_refuses_odd_kappa_nodes(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+# case -> a config, or the --r-max of a `rangelab kappa` call
+NON_FINITE = {
+    "kappa-r-max-nan": "nan",
+    "kappa-r-max-inf": "inf",
+    "deviations-b-nan": {**DEV_CFG, "params": {**DEV_CFG["params"],
+                                               "b_schedule": [float("nan")] * 2}},
+    "deviations-threshold-nan": {**DEV_CFG, "params": {**DEV_CFG["params"],
+                                                       "thresholds": [float("nan")]}},
+    "smoothed-t-infinity": {"kind": "smoothed", "distribution": "srw", "replicas": 1,
+                            "params": {"t": float("inf")}},
+    "smoothed-t-huge-int": {"kind": "smoothed", "distribution": "srw", "replicas": 1,
+                            "params": {"t": 10**400}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_exit_2(tmp_path, capsys, case):
+    """NaN and infinity, which argparse's float and Python's json both
+    accept, and an integer past the float range are refused with exit
+    code 2 wherever a number is read, before a run directory is made."""
+    out = str(tmp_path / "run")
+    value = NON_FINITE[case]
+    if isinstance(value, str):
+        argv = ["kappa", "--nodes", "256", "--r-max", value, "--out", out]
+    else:
+        argv = ["run", "--config", str(_write_cfg(tmp_path, value)), "--out", out,
+                "--report"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_pool_starts_no_more_workers_than_pending_shards(tmp_path, monkeypatch):
+    """A fork pool starts all its workers at the first submit: two
+    pending shards at workers=4 ask for a pool of two."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = ExperimentConfig.from_dict({**DEV_CFG, "replicas": SHARD_SIZE + 1})
+    run_experiment(cfg, workers=4, out=tmp_path / "run")
+    assert sizes == [2]
+    assert sorted(p.name for p in (tmp_path / "run").glob("shard_*")) == [
+        "shard_00000.jsonl", "shard_00001.jsonl"]
+
+
 def test_config_file_cannot_set_workers_or_out(tmp_path, capsys):
     """workers and out come from the CLI flags only: a config file that
     names them is refused as having unknown keys, not silently obeyed in
@@ -330,10 +416,9 @@ def test_run_bytes_identical_across_worker_counts(tmp_path):
     the manifest names the host and the worker count.  Three shards, so
     the 2-worker run goes through the process pool."""
     raw = {**DEV_CFG, "replicas": 2 * SHARD_SIZE + 1}
-    cfg1 = ExperimentConfig.from_dict(raw, workers=1, out=str(tmp_path / "w1"))
-    cfg2 = ExperimentConfig.from_dict(raw, workers=2, out=str(tmp_path / "w2"))
-    run_experiment(cfg1)
-    run_experiment(cfg2)
+    cfg = ExperimentConfig.from_dict(raw)
+    run_experiment(cfg, workers=1, out=tmp_path / "w1")
+    run_experiment(cfg, workers=2, out=tmp_path / "w2")
     run_report(tmp_path / "w1")
     run_report(tmp_path / "w2")
     t1 = _tree_bytes(tmp_path / "w1")
@@ -350,33 +435,33 @@ def test_run_bytes_identical_across_worker_counts(tmp_path):
 
 def test_resume_skips_and_rebuilds(tmp_path):
     out = tmp_path / "run"
-    cfg = ExperimentConfig.from_dict(DEV_CFG, out=str(out))
-    run_experiment(cfg)
+    cfg = ExperimentConfig.from_dict(DEV_CFG)
+    run_experiment(cfg, out=out)
     shard = out / "shard_00000.jsonl"
     original = shard.read_bytes()
     before = shard.stat().st_mtime_ns
 
     # resume with the shard intact: not rewritten
-    run_experiment(cfg, resume=True)
+    run_experiment(cfg, resume=True, out=out)
     assert shard.stat().st_mtime_ns == before
 
     # deleted shard: rebuilt to the same bytes
     shard.unlink()
-    run_experiment(cfg, resume=True)
+    run_experiment(cfg, resume=True, out=out)
     assert shard.read_bytes() == original
 
     # corrupted header: detected and rebuilt
     lines = original.decode().splitlines()
     lines[0] = lines[0].replace(cfg.config_hash, "0" * 64)
     shard.write_text("\n".join(lines) + "\n")
-    run_experiment(cfg, resume=True)
+    run_experiment(cfg, resume=True, out=out)
     assert shard.read_bytes() == original
 
 
 def test_shard_headers_identify_run(tmp_path):
     out = tmp_path / "run"
-    cfg = ExperimentConfig.from_dict(DEV_CFG, out=str(out))
-    run_experiment(cfg)
+    cfg = ExperimentConfig.from_dict(DEV_CFG)
+    run_experiment(cfg, out=out)
     with open(out / "shard_00000.jsonl") as fh:
         header = json.loads(fh.readline())
         records = [json.loads(line) for line in fh]
@@ -392,8 +477,8 @@ def test_partial_report_warns(tmp_path, capsys):
     big = json.loads(json.dumps(DEV_CFG))
     big["replicas"] = SHARD_SIZE + 100  # two shards
     out = tmp_path / "run"
-    cfg = ExperimentConfig.from_dict(big, out=str(out))
-    run_experiment(cfg)
+    cfg = ExperimentConfig.from_dict(big)
+    run_experiment(cfg, out=out)
     (out / "shard_00001.jsonl").unlink()
     rep = run_report(out)
     assert rep["partial"]
@@ -624,12 +709,12 @@ def test_lil_report_hashes_the_config_once(tmp_path, monkeypatch):
     for replicas in (2, 12):
         cfg = ExperimentConfig.from_dict({
             "kind": "lil", "distribution": "srw", "master_seed": 4,
-            "replicas": replicas, "params": {"n_max": 64}},
-            out=str(tmp_path / f"r{replicas}"))
-        run_experiment(cfg)
+            "replicas": replicas, "params": {"n_max": 64}})
+        out = tmp_path / f"r{replicas}"
+        run_experiment(cfg, out=out)
         fresh = dataclasses.replace(cfg)  # a config whose hash was never read
         reads.clear()
-        experiments._report_lil(fresh, Path(cfg.out))
+        experiments._report_lil(fresh, out)
         counts.append(len(reads))
     assert counts[0] == counts[1] == 1
 
@@ -809,9 +894,9 @@ PINNED_SUMMARIES = {
 def test_shard_bytes_are_pinned(tmp_path, kind):
     raw, config_hash, shard_sha = PINNED_SHARDS[kind]
     out = tmp_path / "run"
-    cfg = ExperimentConfig.from_dict(raw, out=str(out))
+    cfg = ExperimentConfig.from_dict(raw)
     assert cfg.config_hash == config_hash
-    run_experiment(cfg)
+    run_experiment(cfg, out=out)
     shard = (out / "shard_00000.jsonl").read_bytes()
     assert hashlib.sha256(shard).hexdigest() == shard_sha
     if kind in PINNED_SUMMARIES:
@@ -838,8 +923,10 @@ def test_report_refuses_a_run_with_no_shards(tmp_path, capsys, kind):
 
 
 # case -> (kind, file of a clean run, damage: "append" data to the file,
-# "delete" it or "replace" its bytes with data, data)
+# "insert" it as line 3, "delete" the file or "replace" its bytes with
+# data, data)
 CORRUPTIONS = {
+    "shard-line-3-not-json": ("lil", "shard_00000.jsonl", "insert", b"not json\n"),
     "shard-line-not-json": ("deviations", "shard_00000.jsonl", "append", b"not json\n"),
     "shard-line-not-object": ("deviations", "shard_00000.jsonl", "append", b"[1, 2]\n"),
     "shard-line-not-utf8": ("lil", "shard_00000.jsonl", "append", b"\xff\n"),
@@ -874,6 +961,9 @@ def test_report_names_a_corrupt_file(tmp_path, capsys, case):
     elif how == "append":
         with open(target, "ab") as fh:
             fh.write(data)
+    elif how == "insert":
+        lines = target.read_bytes().splitlines(keepends=True)
+        target.write_bytes(b"".join(lines[:2] + [data] + lines[2:]))
     else:
         target.write_bytes(data)
     capsys.readouterr()
@@ -883,7 +973,10 @@ def test_report_names_a_corrupt_file(tmp_path, capsys, case):
     assert str(target) in err
     if how == "append":
         assert f"line {len(target.read_bytes().splitlines())} " in err
+    if how == "insert":
+        assert "line 3 " in err
     assert not (out / "summary.csv").exists() and not (out / "plot.csv").exists()
+    assert not list(out.glob("trajectories/*"))
 
 
 @pytest.mark.parametrize("budget", [1, 256 * 3, 1 << 40])

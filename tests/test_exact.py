@@ -506,9 +506,8 @@ def test_table_csv_matches_row_writer(tmp_path):
     empty er_enum cells past the enumeration depth included."""
     cfg = ExperimentConfig.from_dict(
         {"kind": "exact", "distribution": "king", "replicas": 1,
-         "params": {"n": 12, "enumerate": True, "enumerate_n": 4}},
-        out=str(tmp_path / "run"))
-    run_experiment(cfg)
+         "params": {"n": 12, "enumerate": True, "enumerate_n": 4}})
+    run_experiment(cfg, out=tmp_path / "run")
     table = build_return_table(cfg.dist(), 12)
     er_enum = enumeration_oracle(cfg.dist(), 4)["er"]
     columns = ["k", "u", "h", "r", "f", "er", "er_enum"]
@@ -561,9 +560,8 @@ def test_table_csv_matches_column_writer(tmp_path, law, n, enumerate_n):
     if enumerate_n is not None:
         params["enumerate_n"] = enumerate_n
     cfg = ExperimentConfig.from_dict(
-        {"kind": "exact", "distribution": law, "replicas": 1, "params": params},
-        out=str(tmp_path / "run"))
-    run_experiment(cfg)
+        {"kind": "exact", "distribution": law, "replicas": 1, "params": params})
+    run_experiment(cfg, out=tmp_path / "run")
     table = build_return_table(cfg.dist(), n)
     columns = {"k": list(map(str, range(n + 1)))}
     for name in ("u", "h", "r", "f", "er"):

@@ -14,6 +14,7 @@ from rangelab.walks import (
     PURPOSE_STEPS,
     StepDistribution,
     PURPOSE_CLOCK,
+    _lattice_index,
     _positions_from_indices,
     builtin_distribution,
     distribution_from_config,
@@ -40,18 +41,9 @@ def test_builtin_covariances():
 def test_validation_verdicts():
     """srw is periodic (period 2); the lazy walk and king moves are
     strongly aperiodic."""
-    r_srw = validate_distribution(builtin_distribution("srw"))
-    assert r_srw.ok
-    assert r_srw.period == 2
-    assert not r_srw.strongly_aperiodic
-
-    r_lazy = validate_distribution(builtin_distribution("lazy-srw"))
-    assert r_lazy.ok
-    assert r_lazy.strongly_aperiodic
-
-    r_king = validate_distribution(builtin_distribution("king"))
-    assert r_king.ok
-    assert r_king.strongly_aperiodic
+    assert validate_distribution(builtin_distribution("srw")) == 2
+    assert validate_distribution(builtin_distribution("lazy-srw")) == 1
+    assert validate_distribution(builtin_distribution("king")) == 1
 
 
 @pytest.mark.parametrize("steps", [
@@ -65,17 +57,27 @@ def test_late_odd_return_is_aperiodic(steps):
 
     rows = [[x, y, 1, 6] for x, y in steps] + [[-x, -y, 1, 6] for x, y in steps]
     dist = distribution_from_config({"name": "late-odd", "steps": rows})
-    report = validate_distribution(dist)
-    assert report.ok and report.period == 1 and report.strongly_aperiodic
+    assert validate_distribution(dist) == 1
     assert len(local_clt_check(dist, 64)["rows"]) == 3
 
 
 def test_asymmetric_distribution_rejected():
     dist = StepDistribution.from_steps(
         "drift", [(1, 0, 3, 4), (-1, 0, 1, 4)])
-    report = validate_distribution(dist)
-    assert not report.ok
-    assert report.errors
+    with pytest.raises(InvalidConfig, match="distribution rejected: .+"):
+        validate_distribution(dist)
+
+
+@pytest.mark.parametrize("vectors, index", [
+    ([(2, 1), (-2, -1), (1, 2), (-1, -2)], 3),
+    ([(12, 0), (-12, 0), (13, 0), (-13, 0), (0, 1), (0, -1)], 1),
+    ([(2, 0), (-2, 0), (0, 1), (0, -1)], 2),
+    ([(1, 1), (-1, -1), (1, -1), (-1, 1)], 2),
+    ([(1, 1), (-1, -1), (0, 0)], 0),
+    ([], 0),
+])
+def test_lattice_index_of_known_laws(vectors, index):
+    assert _lattice_index(vectors) == index
 
 
 def test_bad_weights_rejected():
