@@ -17,7 +17,6 @@ rangelab.walks.stream for the stream layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
@@ -47,30 +46,29 @@ _SD_MULTIPLE = 2.0  # RangeSample.asymmetry counts values beyond this many SDs
 _BOOT_TERMS = 1 << 18  # resampled weights held at once by exp_moment_probe
 
 
-@dataclass(frozen=True)
 class DeviationProbe:
     """One tail-probe definition: which walk, which sizes, which
     thresholds, which side."""
 
-    n_ladder: tuple
-    b_schedule: tuple
-    thresholds: tuple
-    side: str
-    replicas: int
-
-    def __post_init__(self):
-        if self.side not in ("upper", "lower"):
+    def __init__(self, n_ladder: tuple, b_schedule: tuple, thresholds: tuple,
+                 side: str, replicas: int):
+        if side not in ("upper", "lower"):
             raise InvalidConfig("side must be 'upper' or 'lower'")
-        if len(self.n_ladder) != len(self.b_schedule):
+        if len(n_ladder) != len(b_schedule):
             raise InvalidConfig("b schedule must align with the n ladder")
-        if any(b <= 1.0 for b in self.b_schedule):
+        if any(b <= 1.0 for b in b_schedule):
             raise InvalidConfig("every b must exceed 1")
-        if any(b2 < b1 for b1, b2 in zip(self.b_schedule, self.b_schedule[1:])):
+        if any(b2 < b1 for b1, b2 in zip(b_schedule, b_schedule[1:])):
             raise InvalidConfig("b schedule must be nondecreasing")
-        if any(n < 2 for n in self.n_ladder):
+        if any(n < 2 for n in n_ladder):
             raise InvalidConfig("n ladder entries must be at least 2")
-        if self.replicas < 1:
+        if replicas < 1:
             raise InvalidConfig("replicas must be positive")
+        self.n_ladder = n_ladder
+        self.b_schedule = b_schedule
+        self.thresholds = thresholds
+        self.side = side
+        self.replicas = replicas
 
     def constraint_flags(self) -> list:
         """Desk check of the growth hypotheses behind each tail regime.
@@ -135,19 +133,13 @@ def sample_range_ladder(dist: StepDistribution, n_ladder, replicas: int,
     return out
 
 
-@dataclass
 class RangeSample:
     """Monte Carlo sample of R_n with its first moments."""
 
-    n: int
-    values: np.ndarray = field(repr=False)
-    mean: float = field(init=False)
-    sd: float = field(init=False)
-    se: float = field(init=False)
-    skewness: float = field(init=False)
-
-    def __post_init__(self):
-        v = self.values.astype(np.float64)
+    def __init__(self, n: int, values: np.ndarray):
+        self.n = n
+        self.values = values
+        v = values.astype(np.float64)
         self.mean = float(v.mean())
         self.sd = float(v.std(ddof=1)) if v.size > 1 else 0.0
         self.se = self.sd / math.sqrt(v.size) if v.size > 1 else math.inf
@@ -420,7 +412,6 @@ def centering_defect_supremum(dist: StepDistribution, grid_top: int = 1 << 18,
             "arg_a": int(grid[ia]), "arg_b": int(grid[ib])}
 
 
-@dataclass
 class ConstantsReport:
     """All the closed-form constants the tail laws are built from.
 
@@ -429,19 +420,20 @@ class ConstantsReport:
     symbolic: C is a Brownian intersection-functional limit that this
     package does not compute."""
 
-    dist_name: str
-    det_gamma: float
-    upper_lil_constant: float
-    kappa4_candidates: dict
-    kappa4_uncertainty: float
-    theta: dict = field(init=False)
-    theta_inverse: dict = field(init=False)
-    L_symbolic: str = "exp(-1 - C)"
-    C_symbolic: str = "not computed (Brownian intersection-measure limit)"
-
-    def __post_init__(self):
-        assert self.det_gamma > 0
-        assert all(v > 0 for v in self.kappa4_candidates.values())
+    def __init__(self, dist_name: str, det_gamma: float,
+                 upper_lil_constant: float, kappa4_candidates: dict,
+                 kappa4_uncertainty: float,
+                 L_symbolic: str = "exp(-1 - C)",
+                 C_symbolic: str = "not computed (Brownian intersection-measure limit)"):
+        assert det_gamma > 0
+        assert all(v > 0 for v in kappa4_candidates.values())
+        self.dist_name = dist_name
+        self.det_gamma = det_gamma
+        self.upper_lil_constant = upper_lil_constant
+        self.kappa4_candidates = kappa4_candidates
+        self.kappa4_uncertainty = kappa4_uncertainty
+        self.L_symbolic = L_symbolic
+        self.C_symbolic = C_symbolic
         self.theta = {}
         self.theta_inverse = {}
         for name, k4 in self.kappa4_candidates.items():

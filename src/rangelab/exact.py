@@ -31,7 +31,6 @@ ER.  The test suite holds the two routes against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -325,7 +324,6 @@ def _prefix_sum(a: np.ndarray) -> np.ndarray:
 # the table
 
 
-@dataclass
 class ReturnProbTable:
     """Columns indexed by step count k = 0..n:
 
@@ -336,12 +334,14 @@ class ReturnProbTable:
     er[k]  expected number of distinct sites visited in k steps
     """
 
-    n: int
-    u: np.ndarray
-    h: np.ndarray
-    r: np.ndarray
-    f: np.ndarray
-    er: np.ndarray
+    def __init__(self, n: int, u: np.ndarray, h: np.ndarray, r: np.ndarray,
+                 f: np.ndarray, er: np.ndarray):
+        self.n = n
+        self.u = u
+        self.h = h
+        self.r = r
+        self.f = f
+        self.er = er
 
     def identity_residuals(self) -> dict[str, float]:
         """Worst-case residuals of the defining identities, for audits,

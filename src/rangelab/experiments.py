@@ -86,11 +86,21 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidConfig(msg)
 
 
-def _as_int(value, name: str, minimum: int | None = None) -> int:
+_INT64_MAX = 2**63 - 1
+_MAX_LEVEL = 1023  # smoothed's horizon is t / 2^level, a float
+
+
+def _as_int(value, name: str, minimum: int | None = None,
+            maximum: int = _INT64_MAX) -> int:
+    """value, when it is an integer in [minimum, maximum].  Every count
+    and size ends up in an int64 array or in float arithmetic, so none
+    may pass int64 by default."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise InvalidConfig(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -143,6 +153,15 @@ _IDENTITY_KEYS = {
 }
 
 
+def _identity_record_keys(params: dict) -> list:
+    """The keys of an identities record that its report reads."""
+    keys = []
+    for c in params["checks"]:
+        prefix, flag = _IDENTITY_KEYS[c]
+        keys += [f"{prefix}_lhs", f"{prefix}_rhs", flag]
+    return keys
+
+
 def _identities_params(take) -> dict:
     out = {"n": _as_int(take("n", 1024), "params.n", 2), **_scale_params(take)}
     checks = _as_list(take("checks", list(_IDENTITY_KEYS)), "params.checks")
@@ -162,7 +181,7 @@ def _identities_params(take) -> dict:
 
 def _smoothed_params(take) -> dict:
     return {**_scale_params(take),
-            "level": _as_int(take("level", 1), "params.level", 0),
+            "level": _as_int(take("level", 1), "params.level", 0, _MAX_LEVEL),
             "parseval": bool(take("parseval", True)),
             "max_fft": _as_int(take("max_fft", 4096), "params.max_fft", 16)}
 
@@ -220,26 +239,38 @@ def _canonical_params(kind: str, params) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class Kind:
     """What the engine knows of one experiment kind.
 
     A sharded kind makes the records of a replica range (records); a
     whole-run kind has records None and one replica, and writes its
-    files in one call (write).  canonical_params fills and checks the
-    config's params, check validates the rest of a canonical config,
-    table_n is the longest return table that run or report builds (0
-    for none), and a record whose violation_keys flag is false is an
-    identity violation."""
+    files in one call (write).  report writes the summaries of a run
+    directory from its files and its shards' records.  canonical_params
+    fills and checks the config's params, check validates the rest of a
+    canonical config, table_n is the longest return table that run or
+    report builds (0 for none), and a record whose violation_keys flag
+    is false is an identity violation.  A sharded kind writes
+    records_per_replica records per replica, each holding every key of
+    record_keys, the keys its report reads; both take the params."""
 
-    schema: str
-    canonical_params: Callable
-    report: Callable
-    records: Callable | None = None
-    write: Callable | None = None
-    check: Callable = lambda cfg, dist: None
-    table_n: Callable = lambda params: 0
-    violation_keys: tuple = ()
+    def __init__(self, schema: str, canonical_params: Callable,
+                 report: Callable, records: Callable | None = None,
+                 write: Callable | None = None,
+                 check: Callable = lambda cfg, dist: None,
+                 table_n: Callable = lambda params: 0,
+                 violation_keys: tuple = (),
+                 records_per_replica: Callable = lambda params: 1,
+                 record_keys: Callable = lambda params: ()):
+        self.schema = schema
+        self.canonical_params = canonical_params
+        self.report = report
+        self.records = records
+        self.write = write
+        self.check = check
+        self.table_n = table_n
+        self.violation_keys = violation_keys
+        self.records_per_replica = records_per_replica
+        self.record_keys = record_keys
 
 
 def _kind(name) -> Kind:
@@ -308,7 +339,7 @@ class ExperimentConfig:
         seed = raw.get("master_seed", 0)
         if seed_override is not None:
             seed = seed_override
-        seed = _as_int(seed, "master_seed", 0)
+        seed = _as_int(seed, "master_seed", 0, 2**64 - 1)
         replicas = _as_int(raw.get("replicas", 1), "replicas", 1)
         if kind.records is None and replicas != 1:
             raise InvalidConfig(f"kind {raw['kind']!r} is deterministic; "
@@ -331,7 +362,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise InvalidConfig(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to parse
         raise InvalidConfig(f"config {p} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw, seed_override=seed_override)
 
@@ -388,17 +419,25 @@ def _shard_header(cfg: ExperimentConfig, index: int, start: int, stop: int) -> d
     }
 
 
-def _shard_is_complete(path: Path, header: dict) -> bool:
-    """Atomic writes mean existence implies completeness; still insist
-    the header says this exact shard of this exact config."""
-    if not path.is_file():
-        return False
+def _shard_records(cfg: ExperimentConfig, start: int, stop: int) -> int:
+    """The number of records the shard of replicas [start, stop) holds."""
+    return (stop - start) * _kind(cfg.kind).records_per_replica(cfg.params)
+
+
+def _shard_lines(path: Path, header: dict) -> int | None:
+    """The number of lines after the first of the file at path, when
+    that first line is header and the file ends in a newline; None for
+    no file, another shard's file or one cut inside a line.  Shards are
+    written atomically, so only a file cut or edited afterwards holds
+    other than its planned records."""
     try:
-        with open(path, "rb") as fh:
-            first = json.loads(fh.readline())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    return first == header
+        data = path.read_bytes()
+        first, _, body = data.partition(b"\n")
+        if json.loads(first) != header:
+            return None
+    except (OSError, ValueError):  # no file; first line not UTF-8 or not JSON
+        return None
+    return body.count(b"\n") if data.endswith(b"\n") else None
 
 
 def _q_fields(out: dict) -> dict:
@@ -688,7 +727,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False, workers: int = 1
             path = _shard_path(out, i)
             shard_meta.append({"index": i, "path": path.name,
                                "replica_start": start, "replica_stop": stop})
-            if resume and _shard_is_complete(path, header):
+            if resume and _shard_lines(path, header) == _shard_records(cfg, start, stop):
                 continue
             pending.append((cfg, out, i, start, stop))
         if workers > 1 and len(pending) > 1:
@@ -729,38 +768,52 @@ def _violations(cfg: ExperimentConfig, run_dir: Path) -> int:
     keys = _kind(cfg.kind).violation_keys
     if not keys:
         return 0
-    return sum(1 for rec in _iter_records(cfg, run_dir)
+    return sum(1 for rec in _iter_records(cfg, run_dir, _readable_shards(cfg, run_dir))
                for key in keys if key in rec and not rec[key])
 
 
-def _verified_shards(cfg: ExperimentConfig, run_dir: Path) -> dict:
-    """Planned shard index -> whether its file holds exactly that shard
-    of this config."""
-    return {i: _shard_is_complete(_shard_path(run_dir, i),
-                                  _shard_header(cfg, i, start, stop))
-            for i, (start, stop) in enumerate(plan_shards(cfg))}
+def _readable_shards(cfg: ExperimentConfig, run_dir: Path) -> dict:
+    """Planned shard index -> its record count, for each planned shard
+    whose file holds this config's header and at least that many whole
+    lines.  A shard with fewer, or cut inside a line, is missing; one
+    with more is read, and _iter_records names the line past its plan."""
+    shards = {}
+    for i, (start, stop) in enumerate(plan_shards(cfg)):
+        records = _shard_records(cfg, start, stop)
+        lines = _shard_lines(_shard_path(run_dir, i), _shard_header(cfg, i, start, stop))
+        if lines is not None and lines >= records:
+            shards[i] = records
+    return shards
 
 
-def _iter_records(cfg: ExperimentConfig, run_dir: Path):
-    """Yield the records of the verified planned shards, in shard order.
+def _iter_records(cfg: ExperimentConfig, run_dir: Path, shards: dict):
+    """Yield the records of shards, as _readable_shards gives them, in
+    shard order.
 
     Any other shard file in the directory (another config's, or one past
-    this plan) is never read.  A body line that is not a JSON object
-    raises InvalidConfig naming the shard and the line."""
-    for i, ok in _verified_shards(cfg, run_dir).items():
-        if ok:
-            path = _shard_path(run_dir, i)
-            with open(path, "rb") as fh:
-                fh.readline()
-                for lineno, line in enumerate(fh, start=2):
-                    try:
-                        rec = json.loads(line)
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        rec = None
-                    if not isinstance(rec, dict):
-                        raise InvalidConfig(f"{path} line {lineno} is not "
-                                            f"a JSON object record")
-                    yield rec
+    this plan) is never read.  A body line that is not a JSON object,
+    lies past the shard's planned records or lacks a key the kind's
+    report reads raises InvalidConfig naming the shard and the line."""
+    keys = frozenset(_kind(cfg.kind).record_keys(cfg.params))
+    for i, records in shards.items():
+        path = _shard_path(run_dir, i)
+        with open(path, "rb") as fh:
+            fh.readline()
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    rec = json.loads(line)
+                except ValueError:  # not UTF-8, or not JSON
+                    rec = None
+                if not isinstance(rec, dict):
+                    raise InvalidConfig(f"{path} line {lineno} is not "
+                                        f"a JSON object record")
+                if lineno > records + 1:
+                    raise InvalidConfig(f"{path} line {lineno} is past the "
+                                        f"{records} records the shard plans")
+                if not keys <= rec.keys():
+                    raise InvalidConfig(f"{path} line {lineno} lacks "
+                                        f"{', '.join(sorted(keys - rec.keys()))}")
+                yield rec
 
 
 def _read_run_json(path: Path, keys: tuple) -> dict:
@@ -798,8 +851,7 @@ def _load_run(run_dir: Path):
     if _stored_hash(run_dir) != cfg.config_hash:
         raise InvalidConfig(f"{cfg_path} does not hash to the config_hash "
                             f"it stores")
-    missing = [i for i, ok in _verified_shards(cfg, run_dir).items() if not ok]
-    return cfg, missing
+    return cfg, _readable_shards(cfg, run_dir)
 
 
 def _probe(cfg: ExperimentConfig, replicas: int) -> DeviationProbe:
@@ -816,10 +868,10 @@ def _check_probe(cfg: ExperimentConfig, dist: StepDistribution) -> None:
     _probe(cfg, cfg.replicas)
 
 
-def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
+def _report_deviations(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     dist = cfg.dist()
     collected: dict = {n: {} for n in cfg.params["n_ladder"]}
-    for rec in _iter_records(cfg, run_dir):
+    for rec in records:
         collected[rec["n"]][rec["replica"]] = rec["range"]
     have = min(len(per) for per in collected.values())
     values_by_n = {n: np.array([per[j] for j in sorted(per)][:have],
@@ -866,8 +918,8 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path) -> list:
     return ["summary.csv", "plot.csv", "moments.csv"]
 
 
-def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
-    records = list(_iter_records(cfg, run_dir))  # all read before any write
+def _report_lil(cfg: ExperimentConfig, run_dir: Path, records) -> list:
+    records = list(records)  # all read before any write
     dist = cfg.dist()
     n_max = cfg.params["n_max"]
     table = build_return_table(dist, n_max)
@@ -910,10 +962,10 @@ def _report_lil(cfg: ExperimentConfig, run_dir: Path) -> list:
     return written + ["references.csv", "plot.csv"]
 
 
-def _report_identities(cfg: ExperimentConfig, run_dir: Path) -> list:
+def _report_identities(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     stats = {c: {"paths": 0, "violations": 0, "max_residual": 0.0}
              for c in cfg.params["checks"]}
-    for rec in _iter_records(cfg, run_dir):
+    for rec in records:
         for c, s in stats.items():
             prefix, flag = _IDENTITY_KEYS[c]
             s["paths"] += 1
@@ -930,13 +982,14 @@ def _report_identities(cfg: ExperimentConfig, run_dir: Path) -> list:
     return ["summary.csv"]
 
 
-def _report_smoothed(cfg: ExperimentConfig, run_dir: Path) -> list:
+def _report_smoothed(cfg: ExperimentConfig, run_dir: Path, records) -> list:
+    parseval = cfg.params["parseval"]
     a_vals, b_vals, q_res, pv_res, ffts = [], [], [], [], []
-    for rec in _iter_records(cfg, run_dir):
+    for rec in records:
         a_vals.append(rec["a_value"])
         b_vals.append(rec["b_value"])
         q_res.append(rec["q_residual"])
-        if "parseval_residual" in rec:
+        if parseval:
             pv_res.append(rec["parseval_residual"])
             ffts.append(rec["parseval_fft"])
     row = {
@@ -953,7 +1006,7 @@ def _report_smoothed(cfg: ExperimentConfig, run_dir: Path) -> list:
     return ["summary.csv"]
 
 
-def _report_exact(cfg: ExperimentConfig, run_dir: Path) -> list:
+def _report_exact(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     results = _read_run_json(run_dir / "results.json",
                              ("n", "identity_residuals"))
     rows = [{"key": "n", "value": results["n"]}]
@@ -969,7 +1022,7 @@ def _report_exact(cfg: ExperimentConfig, run_dir: Path) -> list:
     return ["summary.csv"]
 
 
-def _report_kappa(cfg: ExperimentConfig, run_dir: Path) -> list:
+def _report_kappa(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     constants = _read_run_json(run_dir / "constants.json",
                                ("m_hat", "m_hat_spread", "gaussian_half_quotient",
                                 "grids", "kappa4_candidates", "constants"))
@@ -994,18 +1047,23 @@ def _report_kappa(cfg: ExperimentConfig, run_dir: Path) -> list:
 def run_report(run_dir) -> dict:
     """Aggregate a run directory into summary/plot CSVs.
 
-    Missing shards downgrade to a partial report with a warning on
-    stderr; an unrecognizable directory, or a sharded run none of whose
-    planned shards is present, raises InvalidConfig."""
+    Missing, stale or cut shards downgrade to a partial report with a
+    warning on stderr; an unrecognizable directory, or a sharded run
+    none of whose planned shards is readable, raises InvalidConfig."""
     run_dir = Path(run_dir)
-    cfg, missing = _load_run(run_dir)
-    if _kind(cfg.kind).records is not None and len(missing) == len(plan_shards(cfg)):
-        raise InvalidConfig("no shard records found; nothing to report")
+    cfg, shards = _load_run(run_dir)
+    planned = len(plan_shards(cfg))
+    missing = [i for i in range(planned) if i not in shards]
+    if planned and not shards:
+        others = f", and so are the other {planned - 1}" if planned > 1 else ""
+        raise InvalidConfig(f"{_shard_path(run_dir, 0)} is missing, stale or "
+                            f"cut{others}; nothing to report")
     if missing:
-        print(f"warning: {len(missing)} shard(s) missing or stale "
+        print(f"warning: {len(missing)} shard(s) missing, stale or cut "
               f"({missing[:8]}{'...' if len(missing) > 8 else ''}); "
               f"reporting on what is present", file=sys.stderr)
-    files = _kind(cfg.kind).report(cfg, run_dir)
+    files = _kind(cfg.kind).report(cfg, run_dir,
+                                   _iter_records(cfg, run_dir, shards))
     return {"run_dir": str(run_dir), "kind": cfg.kind,
             "config_hash": cfg.config_hash, "partial": bool(missing),
             "missing_shards": missing, "files": files}
@@ -1019,17 +1077,23 @@ _REGISTRY = {
                        canonical_params=_identities_params,
                        report=_report_identities, records=_identity_records,
                        check=_check_identities,
-                       violation_keys=tuple(flag for _, flag in _IDENTITY_KEYS.values())),
+                       violation_keys=tuple(flag for _, flag in _IDENTITY_KEYS.values()),
+                       record_keys=_identity_record_keys),
     "smoothed": Kind(schema="smoothed-v1", canonical_params=_smoothed_params,
                      report=_report_smoothed, records=_smoothed_records,
-                     check=_check_smoothed),
+                     check=_check_smoothed,
+                     record_keys=lambda p: ["a_value", "b_value", "q_residual"]
+                     + (["parseval_residual", "parseval_fft"] if p["parseval"] else [])),
     "deviations": Kind(schema="deviations-v1",
                        canonical_params=_deviations_params,
                        report=_report_deviations, records=_deviation_records,
-                       check=_check_probe, table_n=lambda p: max(p["n_ladder"])),
+                       check=_check_probe, table_n=lambda p: max(p["n_ladder"]),
+                       records_per_replica=lambda p: len(p["n_ladder"]),
+                       record_keys=lambda p: ["n", "replica", "range"]),
     "lil": Kind(schema="lil-v1", canonical_params=_lil_params,
                 report=_report_lil, records=_lil_records,
-                table_n=lambda p: p["n_max"]),
+                table_n=lambda p: p["n_max"],
+                record_keys=lambda p: ["replica", "checkpoints", "ranges"]),
     "kappa": Kind(schema="kappa-v1", canonical_params=_kappa_params,
                   report=_report_kappa, write=_run_kappa),
 }

@@ -36,10 +36,10 @@ def _as_keys(path) -> np.ndarray:
     return pack_positions(pos)
 
 
-@dataclass
 class RangeStats:
-    n: int
-    count: int
+    def __init__(self, n: int, count: int):
+        self.n = n
+        self.count = count
 
 
 def range_count(path) -> RangeStats:
@@ -75,7 +75,6 @@ class DecompositionRecord:
         return self.lhs == self.rhs
 
 
-@dataclass
 class DecompositionBatch:
     """One decomposition of every row of a block of n-step walks.
 
@@ -83,13 +82,16 @@ class DecompositionBatch:
     array per tree depth (dyadic) or one array (binary), laid out as in
     DecompositionRecord; lhs and rhs are (rows,).  record(i) is row i."""
 
-    kind: str
-    n: int
-    boundaries: list[int]
-    block_counts: np.ndarray
-    overlap_counts: list
-    lhs: np.ndarray
-    rhs: np.ndarray
+    def __init__(self, kind: str, n: int, boundaries: list[int],
+                 block_counts: np.ndarray, overlap_counts: list,
+                 lhs: np.ndarray, rhs: np.ndarray):
+        self.kind = kind
+        self.n = n
+        self.boundaries = boundaries
+        self.block_counts = block_counts
+        self.overlap_counts = overlap_counts
+        self.lhs = lhs
+        self.rhs = rhs
 
     def record(self, i: int) -> DecompositionRecord:
         return DecompositionRecord(

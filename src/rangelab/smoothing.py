@@ -17,7 +17,6 @@ floating-point noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ _STAMP_CHUNK = 1 << 18  # scatter terms held at once by _stamped_fields
 _MAX_Q_TERMS = 1 << 32  # q scatter terms, and shift lookups per record
 
 
-@dataclass(frozen=True)
 class SmoothingKernel:
     """Lattice stamp of h_eps(x / sqrt(scale)).
 
@@ -51,10 +49,12 @@ class SmoothingKernel:
     eps * sqrt(scale); values carry the eps^{-2} normalization so that
     sum(values) approximates scale for large disks."""
 
-    eps: float
-    scale: float
-    offsets: np.ndarray
-    values: np.ndarray
+    def __init__(self, eps: float, scale: float, offsets: np.ndarray,
+                 values: np.ndarray):
+        self.eps = eps
+        self.scale = scale
+        self.offsets = offsets
+        self.values = values
 
     @property
     def radius(self) -> float:
@@ -180,17 +180,18 @@ def _b_of_sites(sa: np.ndarray, sb: np.ndarray, stamp: SmoothingKernel) -> float
     return float((fa * fb).sum()) / (lam * lam)
 
 
-@dataclass
 class QKernel:
     """Self-convolution probability kernel of the smoothing stamp, which
     it carries for the functionals at its scale."""
 
-    t: float
-    b_t: float
-    eps: float
-    offsets: np.ndarray
-    values: np.ndarray
-    stamp: SmoothingKernel
+    def __init__(self, t: float, b_t: float, eps: float, offsets: np.ndarray,
+                 values: np.ndarray, stamp: SmoothingKernel):
+        self.t = t
+        self.b_t = b_t
+        self.eps = eps
+        self.offsets = offsets
+        self.values = values
+        self.stamp = stamp
 
 
 def q_kernel(t: float, b_t: float, eps: float) -> QKernel:

@@ -26,7 +26,6 @@ carried through side by side; see KappaResult.kappa4_candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily: load it here, not in a run
@@ -64,21 +63,24 @@ def kappa4_normalizations(m_hat: float) -> dict:
     return {"half_quotient": m_hat, "weinstein": 2.0 * m_hat}
 
 
-@dataclass
 class KappaResult:
-    nodes: int
-    r_max: float
-    m_hat: float
-    g_best: float
-    iterations: int
-    converged: bool
-    backtracks: int
-    balance_residual: float
-    l2_norm: float
-    l4_norm: float
-    grad_norm: float
-    profile_r: np.ndarray = field(repr=False)
-    profile_f: np.ndarray = field(repr=False)
+    def __init__(self, nodes: int, r_max: float, m_hat: float, g_best: float,
+                 iterations: int, converged: bool, backtracks: int,
+                 balance_residual: float, l2_norm: float, l4_norm: float,
+                 grad_norm: float, profile_r: np.ndarray, profile_f: np.ndarray):
+        self.nodes = nodes
+        self.r_max = r_max
+        self.m_hat = m_hat
+        self.g_best = g_best
+        self.iterations = iterations
+        self.converged = converged
+        self.backtracks = backtracks
+        self.balance_residual = balance_residual
+        self.l2_norm = l2_norm
+        self.l4_norm = l4_norm
+        self.grad_norm = grad_norm
+        self.profile_r = profile_r
+        self.profile_f = profile_f
 
     @property
     def weinstein(self) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -118,7 +117,6 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-@dataclass
 class StepDistribution:
     """Symmetric step law on Z^2 with exact rational weights.
 
@@ -127,16 +125,10 @@ class StepDistribution:
     of fracs (exact for dyadic denominators).
     """
 
-    name: str
-    support: np.ndarray
-    fracs: tuple[Fraction, ...]
-    probs: np.ndarray = field(init=False)
-    _accept: np.ndarray = field(init=False, repr=False)
-    _alias: np.ndarray = field(init=False, repr=False)
-    _shift: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.support = np.asarray(self.support, dtype=np.int32)
+    def __init__(self, name: str, support, fracs: tuple[Fraction, ...]):
+        self.name = name
+        self.support = np.asarray(support, dtype=np.int32)
+        self.fracs = fracs
         if self.support.ndim != 2 or self.support.shape[1] != 2:
             raise InvalidConfig("support must be an (m, 2) array of steps")
         if len(self.fracs) != len(self.support):
@@ -313,16 +305,14 @@ def validate_distribution(dist: StepDistribution) -> int:
 # sampling
 
 
-@dataclass
 class WalkPath:
     """A sampled walk: positions[i] is the location after i+1 steps."""
 
-    n: int
-    positions: np.ndarray  # (n, 2) int32
-
-    def __post_init__(self):
-        assert self.positions.shape == (self.n, 2)
-        assert self.positions.dtype == np.int32
+    def __init__(self, n: int, positions: np.ndarray):
+        self.n = n
+        self.positions = positions  # (n, 2) int32
+        assert positions.shape == (n, 2)
+        assert positions.dtype == np.int32
 
 
 def _positions_from_indices(dist: StepDistribution, idx: np.ndarray) -> np.ndarray:
@@ -385,19 +375,17 @@ def sample_path(dist: StepDistribution, n: int, master_seed: int,
     return WalkPath(n=n, positions=pos)
 
 
-@dataclass
 class PoissonizedPath:
     """Walk stepped at unit-rate Poisson arrival times up to horizon t."""
 
-    t: float
-    jump_times: np.ndarray  # sorted float64, all <= t
-    walk: WalkPath
-
-    def __post_init__(self):
-        assert self.walk.n == len(self.jump_times)
-        if len(self.jump_times):
-            assert self.jump_times[-1] <= self.t
-            assert np.all(np.diff(self.jump_times) >= 0)
+    def __init__(self, t: float, jump_times: np.ndarray, walk: WalkPath):
+        self.t = t
+        self.jump_times = jump_times  # sorted float64, all <= t
+        self.walk = walk
+        assert walk.n == len(jump_times)
+        if len(jump_times):
+            assert jump_times[-1] <= t
+            assert np.all(np.diff(jump_times) >= 0)
 
     def positions_up_to(self, s: float) -> np.ndarray:
         """Positions visited during (0, s], excluding the origin."""

@@ -288,6 +288,41 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "run").exists()
 
 
+_HUGE = 10**400
+
+# case -> (a config, the text its refusal must show)
+OUT_OF_RANGE = {
+    "exact-n": ({"kind": "exact", "distribution": "srw", "params": {"n": _HUGE}},
+                "params.n must be <="),
+    "lil-n-max": ({"kind": "lil", "distribution": "srw", "replicas": 2,
+                   "params": {"n_max": _HUGE}}, "params.n_max must be <="),
+    "kappa-audit-num": ({"kind": "kappa", "distribution": "srw",
+                         "params": {"audit_num": _HUGE}}, "params.audit_num must be <="),
+    "smoothed-level": ({"kind": "smoothed", "distribution": "srw",
+                        "params": {"level": _HUGE}}, "params.level must be <="),
+    "smoothed-level-1024": ({"kind": "smoothed", "distribution": "srw",
+                             "params": {"level": 1024}}, "params.level must be <= 1023"),
+    "exact-n-5000-digits": ('{"kind": "exact", "distribution": "srw", "params": {"n": '
+                            + "1" * 5000 + "}}", "is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_integers_past_their_range_exit_2(tmp_path, capsys, case):
+    """An integer past int64, a smoothed level whose 2^level passes the
+    float range, or an integer too long for Python's json to parse is
+    refused by `validate` with exit 2 and a message naming the key (or
+    the file), never a traceback or a pass.  Only validate runs: a run
+    of such a config must never start."""
+    raw, text = OUT_OF_RANGE[case]
+    p = tmp_path / "cfg.json"
+    p.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    assert main(["validate", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert text in err
+    assert "Traceback" not in err
+
+
 def test_pool_starts_no_more_workers_than_pending_shards(tmp_path, monkeypatch):
     """A fork pool starts all its workers at the first submit: two
     pending shards at workers=4 ask for a pool of two."""
@@ -456,6 +491,61 @@ def test_resume_skips_and_rebuilds(tmp_path):
     shard.write_text("\n".join(lines) + "\n")
     run_experiment(cfg, resume=True, out=out)
     assert shard.read_bytes() == original
+
+
+def _damage(path: Path, how: str, data) -> None:
+    """Damage the file at path: "append" data, "insert" it as line 3,
+    "edit" line 3 into it, "keep" only its first data lines, "chop"
+    data bytes off its end, "delete" it or "replace" its bytes with
+    data."""
+    if how == "delete":
+        path.unlink()
+        return
+    raw = path.read_bytes()
+    lines = raw.splitlines(keepends=True)
+    raw = {"append": lambda: raw + data,
+           "insert": lambda: b"".join(lines[:2] + [data] + lines[2:]),
+           "edit": lambda: b"".join(lines[:2] + [data] + lines[3:]),
+           "keep": lambda: b"".join(lines[:data]),
+           "chop": lambda: raw[:-data],
+           "replace": lambda: data}[how]()
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("how, data", [
+    ("keep", 10),  # the header and 9 of its 1400 records
+    ("chop", 1),  # every record, but no final newline
+    ("append", b'{"n":64,"range":1,"replica":0}\n'),  # one record too many
+], ids=["cut-to-9-records", "no-final-newline", "one-record-too-many"])
+def test_resume_recomputes_a_cut_shard(tmp_path, how, data):
+    """A shard with other than its planned records, or without its
+    final newline, is not complete: --resume writes it again, to the
+    clean run's bytes."""
+    out = tmp_path / "run"
+    cfg = ExperimentConfig.from_dict(DEV_CFG)
+    run_experiment(cfg, out=out)
+    shard = out / "shard_00000.jsonl"
+    original = shard.read_bytes()
+    _damage(shard, how, data)
+    assert shard.read_bytes() != original
+    run_experiment(cfg, resume=True, out=out)
+    assert shard.read_bytes() == original
+
+
+def test_partial_report_counts_a_cut_shard_as_missing(tmp_path, capsys):
+    """A shard cut to its header and 9 records is reported on as a
+    missing one: a warning, and moments over the other shard only."""
+    out = tmp_path / "run"
+    cfg = ExperimentConfig.from_dict({**DEV_CFG, "replicas": SHARD_SIZE + 100})
+    run_experiment(cfg, out=out)
+    _damage(out / "shard_00001.jsonl", "keep", 10)
+    rep = run_report(out)
+    assert rep["partial"]
+    assert rep["missing_shards"] == [1]
+    assert "missing, stale or cut" in capsys.readouterr().err
+    lines = (out / "moments.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    assert [int(row["replicas"]) for row in rows] == [SHARD_SIZE] * 2
 
 
 def test_shard_headers_identify_run(tmp_path):
@@ -714,7 +804,9 @@ def test_lil_report_hashes_the_config_once(tmp_path, monkeypatch):
         run_experiment(cfg, out=out)
         fresh = dataclasses.replace(cfg)  # a config whose hash was never read
         reads.clear()
-        experiments._report_lil(fresh, out)
+        shards = experiments._readable_shards(fresh, out)
+        experiments._report_lil(fresh, out,
+                                experiments._iter_records(fresh, out, shards))
         counts.append(len(reads))
     assert counts[0] == counts[1] == 1
 
@@ -744,6 +836,24 @@ def test_smoothed_run_and_report(tmp_path):
     row = dict(zip(header, text[2].split(",")))
     assert float(row["max_q_residual"]) < 1e-10
     assert float(row["max_parseval_residual"]) < 1e-8
+
+
+def test_only_two_record_types_are_dataclasses():
+    """@dataclass compiles its generated methods on every import, so
+    rangelab's record types are plain classes.  ExperimentConfig stays
+    one (its fields are listed and replaced) and DecompositionRecord
+    too (records compare with ==); a new one must be added here."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    found = set()
+    for info in pkgutil.iter_modules(rangelab.__path__):
+        module = importlib.import_module(f"rangelab.{info.name}")
+        found |= {name for name, obj in vars(module).items()
+                  if inspect.isclass(obj) and obj.__module__ == module.__name__
+                  and dataclasses.is_dataclass(obj)}
+    assert found == {"ExperimentConfig", "DecompositionRecord"}
 
 
 def test_import_loads_no_scipy():
@@ -922,11 +1032,19 @@ def test_report_refuses_a_run_with_no_shards(tmp_path, capsys, kind):
     assert sorted(f.name for f in out.iterdir()) == ["config.json", "manifest.json"]
 
 
-# case -> (kind, file of a clean run, damage: "append" data to the file,
-# "insert" it as line 3, "delete" the file or "replace" its bytes with
-# data, data)
+# case -> (kind, file of a clean run, damage as _damage does it, data)
 CORRUPTIONS = {
     "shard-line-3-not-json": ("lil", "shard_00000.jsonl", "insert", b"not json\n"),
+    "shard-cut-to-9-records": ("deviations", "shard_00000.jsonl", "keep", 10),
+    "shard-cut-final-newline": ("identities", "shard_00000.jsonl", "chop", 1),
+    "deviations-record-lacks-range": ("deviations", "shard_00000.jsonl", "edit",
+                                      b'{"n":16,"replica":1}\n'),
+    "lil-record-lacks-ranges": ("lil", "shard_00000.jsonl", "edit",
+                                b'{"checkpoints":[4,8],"replica":1}\n'),
+    "identities-record-lacks-flag": ("identities", "shard_00000.jsonl", "edit",
+                                     b'{"binary_lhs":9,"binary_rhs":9,"replica":1}\n'),
+    "smoothed-record-lacks-q": ("smoothed", "shard_00000.jsonl", "edit",
+                                b'{"a_value":1.0,"b_value":1.0,"replica":1}\n'),
     "shard-line-not-json": ("deviations", "shard_00000.jsonl", "append", b"not json\n"),
     "shard-line-not-object": ("deviations", "shard_00000.jsonl", "append", b"[1, 2]\n"),
     "shard-line-not-utf8": ("lil", "shard_00000.jsonl", "append", b"\xff\n"),
@@ -942,11 +1060,12 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_report_names_a_corrupt_file(tmp_path, capsys, case):
-    """A run directory whose shard has a body line that is not a JSON
-    object, or whose whole-run result file is missing, is not UTF-8 JSON,
-    is not an object or lacks a key the report reads, makes `report`
-    exit 2 with a message that names the file (and the shard's line),
-    not a traceback and not a summary."""
+    """A run directory whose only shard is cut short or has a body line
+    that is not a JSON object or lacks a key the report reads, or whose
+    whole-run result file is missing, is not UTF-8 JSON, is not an
+    object or lacks a key the report reads, makes `report` exit 2 with a
+    message that names the file (and the shard's line), not a traceback
+    and not a summary."""
     kind, name, how, data = CORRUPTIONS[case]
     raw = {"exact": {"kind": "exact", "distribution": "srw", "replicas": 1,
                      "params": {"n": 8}},
@@ -956,16 +1075,7 @@ def test_report_names_a_corrupt_file(tmp_path, capsys, case):
     p = _write_cfg(tmp_path, raw)
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
     target = out / name
-    if how == "delete":
-        target.unlink()
-    elif how == "append":
-        with open(target, "ab") as fh:
-            fh.write(data)
-    elif how == "insert":
-        lines = target.read_bytes().splitlines(keepends=True)
-        target.write_bytes(b"".join(lines[:2] + [data] + lines[2:]))
-    else:
-        target.write_bytes(data)
+    _damage(target, how, data)
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -973,8 +1083,12 @@ def test_report_names_a_corrupt_file(tmp_path, capsys, case):
     assert str(target) in err
     if how == "append":
         assert f"line {len(target.read_bytes().splitlines())} " in err
-    if how == "insert":
+    if how in ("insert", "edit"):
         assert "line 3 " in err
+    if how == "edit":
+        assert " lacks " in err
+    if how in ("keep", "chop"):
+        assert "missing, stale or cut; nothing to report" in err
     assert not (out / "summary.csv").exists() and not (out / "plot.csv").exists()
     assert not list(out.glob("trajectories/*"))
 
