@@ -249,9 +249,9 @@ class Kind:
     fills and checks the config's params, check validates the rest of a
     canonical config, table_n is the longest return table that run or
     report builds (0 for none), and a record whose violation_keys flag
-    is false is an identity violation.  A sharded kind writes
-    records_per_replica records per replica, each holding every key of
-    record_keys, the keys its report reads; both take the params."""
+    is false is an identity violation.  Per replica a sharded kind writes
+    one record per line_plan entry, in order, holding its fixed values
+    and every key of record_keys, the keys its report reads."""
 
     def __init__(self, schema: str, canonical_params: Callable,
                  report: Callable, records: Callable | None = None,
@@ -259,7 +259,7 @@ class Kind:
                  check: Callable = lambda cfg, dist: None,
                  table_n: Callable = lambda params: 0,
                  violation_keys: tuple = (),
-                 records_per_replica: Callable = lambda params: 1,
+                 line_plan: Callable = lambda params: [{}],
                  record_keys: Callable = lambda params: ()):
         self.schema = schema
         self.canonical_params = canonical_params
@@ -269,7 +269,7 @@ class Kind:
         self.check = check
         self.table_n = table_n
         self.violation_keys = violation_keys
-        self.records_per_replica = records_per_replica
+        self.line_plan = line_plan
         self.record_keys = record_keys
 
 
@@ -419,25 +419,70 @@ def _shard_header(cfg: ExperimentConfig, index: int, start: int, stop: int) -> d
     }
 
 
-def _shard_records(cfg: ExperimentConfig, start: int, stop: int) -> int:
-    """The number of records the shard of replicas [start, stop) holds."""
-    return (stop - start) * _kind(cfg.kind).records_per_replica(cfg.params)
+def _read_shard(cfg: ExperimentConfig, run_dir: Path, index: int, start: int,
+                stop: int):
+    """The records of planned shard index, replicas [start, stop), as an
+    iterator in plan order; None when the shard is missing: no file,
+    another header, fewer lines than planned, or cut inside a line.
 
-
-def _shard_lines(path: Path, header: dict) -> int | None:
-    """The number of lines after the first of the file at path, when
-    that first line is header and the file ends in a newline; None for
-    no file, another shard's file or one cut inside a line.  Shards are
-    written atomically, so only a file cut or edited afterwards holds
-    other than its planned records."""
+    The file is read once, here.  Iterating raises InvalidConfig naming
+    the file and the line at a line that is not a JSON object, lies past
+    the plan, lacks a key the report reads, or holds another replica or
+    fixed value than its plan line (the kind's line_plan).  Shards are
+    written atomically, so only a later cut or edit breaks one."""
+    path = _shard_path(run_dir, index)
     try:
         data = path.read_bytes()
-        first, _, body = data.partition(b"\n")
-        if json.loads(first) != header:
+        if json.loads(data[:data.index(b"\n")]) != _shard_header(cfg, index, start, stop):
             return None
-    except (OSError, ValueError):  # no file; first line not UTF-8 or not JSON
+    except (OSError, ValueError):  # no file or newline; header not UTF-8 JSON
         return None
-    return body.count(b"\n") if data.endswith(b"\n") else None
+    kind = _kind(cfg.kind)
+    plan = kind.line_plan(cfg.params)
+    m = len(plan)
+    planned = (stop - start) * m
+    if not data.endswith(b"\n") or data.count(b"\n") - 1 < planned:
+        return None
+    keys = frozenset(["replica", *plan[0], *kind.record_keys(cfg.params)])
+
+    def records():
+        for k, line in enumerate(data.split(b"\n")[1:-1]):
+            try:
+                rec = json.loads(line)
+            except ValueError:  # not UTF-8, or not JSON
+                rec = None
+            if not isinstance(rec, dict):
+                raise InvalidConfig(f"{path} line {k + 2} is not a JSON object record")
+            if k >= planned:
+                raise InvalidConfig(f"{path} line {k + 2} is past the "
+                                    f"{planned} records the shard plans")
+            if not keys <= rec.keys():
+                raise InvalidConfig(f"{path} line {k + 2} lacks "
+                                    f"{', '.join(sorted(keys - rec.keys()))}")
+            if rec["replica"] != start + k // m or not plan[k % m].items() <= rec.items():
+                want = {"replica": start + k // m, **plan[k % m]}
+                raise InvalidConfig(f"{path} line {k + 2} holds another "
+                                    f"{', '.join(x for x in want if rec[x] != want[x])} "
+                                    f"than the shard plans there")
+            yield rec
+    return records()
+
+
+def _reads_whole(records) -> bool:
+    """Whether records, as _read_shard gives them, are there and read to
+    their end without a fault: what --resume keeps."""
+    try:
+        return records is not None and all(True for _ in records)
+    except InvalidConfig:
+        return False
+
+
+def _read_shards(cfg: ExperimentConfig, run_dir: Path) -> dict:
+    """Planned shard index -> its records, for each planned shard that
+    _read_shard does not find missing."""
+    shards = {i: _read_shard(cfg, run_dir, i, start, stop)
+              for i, (start, stop) in enumerate(plan_shards(cfg))}
+    return {i: records for i, records in shards.items() if records is not None}
 
 
 def _q_fields(out: dict) -> dict:
@@ -723,11 +768,9 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False, workers: int = 1
         shards = plan_shards(cfg)
         pending = []
         for i, (start, stop) in enumerate(shards):
-            header = _shard_header(cfg, i, start, stop)
-            path = _shard_path(out, i)
-            shard_meta.append({"index": i, "path": path.name,
+            shard_meta.append({"index": i, "path": _shard_path(out, i).name,
                                "replica_start": start, "replica_stop": stop})
-            if resume and _shard_lines(path, header) == _shard_records(cfg, start, stop):
+            if resume and _reads_whole(_read_shard(cfg, out, i, start, stop)):
                 continue
             pending.append((cfg, out, i, start, stop))
         if workers > 1 and len(pending) > 1:
@@ -768,69 +811,31 @@ def _violations(cfg: ExperimentConfig, run_dir: Path) -> int:
     keys = _kind(cfg.kind).violation_keys
     if not keys:
         return 0
-    return sum(1 for rec in _iter_records(cfg, run_dir, _readable_shards(cfg, run_dir))
+    return sum(1 for records in _read_shards(cfg, run_dir).values() for rec in records
                for key in keys if key in rec and not rec[key])
 
 
-def _readable_shards(cfg: ExperimentConfig, run_dir: Path) -> dict:
-    """Planned shard index -> its record count, for each planned shard
-    whose file holds this config's header and at least that many whole
-    lines.  A shard with fewer, or cut inside a line, is missing; one
-    with more is read, and _iter_records names the line past its plan."""
-    shards = {}
-    for i, (start, stop) in enumerate(plan_shards(cfg)):
-        records = _shard_records(cfg, start, stop)
-        lines = _shard_lines(_shard_path(run_dir, i), _shard_header(cfg, i, start, stop))
-        if lines is not None and lines >= records:
-            shards[i] = records
-    return shards
-
-
-def _iter_records(cfg: ExperimentConfig, run_dir: Path, shards: dict):
-    """Yield the records of shards, as _readable_shards gives them, in
-    shard order.
-
-    Any other shard file in the directory (another config's, or one past
-    this plan) is never read.  A body line that is not a JSON object,
-    lies past the shard's planned records or lacks a key the kind's
-    report reads raises InvalidConfig naming the shard and the line."""
-    keys = frozenset(_kind(cfg.kind).record_keys(cfg.params))
-    for i, records in shards.items():
-        path = _shard_path(run_dir, i)
-        with open(path, "rb") as fh:
-            fh.readline()
-            for lineno, line in enumerate(fh, start=2):
-                try:
-                    rec = json.loads(line)
-                except ValueError:  # not UTF-8, or not JSON
-                    rec = None
-                if not isinstance(rec, dict):
-                    raise InvalidConfig(f"{path} line {lineno} is not "
-                                        f"a JSON object record")
-                if lineno > records + 1:
-                    raise InvalidConfig(f"{path} line {lineno} is past the "
-                                        f"{records} records the shard plans")
-                if not keys <= rec.keys():
-                    raise InvalidConfig(f"{path} line {lineno} lacks "
-                                        f"{', '.join(sorted(keys - rec.keys()))}")
-                yield rec
-
-
-def _read_run_json(path: Path, keys: tuple) -> dict:
-    """The JSON object in a whole-run result file, which must hold every
-    key of keys; InvalidConfig names the file otherwise."""
+def _report_run_json(name: str, schema: str, rows_of: Callable,
+                     cfg: ExperimentConfig, run_dir: Path, records) -> list:
+    """A whole-run kind's report once name, schema and rows_of are bound:
+    summary.csv of the rows rows_of reads from the JSON object in the
+    run's file name.  InvalidConfig names the file when it is missing,
+    not UTF-8 JSON or not an object, or lacks or mistypes a value read."""
+    path = run_dir / name
     try:
         raw = json.loads(path.read_bytes())
     except FileNotFoundError:
         raise InvalidConfig(f"{path} is missing; rerun the config") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"{path} is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{path} does not hold a JSON object")
-    missing = [k for k in keys if k not in raw]
-    if missing:
-        raise InvalidConfig(f"{path} lacks {', '.join(missing)}")
-    return raw
+    try:  # a raw that is not an object fails here too
+        rows = rows_of(raw)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise InvalidConfig(f"{path} lacks or mistypes a value the report "
+                            f"reads: {exc!r}") from None
+    _write_csv(run_dir / "summary.csv", cfg.config_hash, schema,
+               ["key", "value"], rows)
+    return ["summary.csv"]
 
 
 def _stored_hash(run_dir: Path) -> str | None:
@@ -851,7 +856,7 @@ def _load_run(run_dir: Path):
     if _stored_hash(run_dir) != cfg.config_hash:
         raise InvalidConfig(f"{cfg_path} does not hash to the config_hash "
                             f"it stores")
-    return cfg, _readable_shards(cfg, run_dir)
+    return cfg, _read_shards(cfg, run_dir)
 
 
 def _probe(cfg: ExperimentConfig, replicas: int) -> DeviationProbe:
@@ -870,13 +875,11 @@ def _check_probe(cfg: ExperimentConfig, dist: StepDistribution) -> None:
 
 def _report_deviations(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     dist = cfg.dist()
-    collected: dict = {n: {} for n in cfg.params["n_ladder"]}
-    for rec in records:
-        collected[rec["n"]][rec["replica"]] = rec["range"]
-    have = min(len(per) for per in collected.values())
-    values_by_n = {n: np.array([per[j] for j in sorted(per)][:have],
-                               dtype=np.int64)
-                   for n, per in collected.items()}
+    ladder = cfg.params["n_ladder"]
+    # records come in plan order: each replica's ladder, replica by replica
+    ranges = np.array([rec["range"] for rec in records], dtype=np.int64)
+    values_by_n = dict(zip(ladder, ranges.reshape(-1, len(ladder)).T))
+    have = len(ranges) // len(ladder)
     probe = _probe(cfg, have)
     table = build_return_table(dist, max(probe.n_ladder))
     rows = tail_rows_from_values(probe, dist, table, values_by_n)
@@ -1006,9 +1009,7 @@ def _report_smoothed(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     return ["summary.csv"]
 
 
-def _report_exact(cfg: ExperimentConfig, run_dir: Path, records) -> list:
-    results = _read_run_json(run_dir / "results.json",
-                             ("n", "identity_residuals"))
+def _exact_rows(results: dict) -> list:
     rows = [{"key": "n", "value": results["n"]}]
     for k, v in sorted(results["identity_residuals"].items()):
         rows.append({"key": f"identity_residual_{k}", "value": v})
@@ -1017,15 +1018,10 @@ def _report_exact(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     if "enumeration" in results:
         rows.append({"key": "enumeration_max_abs_gap",
                      "value": results["enumeration"]["max_abs_gap"]})
-    _write_csv(run_dir / "summary.csv", cfg.config_hash, "exact-summary-v1",
-               ["key", "value"], rows)
-    return ["summary.csv"]
+    return rows
 
 
-def _report_kappa(cfg: ExperimentConfig, run_dir: Path, records) -> list:
-    constants = _read_run_json(run_dir / "constants.json",
-                               ("m_hat", "m_hat_spread", "gaussian_half_quotient",
-                                "grids", "kappa4_candidates", "constants"))
+def _kappa_rows(constants: dict) -> list:
     rows = [{"key": "m_hat", "value": constants["m_hat"]},
             {"key": "m_hat_spread", "value": constants["m_hat_spread"]},
             {"key": "gaussian_half_quotient",
@@ -1039,9 +1035,7 @@ def _report_kappa(cfg: ExperimentConfig, run_dir: Path, records) -> list:
     if constants.get("audit"):
         rows.append({"key": "audit_violations",
                      "value": constants["audit"]["violations"]})
-    _write_csv(run_dir / "summary.csv", cfg.config_hash, "kappa-summary-v1",
-               ["key", "value"], rows)
-    return ["summary.csv"]
+    return rows
 
 
 def run_report(run_dir) -> dict:
@@ -1062,8 +1056,8 @@ def run_report(run_dir) -> dict:
         print(f"warning: {len(missing)} shard(s) missing, stale or cut "
               f"({missing[:8]}{'...' if len(missing) > 8 else ''}); "
               f"reporting on what is present", file=sys.stderr)
-    files = _kind(cfg.kind).report(cfg, run_dir,
-                                   _iter_records(cfg, run_dir, shards))
+    files = _kind(cfg.kind).report(
+        cfg, run_dir, (rec for records in shards.values() for rec in records))
     return {"run_dir": str(run_dir), "kind": cfg.kind,
             "config_hash": cfg.config_hash, "partial": bool(missing),
             "missing_shards": missing, "files": files}
@@ -1071,7 +1065,9 @@ def run_report(run_dir) -> dict:
 
 _REGISTRY = {
     "exact": Kind(schema="exact-table-v1", canonical_params=_exact_params,
-                  report=_report_exact, write=_run_exact,
+                  report=functools.partial(_report_run_json, "results.json",
+                                           "exact-summary-v1", _exact_rows),
+                  write=_run_exact,
                   check=_check_enumeration, table_n=lambda p: p["n"]),
     "identities": Kind(schema="identities-v1",
                        canonical_params=_identities_params,
@@ -1088,13 +1084,17 @@ _REGISTRY = {
                        canonical_params=_deviations_params,
                        report=_report_deviations, records=_deviation_records,
                        check=_check_probe, table_n=lambda p: max(p["n_ladder"]),
-                       records_per_replica=lambda p: len(p["n_ladder"]),
+                       line_plan=lambda p: [{"n": n} for n in p["n_ladder"]],
                        record_keys=lambda p: ["n", "replica", "range"]),
     "lil": Kind(schema="lil-v1", canonical_params=_lil_params,
                 report=_report_lil, records=_lil_records,
                 table_n=lambda p: p["n_max"],
+                line_plan=lambda p: [{"checkpoints": lil_checkpoints(
+                    p["n_max"], p["checkpoints"])}],
                 record_keys=lambda p: ["replica", "checkpoints", "ranges"]),
     "kappa": Kind(schema="kappa-v1", canonical_params=_kappa_params,
-                  report=_report_kappa, write=_run_kappa),
+                  report=functools.partial(_report_run_json, "constants.json",
+                                           "kappa-summary-v1", _kappa_rows),
+                  write=_run_kappa),
 }
 KINDS = tuple(_REGISTRY)

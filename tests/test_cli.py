@@ -495,9 +495,9 @@ def test_resume_skips_and_rebuilds(tmp_path):
 
 def _damage(path: Path, how: str, data) -> None:
     """Damage the file at path: "append" data, "insert" it as line 3,
-    "edit" line 3 into it, "keep" only its first data lines, "chop"
-    data bytes off its end, "delete" it or "replace" its bytes with
-    data."""
+    "edit" line 3 into it, "copy" line data[0] over line data[1], "keep"
+    only its first data lines, "chop" data bytes off its end, "delete"
+    it or "replace" its bytes with data."""
     if how == "delete":
         path.unlink()
         return
@@ -506,6 +506,8 @@ def _damage(path: Path, how: str, data) -> None:
     raw = {"append": lambda: raw + data,
            "insert": lambda: b"".join(lines[:2] + [data] + lines[2:]),
            "edit": lambda: b"".join(lines[:2] + [data] + lines[3:]),
+           "copy": lambda: b"".join(lines[:data[1] - 1] + [lines[data[0] - 1]]
+                                    + lines[data[1]:]),
            "keep": lambda: b"".join(lines[:data]),
            "chop": lambda: raw[:-data],
            "replace": lambda: data}[how]()
@@ -516,11 +518,15 @@ def _damage(path: Path, how: str, data) -> None:
     ("keep", 10),  # the header and 9 of its 1400 records
     ("chop", 1),  # every record, but no final newline
     ("append", b'{"n":64,"range":1,"replica":0}\n'),  # one record too many
-], ids=["cut-to-9-records", "no-final-newline", "one-record-too-many"])
+    ("edit", b"not json\n"),  # the count is kept, the line is not a record
+    ("copy", (5, 3)),  # replica 1's n = 256 record where replica 0's belongs
+], ids=["cut-to-9-records", "no-final-newline", "one-record-too-many",
+        "line-3-not-json", "line-3-another-replica"])
 def test_resume_recomputes_a_cut_shard(tmp_path, how, data):
-    """A shard with other than its planned records, or without its
-    final newline, is not complete: --resume writes it again, to the
-    clean run's bytes."""
+    """A shard that the report would not read whole (other than its
+    planned records, no final newline, or a line that is not the record
+    its plan puts there) is not complete: --resume writes it again, to
+    the clean run's bytes."""
     out = tmp_path / "run"
     cfg = ExperimentConfig.from_dict(DEV_CFG)
     run_experiment(cfg, out=out)
@@ -804,9 +810,8 @@ def test_lil_report_hashes_the_config_once(tmp_path, monkeypatch):
         run_experiment(cfg, out=out)
         fresh = dataclasses.replace(cfg)  # a config whose hash was never read
         reads.clear()
-        shards = experiments._readable_shards(fresh, out)
-        experiments._report_lil(fresh, out,
-                                experiments._iter_records(fresh, out, shards))
+        experiments._report_lil(fresh, out, experiments._read_shard(
+            fresh, out, 0, 0, replicas))
         counts.append(len(reads))
     assert counts[0] == counts[1] == 1
 
@@ -1032,6 +1037,15 @@ def test_report_refuses_a_run_with_no_shards(tmp_path, capsys, kind):
     assert sorted(f.name for f in out.iterdir()) == ["config.json", "manifest.json"]
 
 
+def _kappa_constants(**changes) -> bytes:
+    """constants.json with every top-level key the kappa report reads,
+    and changes."""
+    return json.dumps({"m_hat": 0.1, "m_hat_spread": 0.0,
+                       "gaussian_half_quotient": 0.5, "grids": [],
+                       "kappa4_candidates": {},
+                       "constants": {"theta_inverse": {}}, **changes}).encode()
+
+
 # case -> (kind, file of a clean run, damage as _damage does it, data)
 CORRUPTIONS = {
     "shard-line-3-not-json": ("lil", "shard_00000.jsonl", "insert", b"not json\n"),
@@ -1048,6 +1062,14 @@ CORRUPTIONS = {
     "shard-line-not-json": ("deviations", "shard_00000.jsonl", "append", b"not json\n"),
     "shard-line-not-object": ("deviations", "shard_00000.jsonl", "append", b"[1, 2]\n"),
     "shard-line-not-utf8": ("lil", "shard_00000.jsonl", "append", b"\xff\n"),
+    "deviations-record-off-ladder": ("deviations", "shard_00000.jsonl", "edit",
+                                     b'{"n":5,"range":3,"replica":0}\n'),
+    # ladder [16, 64, 16]: replica 0's n = 64 record stands in for replica 1's
+    "deviations-replica-repeated": ("deviations", "shard_00000.jsonl", "copy",
+                                    (3, 6)),
+    "lil-checkpoints-past-n-max": ("lil", "shard_00000.jsonl", "edit",
+                                   b'{"checkpoints":[4,1024],"ranges":[3,9],'
+                                   b'"replica":1}\n'),
     "exact-results-missing": ("exact", "results.json", "delete", None),
     "exact-results-not-utf8": ("exact", "results.json", "replace", b"\xff{}"),
     "exact-results-not-json": ("exact", "results.json", "replace", b"{"),
@@ -1055,15 +1077,22 @@ CORRUPTIONS = {
     "exact-results-lacks-key": ("exact", "results.json", "replace", b'{"n": 3}'),
     "kappa-constants-missing": ("kappa", "constants.json", "delete", None),
     "kappa-constants-lacks-key": ("kappa", "constants.json", "replace", b'{"m_hat": 0.1}'),
+    "exact-residuals-not-object": ("exact", "results.json", "replace",
+                                   b'{"n": 8, "identity_residuals": [1e-16]}'),
+    "kappa-constants-grid-empty": ("kappa", "constants.json", "replace",
+                                   _kappa_constants(grids=[{}])),
+    "kappa-constants-lacks-theta-inverse": ("kappa", "constants.json", "replace",
+                                            _kappa_constants(constants={})),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_report_names_a_corrupt_file(tmp_path, capsys, case):
     """A run directory whose only shard is cut short or has a body line
-    that is not a JSON object or lacks a key the report reads, or whose
-    whole-run result file is missing, is not UTF-8 JSON, is not an
-    object or lacks a key the report reads, makes `report` exit 2 with a
+    that is not a JSON object, lacks a key the report reads or holds
+    another replica or fixed value than its plan, or whose whole-run
+    result file is missing, is not UTF-8 JSON, is not an object or lacks
+    or mistypes a value the report reads, makes `report` exit 2 with a
     message that names the file (and the shard's line), not a traceback
     and not a summary."""
     kind, name, how, data = CORRUPTIONS[case]
@@ -1085,7 +1114,9 @@ def test_report_names_a_corrupt_file(tmp_path, capsys, case):
         assert f"line {len(target.read_bytes().splitlines())} " in err
     if how in ("insert", "edit"):
         assert "line 3 " in err
-    if how == "edit":
+    if how == "copy":
+        assert f"line {data[1]} holds another " in err
+    if "-lacks-" in case:
         assert " lacks " in err
     if how in ("keep", "chop"):
         assert "missing, stale or cut; nothing to report" in err
