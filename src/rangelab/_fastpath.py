@@ -15,7 +15,7 @@ import numpy as np
 
 from .walks import COORD_LIMIT
 
-_PAIR_CHUNK = 1 << 18  # lookups held at once by shift_overlaps
+_PAIR_CHUNK = 1 << 16  # lookups held at once by pair_shift_overlaps
 # walk steps held at once by every block loop over replicas
 # (replica_blocks): the ladder's index and counting buffers, 32 bytes a
 # step, stay in a 4 MB L2 cache; smaller blocks cost more Python per step
@@ -32,7 +32,8 @@ __all__ = [
     "batch_range_counts",
     "sort_by_site",
     "block_sites",
-    "shift_overlaps",
+    "offset_columns",
+    "pair_shift_overlaps",
     "log_power_sums",
     "enum_walk_moments",
 ]
@@ -232,37 +233,62 @@ def block_sites(fresh: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return new
 
 
-def shift_overlaps(sites_a: np.ndarray, sites_b: np.ndarray,
-                   offsets: np.ndarray) -> np.ndarray:
-    """out[i] = |A intersect (offsets[i] + B)| for arrays of distinct
-    sites A and B.
+def offset_columns(offsets: np.ndarray) -> list:
+    """(start, stop) of each run of consecutive offsets that share their
+    x: one run per x for offsets in x-major order."""
+    starts = (np.flatnonzero(offsets[1:, 0] != offsets[:-1, 0]) + 1).tolist()
+    return list(zip([0] + starts, starts + [offsets.shape[0]]))
 
-    Every b + offset is looked up in an occupancy grid over the bounding
-    box of A widened by twice the largest offset, a chunk of B at a
-    time, so the extra memory is that grid plus at most _PAIR_CHUNK
-    lookups (or one row of offsets), whatever |A| * |B| is."""
-    counts = np.zeros(offsets.shape[0], dtype=np.int64)
-    if sites_a.shape[0] == 0:
-        return counts
+
+def pair_shift_overlaps(sites: np.ndarray, bounds: np.ndarray,
+                        offsets: np.ndarray) -> np.ndarray:
+    """counts[p, i] = |A_p intersect (offsets[i] + B_p)| for the pairs of
+    one block: set k is sites[bounds[k]:bounds[k + 1]], nonempty and of
+    distinct sites, and pair p is (A_p, B_p) = (set 2p, set 2p + 1).
+
+    Pair p looks every b + offset up in an occupancy grid over the
+    bounding box of A_p widened by twice the largest offset r, for the b
+    of B_p within r of that box (only they can land in it).  The grids
+    lie end to end in one array, each with its own width, so one gather
+    looks a group of offsets up for the b of every pair at once, at most
+    _PAIR_CHUNK lookups at a time: the extra memory is the grids plus
+    one chunk, whatever the |A_p| * |B_p| are.  A group shares its x
+    (offset_columns), so its lookups are one add to the b shifted by
+    that x."""
+    sizes = bounds[1:] - bounds[:-1]
     r = int(np.abs(offsets).max())
-    # b + offset can only land in the box of A when b lies in [lo, hi]
-    lo = sites_a.min(axis=0) - r
-    hi = sites_a.max(axis=0) + r
-    b = sites_b[np.all((sites_b >= lo) & (sites_b <= hi), axis=1)]
-    # the grid spans [lo - r, hi + r], which holds every such b + offset
-    shape = hi - lo + 2 * r + 1
-    width = int(shape[1])
-
-    def flat(p):
-        return (p[:, 0] - lo[0] + r) * width + (p[:, 1] - lo[1] + r)
-
-    occupied = np.zeros(int(shape[0]) * width, dtype=bool)
-    occupied[flat(sites_a)] = True
-    b_flat = flat(b)
-    o_flat = offsets[:, 0] * width + offsets[:, 1]
-    rows = max(1, _PAIR_CHUNK // offsets.shape[0])
-    for i in range(0, b_flat.size, rows):
-        counts += occupied[b_flat[i:i + rows, None] + o_flat].sum(axis=0)
+    lo = np.minimum.reduceat(sites, bounds[:-1])[0::2] - r
+    hi = np.maximum.reduceat(sites, bounds[:-1])[0::2] + r
+    # pair p's grid spans [lo - r, hi + r], which holds every such b + offset;
+    # (x, y) lies at origin[p] + x * width[p] + y in it
+    width = hi[:, 1] - lo[:, 1] + 2 * r + 1
+    cells = (hi[:, 0] - lo[:, 0] + 2 * r + 1) * width
+    origin = np.cumsum(cells) - cells + (r - lo[:, 0]) * width + r - lo[:, 1]
+    in_b = np.repeat(np.arange(sizes.size) & 1, sizes).astype(bool)
+    a, b = sites[~in_b], sites[in_b]
+    pa = np.repeat(np.arange(lo.shape[0]), sizes[0::2])
+    pb = np.repeat(np.arange(lo.shape[0]), sizes[1::2])
+    occupied = np.zeros(int(cells.sum()), dtype=bool)
+    occupied[origin[pa] + a[:, 0] * width[pa] + a[:, 1]] = True
+    near = np.all((b >= lo[pb]) & (b <= hi[pb]), axis=1)
+    b, pb = b[near], pb[near]
+    b_width = width[pb]
+    b_flat = origin[pb] + b[:, 0] * b_width + b[:, 1]
+    counts = np.zeros((lo.shape[0], offsets.shape[0]), dtype=np.int64)
+    step = max(1, min(b_flat.size, _PAIR_CHUNK))  # b per gather
+    rows = _PAIR_CHUNK // step  # offsets per gather
+    columns = offset_columns(offsets)
+    for i in range(0, b_flat.size, step):
+        p = pb[i:i + step]
+        # where each pair's b start
+        first = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
+        for c0, c1 in columns:
+            shifted = offsets[c0, 0] * b_width[i:i + step]
+            shifted += b_flat[i:i + step]
+            for j in range(c0, c1, rows):
+                k = min(j + rows, c1)
+                counts[p[first], j:k] += np.add.reduceat(
+                    occupied[offsets[j:k, 1:] + shifted], first, axis=1, dtype=np.int64).T
     return counts
 
 

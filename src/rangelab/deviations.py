@@ -360,11 +360,12 @@ def lil_rows(checkpoints, ranges, table: ReturnProbTable) -> list:
 
     Upper statistic: R_bar_m (log m)^2 / (m logloglog m); lower:
     -R_bar_m (log m)^2 / (m loglog m).  Where the iterated log is not
-    positive the statistic and its running maximum are None."""
+    positive the statistic and its running maximum are None.  Raises
+    ValueError when ranges and checkpoints differ in length."""
     rows = []
     run_up = -math.inf
     run_low = -math.inf
-    for m, r in zip(checkpoints, ranges):
+    for m, r in zip(checkpoints, ranges, strict=True):
         r_bar = float(r) - float(table.er[m])
         ll, lll = _iterated_logs(m)
         lg2 = math.log(m) ** 2

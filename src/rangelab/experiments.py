@@ -50,8 +50,9 @@ from .smoothing import (
     check_q_kernel,
     check_stamp_window,
     pair_functionals,
-    q_identity_check,
+    q_identity_block,
     q_kernel,
+    site_sets,
 )
 from .variational import gaussian_half_quotient, gn_audit, kappa22_solve
 from .walks import (
@@ -505,14 +506,15 @@ def _split_fields(dist: StepDistribution, n: int, seed: int, js: range,
 def _q_pair_fields(dist: StepDistribution, n: int, seed: int, js: range,
                    q, tol: float) -> list:
     """The q-kernel fields of records js, from one sampler call for their
-    pairs of fresh walks, replicas 2j and 2j + 1.  The check reads the
-    first q.t steps, so the walks stop there: a walk's prefix is the
-    shorter walk."""
+    pairs of fresh walks, replicas 2j and 2j + 1, and one
+    q_identity_block over the pairs.  The check reads the first q.t
+    steps, so the walks stop there: a walk's prefix is the shorter
+    walk."""
     pairs = sample_paths(dist, min(n, int(q.t)), seed,
                          [r for j in js for r in (2 * j, 2 * j + 1)])
     fields = []
-    for a, b in zip(pairs[0::2], pairs[1::2]):
-        f = _q_fields(q_identity_check(a, b, q))
+    for out in q_identity_block(*site_sets(pairs), q):
+        f = _q_fields(out)
         f["q_ok"] = f["q_residual"] <= tol
         fields.append(f)
     return fields
@@ -922,19 +924,26 @@ def _report_deviations(cfg: ExperimentConfig, run_dir: Path, records) -> list:
 
 
 def _report_lil(cfg: ExperimentConfig, run_dir: Path, records) -> list:
-    records = list(records)  # all read before any write
     dist = cfg.dist()
     n_max = cfg.params["n_max"]
     table = build_return_table(dist, n_max)
+
+    trajectories = {}  # every record read and checked before any write
+    for rec in records:
+        j = rec["replica"]
+        try:
+            trajectories[j] = lil_rows(rec["checkpoints"], rec["ranges"], table)
+        except ValueError as exc:
+            raise InvalidConfig(f"{_shard_path(run_dir, j // SHARD_SIZE)}: replica {j}'s "
+                                f"ranges do not match its checkpoints ({exc})") from exc
 
     (run_dir / "trajectories").mkdir(exist_ok=True)
     written = []
     plot_rows = []
     columns = ["m", "r_bar", "upper_stat", "lower_stat",
                "running_max_upper", "running_max_lower"]
-    for rec in records:
-        j = rec["replica"]
-        rows = lil_rows(rec["checkpoints"], rec["ranges"], table)
+    for j in list(trajectories):
+        rows = trajectories.pop(j)  # freed as written, before the solve below
         name = f"trajectories/replica_{j:05d}.csv"
         _write_csv(run_dir / name, cfg.config_hash, "lil-trajectory-v1",
                    columns, rows)

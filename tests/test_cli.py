@@ -974,12 +974,20 @@ def test_bad_paths_exit_2(tmp_path, capsys, monkeypatch, case):
 
 # One tiny config per sharded kind, with its config hash and the sha256
 # of its only shard file, as first written.  A refactor of the engine or
-# the samplers must leave every sampled byte where it was.
+# the samplers must leave every sampled byte where it was.  The
+# identities-checks entry runs the benchmark workload's params on 130
+# replicas: two full replica blocks of q-kernel pairs and a partial one.
 PINNED_SHARDS = {
     "identities": ({"kind": "identities", "distribution": "srw", "master_seed": 3,
                     "replicas": 4, "params": {"n": 256, "t": 64.0}},
                    "9174e4f05ce5451a26cd616a9fdc088892785d50631e82d4b1b169c79d2ce635",
                    "58733b1bea97a95f11e1de71a39e3c3d84d0a3a2f27d8c9be3ac204088c14f63"),
+    "identities-checks": ({"kind": "identities", "distribution": "srw", "master_seed": 1,
+                           "replicas": 130,
+                           "params": {"n": 1024, "t": 256.0, "b_t": 4.0,
+                                      "checks": ["dyadic", "binary", "q-kernel"]}},
+                          "328b6224713343b6fabb4f7819b20d3083283a2551a098386c7415a89466ffb1",
+                          "b74372a71bbac738899054a595e50cc8747dc5167d811ee37d8ba8319a431ced"),
     "smoothed": ({"kind": "smoothed", "distribution": "lazy-srw", "master_seed": 5,
                   "replicas": 3, "params": {"t": 64.0}},
                  "15213b86fe68fed4e46ac07d0952fa0d4cb54ee2fa1a37d6fbf8831fe95f5048",
@@ -1120,6 +1128,30 @@ def test_report_names_a_corrupt_file(tmp_path, capsys, case):
         assert " lacks " in err
     if how in ("keep", "chop"):
         assert "missing, stale or cut; nothing to report" in err
+    assert not (out / "summary.csv").exists() and not (out / "plot.csv").exists()
+    assert not list(out.glob("trajectories/*"))
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["ranges-short", "ranges-long"])
+def test_report_refuses_lil_ranges_unpaired_with_checkpoints(tmp_path, capsys, extra):
+    """A lil record with the planned checkpoints but one range fewer or
+    one more makes `report` exit 2 naming the shard and the replica, and
+    writes no trajectory, instead of zipping the two lists short."""
+    from rangelab.deviations import lil_checkpoints
+
+    raw = PINNED_SHARDS["lil"][0]
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(_write_cfg(tmp_path, raw)), "--out", str(out)]) == 0
+    checkpoints = lil_checkpoints(raw["params"]["n_max"])
+    ranges = list(range(1, len(checkpoints) + 1 + extra))
+    target = out / "shard_00000.jsonl"
+    _damage(target, "edit", json.dumps({"checkpoints": checkpoints, "ranges": ranges,
+                                        "replica": 1}).encode() + b"\n")
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{target}: replica 1's ranges do not match its checkpoints" in err
     assert not (out / "summary.csv").exists() and not (out / "plot.csv").exists()
     assert not list(out.glob("trajectories/*"))
 

@@ -7,23 +7,29 @@ import numpy as np
 import pytest
 
 from rangelab import smoothing
-from rangelab._fastpath import _PAIR_CHUNK, shift_overlaps
+from rangelab import _fastpath
+from rangelab._fastpath import pair_shift_overlaps
 from rangelab.errors import ResourceLimit
 from rangelab.smoothing import (
     _MAX_Q_TERMS,
     _MAX_WINDOW_CELLS,
-    _stamped_fields,
+    _pair_fields,
+    _pair_windows,
+    _stamp,
     b_functional,
     check_q_kernel,
     check_stamp_window,
     pair_functionals,
     parseval_check,
+    q_identity_block,
     q_identity_check,
     q_kernel,
-    smoothing_stamp,
     site_set,
+    site_sets,
+    smoothing_stamp,
 )
 from rangelab.walks import (
+    WalkPath,
     builtin_distribution,
     distribution_from_config,
     sample_path,
@@ -36,8 +42,9 @@ KING = builtin_distribution("king")
 
 
 def _fields_by_offset(stamp, *site_sets, weights=None):
-    """Reference for _stamped_fields: one scatter of every site per
-    stamp offset, in offset order."""
+    """Reference for the stamped fields of a pair's window (_pair_fields)
+    and for _stamp: on the box of every set widened by the stamp radius,
+    one scatter of every site per stamp offset, in offset order."""
     rad = int(math.floor(stamp.radius))
     lo = np.min([sites.min(axis=0) for sites in site_sets], axis=0) - rad
     hi = np.max([sites.max(axis=0) for sites in site_sets], axis=0) + rad
@@ -76,6 +83,37 @@ def _pair_sites(dist, t, seed):
     pa = sample_poissonized(dist, t, master_seed=seed, replica=0)
     pb = sample_poissonized(dist, t, master_seed=seed, replica=1)
     return site_set(pa, horizon=t), site_set(pb, horizon=t)
+
+
+def _block(pairs):
+    """(sites, bounds) of the block of the given pairs of site sets."""
+    sets = [s for pair in pairs for s in pair]
+    return (np.concatenate(sets),
+            np.concatenate([[0], np.cumsum([s.shape[0] for s in sets])]))
+
+
+def _block_fields(stamp, pairs):
+    """The two fields of each pair's window, as _pair_fields stamps them
+    for the whole block, each cut out and shaped as its window."""
+    out = []
+    for group in _pair_windows(*_block(pairs), stamp):
+        fields, start = _pair_fields(*group, stamp)
+        for a, shape in zip(start.tolist(), group[3].tolist()):
+            cells = shape[0] * shape[1]
+            out.append([f[a:a + cells].reshape(shape) for f in fields])
+    return out
+
+
+def _weighted_field(stamp, sites, weights):
+    """_stamp of one weighted site set on the box of the set widened by
+    the stamp radius, as q_kernel calls it."""
+    rad = int(math.floor(stamp.radius))
+    lo = sites.min(axis=0) - rad
+    shape = sites.max(axis=0) + rad - lo + 1
+    field = np.zeros(int(shape[0]) * int(shape[1]))
+    _stamp(field, (sites[:, 0] - lo[0]) * shape[1] + sites[:, 1] - lo[1], shape[1],
+           stamp, weights=weights)
+    return field.reshape(int(shape[0]), int(shape[1]))
 
 
 def test_stamp_mass_approaches_continuum():
@@ -157,16 +195,108 @@ def test_q_identity_counts_match_python_sets(pair, t, eps):
     q = q_kernel(t, 4.0, eps)
     sa, sb = site_set(pa, horizon=t), site_set(pb, horizon=t)
     if t > 1000:
-        assert sb.shape[0] > 2 * (_PAIR_CHUNK // q.offsets.shape[0])
+        assert sb.shape[0] * q.offsets.shape[0] > 2 * _fastpath._PAIR_CHUNK
     want = _shift_counts_by_sets(sa, sb, q.offsets)
     assert max(want) > 0
-    assert shift_overlaps(sa, sb, q.offsets).tolist() == want
+    assert pair_shift_overlaps(*_block([(sa, sb)]), q.offsets).tolist() == [want]
     rhs = 0.0
     for v, c in zip(q.values.tolist(), want):
         rhs += v * c
     out = q_identity_check(pa, pb, q)
     assert out["rhs"].hex() == rhs.hex()
     assert out["residual"] < 1e-10
+
+
+LONG = distribution_from_config({"steps": [
+    [12, 0, 1, 6], [-12, 0, 1, 6], [13, 0, 1, 6], [-13, 0, 1, 6],
+    [0, 1, 1, 6], [0, -1, 1, 6]]})
+
+
+def _kernel_pairs():
+    """Pairs of paths for one ragged block: a single-site walk, a pair
+    whose ranges are disjoint, Poissonized pairs, long-step pairs and
+    plain walk pairs."""
+    walk = sample_path(SRW, 256, master_seed=51, replica=0)
+    far = WalkPath(n=256, positions=walk.positions + np.int32([1000, 3]))
+    pairs = [(sample_path(SRW, 1, master_seed=51, replica=1), walk), (walk, far)]
+    for j in range(3):
+        pairs.append((sample_poissonized(SRW, 256.0, master_seed=52, replica=2 * j),
+                      sample_poissonized(SRW, 256.0, master_seed=52, replica=2 * j + 1)))
+        pairs.append((sample_path(LONG, 256, master_seed=53, replica=2 * j),
+                      sample_path(LONG, 256, master_seed=53, replica=2 * j + 1)))
+        pairs.append((sample_path(LAZY, 200 + 20 * j, master_seed=54, replica=2 * j),
+                      sample_path(LAZY, 256, master_seed=54, replica=2 * j + 1)))
+    return pairs
+
+
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_q_identity_block_matches_one_pair_calls(monkeypatch, chunks):
+    """Every pair of a ragged block gets the bits of its one-pair
+    q_identity_check (float.hex of lhs and rhs) and its exact shift
+    counts, which a Python-set recount confirms; lhs is the per-offset
+    reference fields' sum and rhs the sequential q-weighted sum of the
+    counts.  With small chunks and a small window budget the stamp,
+    the lookups and the block itself are split at many places."""
+    q = q_kernel(256.0, 4.0, 0.5)
+    pairs = _kernel_pairs()
+    site_pairs = [(site_set(a, horizon=q.t), site_set(b, horizon=q.t)) for a, b in pairs]
+    assert min(sa.shape[0] for sa, _ in site_pairs) == 1
+    one = [q_identity_check(a, b, q) for a, b in pairs]
+    if chunks == "small":
+        shapes = np.concatenate([g[3] for g in _pair_windows(*_block(site_pairs), q.stamp)])
+        monkeypatch.setattr(smoothing, "_MAX_WINDOW_CELLS", int(shapes.prod(axis=1).max()))
+        monkeypatch.setattr(smoothing, "_STAMP_CHUNK", 300)
+        monkeypatch.setattr(_fastpath, "_PAIR_CHUNK", 500)
+        assert len(list(_pair_windows(*_block(site_pairs), q.stamp))) > 2
+    block = q_identity_block(*_block(site_pairs), q)
+    counts = pair_shift_overlaps(*_block(site_pairs), q.offsets)
+    lam = q.stamp.total
+    assert len(block) == len(counts) == len(pairs)
+    for got, want, c, (sa, sb) in zip(block, one, counts.tolist(), site_pairs):
+        assert [got[k].hex() for k in ("lhs", "rhs", "residual")] == [
+            want[k].hex() for k in ("lhs", "rhs", "residual")]
+        assert c == pair_shift_overlaps(*_block([(sa, sb)]), q.offsets)[0].tolist()
+        assert c == _shift_counts_by_sets(sa, sb, q.offsets)
+        fa, fb = _fields_by_offset(q.stamp, sa, sb)
+        assert got["lhs"].hex() == (float((fa * fb).sum()) / (lam * lam)).hex()
+        rhs = 0.0
+        for v, k in zip(q.values.tolist(), c):
+            rhs += v * k
+        assert got["rhs"].hex() == rhs.hex()
+        assert got["residual"] < 1e-10
+    assert block[1]["lhs"] == block[1]["rhs"] == 0.0
+    assert min(b["lhs"] for b in block[2:]) > 0
+
+
+def test_site_sets_rows_match_site_set():
+    """One row-wise sort gives each row the distinct sites site_set
+    gives it alone, in the same order."""
+    pos = np.stack([sample_path(LONG, 64, master_seed=9, replica=j).positions
+                    for j in range(5)])
+    sites, bounds = site_sets(pos)
+    for j in range(5):
+        assert sites[bounds[j]:bounds[j + 1]].tobytes() == site_set(pos[j]).tobytes()
+
+
+@pytest.mark.parametrize("kind, raw", [
+    ("identities", {"distribution": "srw", "replicas": 40,
+                    "params": {"n": 256, "t": 64.0, "checks": ["dyadic", "q-kernel"]}}),
+    ("smoothed", {"distribution": "lazy-srw", "replicas": 5, "params": {"t": 64.0}}),
+])
+def test_shards_independent_of_block_size(tmp_path, monkeypatch, kind, raw):
+    """A run's shards hold the same bytes whether its q-kernel pairs are
+    checked four to a block or all in one."""
+    from rangelab.experiments import ExperimentConfig, run_experiment
+
+    cfg = ExperimentConfig.from_dict({"kind": kind, "master_seed": 8, **raw})
+    shards = []
+    for budget in (1 << 10, 1 << 20):
+        monkeypatch.setattr(_fastpath, "_BLOCK_STEPS", budget)
+        out = tmp_path / f"run-{budget}"
+        run_experiment(cfg, out=out)
+        shards.append([p.read_bytes() for p in sorted(out.glob("shard_*.jsonl"))])
+    assert len(shards[0]) == 1
+    assert shards[0] == shards[1]
 
 
 def test_parseval_identity():
@@ -253,18 +383,20 @@ def test_q_kernel_matches_per_offset_loop(t, b_t, eps):
 @pytest.mark.parametrize("dist, t", [(SRW, 64.0), (LAZY, 256.0), (KING, 256.0),
                                      (SRW, 1000.0), (KING, 4096.0)])
 def test_stamped_fields_match_per_offset_loop(dist, t):
-    """Bit for bit, for a pair of site sets and for one weighted set, at
-    perfect-square radii (t = 64, 256, 4096 with b_t = 4) and not."""
+    """Bit for bit and window for window, for pairs of site sets stamped
+    as one block and for one weighted set, at perfect-square radii
+    (t = 64, 256, 4096 with b_t = 4) and not."""
     stamp = smoothing_stamp(t / 4.0, 0.5)
     sa, sb = _pair_sites(dist, t, seed=17)
-    got = _stamped_fields(stamp, sa, sb)
-    want = _fields_by_offset(stamp, sa, sb)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+    pairs = [(sa, sb), (sb, sa[:1]), (sa, sa)]
+    for got, (a, b) in zip(_block_fields(stamp, pairs), pairs):
+        for g, w in zip(got, _fields_by_offset(stamp, a, b)):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
     weights = np.random.default_rng(3).random(sa.shape[0])
-    got, = _stamped_fields(stamp, sa, weights=[weights])
+    got = _weighted_field(stamp, sa, weights)
     want, = _fields_by_offset(stamp, sa, weights=[weights])
+    assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
@@ -277,11 +409,11 @@ def test_stamped_fields_chunk_boundaries(monkeypatch, chunk):
     sa, sb = _pair_sites(KING, 128.0, seed=5)
     assert sa.shape[0] > 40 and sb.shape[0] > 40
     sa = sa[:40]
-    weights = [np.ones(40), np.linspace(0.5, 2.0, sb.shape[0])]
-    got = _stamped_fields(stamp, sa, sb, weights=weights)
-    want = _fields_by_offset(stamp, sa, sb, weights=weights)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    for got, want in zip(_block_fields(stamp, [(sa, sb)])[0], _fields_by_offset(stamp, sa, sb)):
+        assert got.tobytes() == want.tobytes()
+    for sites, weights in ((sa, np.ones(40)), (sb, np.linspace(0.5, 2.0, sb.shape[0]))):
+        want, = _fields_by_offset(stamp, sites, weights=[weights])
+        assert _weighted_field(stamp, sites, weights).tobytes() == want.tobytes()
     for t, b_t, eps in Q_SCALES[:3]:
         offsets, values = _q_kernel_by_offset(t, b_t, eps)
         q = q_kernel(t, b_t, eps)
